@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError
-from .cyclegan import _gen_loss, _gen_output_grad, adversarial_loss_lsgan, adversarial_loss_log, _disc_output_grads
+from .cyclegan import _gen_loss, _gen_output_grad, discriminator_gradients
 from .features import FeatureSequence
 from .net import Gradients, Mlp, apply_update, backward, forward, init_mlp, init_optimizer
 from .seeding import derive_rng, derive_seed
@@ -148,7 +148,9 @@ def gan_baseline_generator_objective(
     d_fake, cache_d = forward(disc, pred)
     adv = _gen_loss(d_fake, loss_form)
     mse = mse_loss(pred, y_batch)
-    _, g_through_d = backward(disc, cache_d, _gen_output_grad(d_fake, loss_form))
+    _, g_through_d = backward(
+        disc, cache_d, _gen_output_grad(d_fake, loss_form), param_grads=False
+    )
     g_out = g_through_d + mse_weight * _mse_output_grad(pred, y_batch)
     grads, _ = backward(gen, cache_g, g_out)
     return adv, mse, grads
@@ -177,7 +179,6 @@ def train_gan_baseline(
     opt_g = init_optimizer(gen, "adam", config.lr_generator)
     opt_d = init_optimizer(disc, "adam", config.lr_discriminator)
     shuffle_rng = derive_rng(config.seed, "train.shuffle")
-    loss_fn = adversarial_loss_lsgan if config.loss_form == "lsgan" else adversarial_loss_log
 
     history: list[dict[str, float]] = []
     for _ in range(config.epochs):
@@ -189,13 +190,8 @@ def train_gan_baseline(
 
             # Discriminator update on (real y, fake G(x)).
             fake, _ = forward(gen, xb)
-            d_real, cache_r = forward(disc, yb)
-            d_fake, cache_f = forward(disc, fake)
-            disc_loss, _ = loss_fn(d_real, d_fake)
-            g_real, g_fake = _disc_output_grads(d_real, d_fake, config.loss_form)
-            grads_r, _ = backward(disc, cache_r, g_real)
-            grads_f, _ = backward(disc, cache_f, g_fake)
-            disc, opt_d = apply_update(disc, grads_r + grads_f, opt_d)
+            disc_loss, grads_d = discriminator_gradients(disc, yb, fake, config.loss_form)
+            disc, opt_d = apply_update(disc, grads_d, opt_d)
 
             # Generator update against the refreshed discriminator.
             adv, mse, grads = gan_baseline_generator_objective(

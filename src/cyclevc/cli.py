@@ -7,6 +7,7 @@ randomness flows from the single --seed value.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -105,7 +106,34 @@ def _normalized_pool(paths, stats) -> FeatureSequence:
     return FeatureSequence(np.concatenate(parts, axis=0), FeatureKind.AUGMENTED75)
 
 
+_M_TOP_PAD = -2  # glibc <malloc.h>
+_HEAP_TOP_PAD = 64 << 20
+
+
+def _keep_heap_top() -> None:
+    """Have glibc keep 64 MiB of freed heap instead of returning it to the OS.
+
+    A training step allocates and frees several MB of activations,
+    gradients and parameter vectors. With glibc's default trim threshold
+    the heap top goes back to the OS at the end of each step and every
+    page faults in again during the next one: about 3000 minor faults per
+    default-size step, a fifth of its time. The pad only keeps address
+    space; untouched pages cost no memory. Without a C-library mallopt
+    nothing changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    _keep_heap_top()
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
     epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS[args.method]

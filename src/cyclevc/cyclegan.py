@@ -241,6 +241,21 @@ def full_objective(losses: LossReport, cycle_weight: float) -> float:
 # Objective evaluation with gradients
 # ---------------------------------------------------------------------------
 
+def discriminator_gradients(
+    disc: Mlp, real: np.ndarray, fake: np.ndarray, loss_form: str
+) -> tuple[float, Gradients]:
+    """One discriminator's loss on real vs generated frames and its
+    parameter gradients; the generated frames are constants here."""
+    d_real, cache_r = forward(disc, real)
+    d_fake, cache_f = forward(disc, fake)
+    loss_fn = adversarial_loss_lsgan if loss_form == "lsgan" else adversarial_loss_log
+    loss, _ = loss_fn(d_real, d_fake)
+    g_real, g_fake = _disc_output_grads(d_real, d_fake, loss_form)
+    grads_r, _ = backward(disc, cache_r, g_real)
+    grads_f, _ = backward(disc, cache_f, g_fake)
+    return loss, grads_r + grads_f
+
+
 def discriminator_objective(
     model: CycleGanModel, x_batch: np.ndarray, y_batch: np.ndarray, loss_form: str
 ) -> tuple[float, float, Gradients, Gradients]:
@@ -252,19 +267,8 @@ def discriminator_objective(
     """
     fake_y, _ = forward(model.g, x_batch)
     fake_x, _ = forward(model.f, y_batch)
-
-    def one(disc, real, fake):
-        d_real, cache_r = forward(disc, real)
-        d_fake, cache_f = forward(disc, fake)
-        loss_fn = adversarial_loss_lsgan if loss_form == "lsgan" else adversarial_loss_log
-        loss, _ = loss_fn(d_real, d_fake)
-        g_real, g_fake = _disc_output_grads(d_real, d_fake, loss_form)
-        grads_r, _ = backward(disc, cache_r, g_real)
-        grads_f, _ = backward(disc, cache_f, g_fake)
-        return loss, grads_r + grads_f
-
-    loss_x, grads_dx = one(model.d_x, x_batch, fake_x)
-    loss_y, grads_dy = one(model.d_y, y_batch, fake_y)
+    loss_x, grads_dx = discriminator_gradients(model.d_x, x_batch, fake_x, loss_form)
+    loss_y, grads_dy = discriminator_gradients(model.d_y, y_batch, fake_y, loss_form)
     return loss_x, loss_y, grads_dx, grads_dy
 
 
@@ -279,16 +283,17 @@ def generator_objective(
 
     Both cycle directions contribute: X -> G -> F compared against x, and
     Y -> F -> G compared against y. Adversarial terms flow through the
-    (frozen) discriminators back into the generators; discriminator
-    parameter gradients from this pass are discarded.
+    (frozen) discriminators back into the generators without computing
+    discriminator parameter gradients.
     """
     # Forward direction: x -> fake_y -> rec_x, scored by D_Y.
     fake_y, cache_g1 = forward(model.g, x_batch)
     d_fake_y, cache_dy = forward(model.d_y, fake_y)
     adv_g = _gen_loss(d_fake_y, loss_form)
-    _, g_into_dy = backward(model.d_y, cache_dy, _gen_output_grad(d_fake_y, loss_form))
+    _, g_into_dy = backward(
+        model.d_y, cache_dy, _gen_output_grad(d_fake_y, loss_form), param_grads=False
+    )
     rec_x, cache_f1 = forward(model.f, fake_y)
-    cyc_fwd = float(np.mean(np.sum(np.abs(rec_x - x_batch), axis=1)))
     grads_f_fwd, g_into_f = backward(
         model.f, cache_f1, cycle_weight * _l1_grad(rec_x, x_batch)
     )
@@ -298,15 +303,16 @@ def generator_objective(
     fake_x, cache_f2 = forward(model.f, y_batch)
     d_fake_x, cache_dx = forward(model.d_x, fake_x)
     adv_f = _gen_loss(d_fake_x, loss_form)
-    _, g_into_dx = backward(model.d_x, cache_dx, _gen_output_grad(d_fake_x, loss_form))
+    _, g_into_dx = backward(
+        model.d_x, cache_dx, _gen_output_grad(d_fake_x, loss_form), param_grads=False
+    )
     rec_y, cache_g2 = forward(model.g, fake_x)
-    cyc_bwd = float(np.mean(np.sum(np.abs(rec_y - y_batch), axis=1)))
     grads_g_bwd, g_into_g = backward(
         model.g, cache_g2, cycle_weight * _l1_grad(rec_y, y_batch)
     )
     grads_f_bwd, _ = backward(model.f, cache_f2, g_into_dx + g_into_g)
 
-    cycle = cyc_fwd + cyc_bwd
+    cycle = cycle_loss(x_batch, rec_x, y_batch, rec_y)
     report = LossReport(
         adv_g=adv_g,
         adv_f=adv_f,

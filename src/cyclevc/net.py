@@ -1,4 +1,4 @@
-"""Minimal feed-forward network engine.
+"""Minimal feed-forward network engine on flat parameter vectors.
 
 Hand-rolled on purpose: generators, discriminators, and the baseline
 regressors all share this one architecture family (sigmoid hidden layers,
@@ -7,18 +7,43 @@ gradient with respect to the input batch so losses can chain through a
 second network (discriminator behind a generator, generator behind a
 generator).
 
-Mlp values are treated as immutable; apply_update returns fresh parameter
-arrays rather than mutating in place.
+Storage: each network keeps its parameters in one contiguous float64
+vector, all weight matrices first and then all bias vectors, in layer
+order. ``Mlp.weights`` and ``Mlp.biases`` are per-layer views into it.
+Gradients and the Adam moments use the same layout, so an optimizer step
+is a few whole-vector operations behind a single finiteness check.
+
+Ownership: Mlp values are immutable. Their parameter vector is read-only,
+and apply_update writes the updated parameters to a fresh vector, so a
+network held elsewhere never changes. An OptimizerState is different: each
+Adam step updates its ``m`` and ``v`` moment vectors in place, and the
+returned state shares them with the state passed in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatchError, FormatError, NonFiniteError
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    """All weights, then all biases, layer order, as one new float64 vector."""
+    return np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
+
+
+def _views(vector: np.ndarray, weight_shapes, bias_shapes):
+    """Per-layer weight and bias views of a vector in the flat layout."""
+    views, pos = [], 0
+    for shape in (*weight_shapes, *bias_shapes):
+        size = math.prod(shape)
+        views.append(vector[pos : pos + size].reshape(shape))
+        pos += size
+    n = len(weight_shapes)
+    return tuple(views[:n]), tuple(views[n:])
 
 
 @dataclass(frozen=True)
@@ -26,7 +51,9 @@ class Mlp:
     """Layer widths plus per-layer weight matrices and bias vectors.
 
     weights[l] has shape (layer_dims[l+1], layer_dims[l]); forward computes
-    a @ W.T + b per layer, sigmoid on hidden layers, linear output.
+    a @ W.T + b per layer, sigmoid on hidden layers, linear output. The
+    constructor copies the given arrays into ``params``, the read-only flat
+    vector that ``weights`` and ``biases`` then view.
     """
 
     layer_dims: tuple[int, ...]
@@ -34,6 +61,7 @@ class Mlp:
     biases: tuple[np.ndarray, ...]
     hidden_activation: str = "sigmoid"
     output_activation: str = "linear"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.layer_dims) < 2:
@@ -59,6 +87,25 @@ class Mlp:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NonFiniteError(f"layer {layer} parameters are not finite")
+        self._bind(_flatten(self.weights, self.biases))
+
+    def _bind(self, params: np.ndarray) -> None:
+        params.flags.writeable = False
+        dims = self.layer_dims
+        weights, biases = _views(
+            params, [(o, i) for i, o in zip(dims, dims[1:])], [(o,) for o in dims[1:]]
+        )
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+
+    def _with_params(self, params: np.ndarray) -> "Mlp":
+        """The same architecture over ``params``, which it takes over uncopied."""
+        net = object.__new__(Mlp)
+        for name in ("layer_dims", "hidden_activation", "output_activation"):
+            object.__setattr__(net, name, getattr(self, name))
+        net._bind(params)
+        return net
 
     @property
     def d_in(self) -> int:
@@ -73,29 +120,40 @@ class Mlp:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
 class Gradients:
-    """Parameter gradients, shape-congruent with the owning Mlp."""
+    """Parameter gradients in the flat layout of the owning Mlp.
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    ``weights`` and ``biases`` are per-layer views of one vector; the
+    constructor copies the given arrays into it.
+    """
+
+    __slots__ = ("_vector", "weights", "biases")
+
+    def __init__(self, weights, biases) -> None:
+        self._bind(
+            _flatten(weights, biases),
+            [np.shape(w) for w in weights],
+            [np.shape(b) for b in biases],
+        )
+
+    def _bind(self, vector, weight_shapes, bias_shapes) -> None:
+        self._vector = vector
+        self.weights, self.biases = _views(vector, weight_shapes, bias_shapes)
+
+    @classmethod
+    def _wrap(cls, vector: np.ndarray, like) -> "Gradients":
+        """Gradients over ``vector`` (uncopied), laid out like ``like``."""
+        grads = object.__new__(cls)
+        grads._bind(vector, [w.shape for w in like.weights], [b.shape for b in like.biases])
+        return grads
 
     def __add__(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            weights=tuple(a + b for a, b in zip(self.weights, other.weights)),
-            biases=tuple(a + b for a, b in zip(self.biases, other.biases)),
-        )
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            weights=tuple(factor * w for w in self.weights),
-            biases=tuple(factor * b for b in self.biases),
-        )
+        return Gradients._wrap(self._vector + other._vector, self)
 
     def flat(self) -> np.ndarray:
-        """All entries as one vector (weights then biases, layer order)."""
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
+        """All entries as one vector (weights then biases, layer order);
+        the stored vector itself, not a copy."""
+        return self._vector
 
 
 @dataclass(frozen=True)
@@ -107,17 +165,19 @@ class ForwardCache:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam or plain SGD state for one Mlp."""
+    """Adam or plain SGD state for one Mlp.
+
+    m and v are Adam's first and second moment vectors in the Mlp's flat
+    layout; apply_update overwrites them in place.
+    """
 
     method: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    m_weights: tuple[np.ndarray, ...] = ()
-    m_biases: tuple[np.ndarray, ...] = ()
-    v_weights: tuple[np.ndarray, ...] = ()
-    v_biases: tuple[np.ndarray, ...] = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step_count: int = 0
 
     def __post_init__(self) -> None:
@@ -127,18 +187,17 @@ class OptimizerState:
             raise ValueError("learning rate must be > 0")
         if self.step_count < 0:
             raise ValueError("step_count must be >= 0")
+        if self.method == "adam" and (self.m is None or self.v is None):
+            raise ValueError("adam needs m and v moment vectors")
 
 
 def init_optimizer(net: Mlp, method: str = "adam", learning_rate: float = 0.001,
                    beta1: float = 0.9, beta2: float = 0.999,
                    epsilon: float = 1e-8) -> OptimizerState:
-    zeros_w = tuple(np.zeros_like(w) for w in net.weights)
-    zeros_b = tuple(np.zeros_like(b) for b in net.biases)
     return OptimizerState(
         method=method, learning_rate=learning_rate,
         beta1=beta1, beta2=beta2, epsilon=epsilon,
-        m_weights=zeros_w, m_biases=zeros_b,
-        v_weights=zeros_w, v_biases=zeros_b,
+        m=np.zeros_like(net.params), v=np.zeros_like(net.params),
     )
 
 
@@ -160,6 +219,17 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
     return Mlp(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
 
 
+def _sigmoid_inplace(z: np.ndarray) -> None:
+    """z <- 1 / (1 + exp(-z)). exp(-z) overflows to inf below z = -709,
+    which gives exactly 0; above z = 37, exp(-z) is below half an ulp of
+    1, which gives exactly 1."""
+    with np.errstate(over="ignore"):
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
 def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a B x d_in batch through the net; also return the activation
     cache that backward needs."""
@@ -169,22 +239,26 @@ def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
             f"batch must be B x {net.d_in}, got shape {batch.shape}"
         )
     acts = [batch]
-    a = batch
     last = net.n_layers - 1
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = z if layer == last else expit(z)
+        a = acts[-1] @ w.T
+        a += b
+        if layer != last:
+            _sigmoid_inplace(a)
         acts.append(a)
-    return a, ForwardCache(activations=tuple(acts))
+    return acts[-1], ForwardCache(activations=tuple(acts))
 
 
 def backward(
-    net: Mlp, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[Gradients, np.ndarray]:
+    net: Mlp, cache: ForwardCache, output_gradient: np.ndarray, param_grads: bool = True
+) -> tuple[Gradients | None, np.ndarray]:
     """Exact backprop given d(loss)/d(output).
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, which lets callers chain losses through stacked networks.
+    With param_grads=False, for a network that is only backpropagated
+    through, the parameter gradients are not computed and None is returned
+    in their place.
     """
     if len(cache.activations) != net.n_layers + 1:
         raise DimensionMismatchError(
@@ -202,17 +276,25 @@ def backward(
             f"output_gradient shape {g.shape} does not match "
             f"output shape {cache.activations[-1].shape}"
         )
-    grad_w: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
+    grads = Gradients._wrap(np.empty_like(net.params), net) if param_grads else None
     last = net.n_layers - 1
     for layer in range(last, -1, -1):
-        a_out = cache.activations[layer + 1]
-        # Output layer is linear; hidden layers need sigmoid' = a(1-a).
-        gz = g if layer == last else g * a_out * (1.0 - a_out)
-        grad_w[layer] = gz.T @ cache.activations[layer]
-        grad_b[layer] = gz.sum(axis=0)
-        g = gz @ net.weights[layer]
-    return Gradients(weights=tuple(grad_w), biases=tuple(grad_b)), g
+        if layer != last:
+            # Hidden layers need sigmoid' = a(1-a); g came from the matmul
+            # below, so it can be scaled in place.
+            a_out = cache.activations[layer + 1]
+            g *= a_out
+            g *= 1.0 - a_out
+        if grads is not None:
+            np.matmul(g.T, cache.activations[layer], out=grads.weights[layer])
+            np.sum(g, axis=0, out=grads.biases[layer])
+        g = g @ net.weights[layer]
+    return grads, g
+
+
+#: Elements per Adam block: 128 KiB per vector, so the eight vectors a
+#: block touches stay in a core's L2 cache for all of its passes.
+_ADAM_BLOCK = 16384
 
 
 def apply_update(
@@ -220,54 +302,48 @@ def apply_update(
 ) -> tuple[Mlp, OptimizerState]:
     """One optimizer step; returns the updated Mlp and state.
 
-    Raises NonFiniteError on NaN/inf gradients so a diverged training run
-    aborts instead of silently corrupting the model.
+    The new parameters go to a fresh vector; Adam's moments are updated in
+    place. Raises NonFiniteError on NaN/inf gradients so a diverged training
+    run aborts instead of silently corrupting the model.
     """
     if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
         raise DimensionMismatchError("gradient layer count does not match net")
     for layer, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
         if gw.shape != net.weights[layer].shape or gb.shape != net.biases[layer].shape:
             raise DimensionMismatchError(f"gradient {layer} shape mismatch")
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NonFiniteError(f"non-finite gradient in layer {layer}")
+    g = grads.flat()
+    if not np.isfinite(g).all():
+        layer = next(
+            k for k, (gw, gb) in enumerate(zip(grads.weights, grads.biases))
+            if not (np.isfinite(gw).all() and np.isfinite(gb).all())
+        )
+        raise NonFiniteError(f"non-finite gradient in layer {layer}")
 
     lr = opt.learning_rate
     if opt.method == "sgd":
-        new_w = tuple(w - lr * gw for w, gw in zip(net.weights, grads.weights))
-        new_b = tuple(b - lr * gb for b, gb in zip(net.biases, grads.biases))
-        return replace(net, weights=new_w, biases=new_b), opt
+        return net._with_params(net.params - lr * g), opt
 
     t = opt.step_count + 1
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-
-    def adam(p, g, m, v):
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-        p = p - lr * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
-        return p, m, v
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(net.weights, grads.weights, opt.m_weights, opt.v_weights):
-        p, m, v = adam(p, g, m, v)
-        new_w.append(p)
-        new_mw.append(m)
-        new_vw.append(v)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(net.biases, grads.biases, opt.m_biases, opt.v_biases):
-        p, m, v = adam(p, g, m, v)
-        new_b.append(p)
-        new_mb.append(m)
-        new_vb.append(v)
-    return (
-        replace(net, weights=tuple(new_w), biases=tuple(new_b)),
-        replace(
-            opt,
-            m_weights=tuple(new_mw), m_biases=tuple(new_mb),
-            v_weights=tuple(new_vw), v_biases=tuple(new_vb),
-            step_count=t,
-        ),
-    )
+    new_params = np.empty_like(net.params)
+    # The operations run block by block, in the order of the textbook
+    # formula term by term, so the result does not depend on the block size.
+    for lo in range(0, g.size, _ADAM_BLOCK):
+        blk = slice(lo, lo + _ADAM_BLOCK)
+        gb, m, v = g[blk], opt.m[blk], opt.v[blk]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * gb
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * gb * gb
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += opt.epsilon
+        step /= denom
+        np.subtract(net.params[blk], step, out=new_params[blk])
+    return net._with_params(new_params), replace(opt, step_count=t)
 
 
 # ---------------------------------------------------------------------------

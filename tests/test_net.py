@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,24 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             forward(net, np.zeros((2, 5)))
 
+    def test_extreme_inputs_saturate_without_warnings(self):
+        """exp(-z) overflows for z << 0; the sigmoid must still give exactly
+        0 there (and exactly 1 for z >> 0) and raise no RuntimeWarning."""
+        identity = Mlp(
+            layer_dims=(2, 2, 1),
+            weights=(np.eye(2), np.ones((1, 2))),
+            biases=(np.zeros(2), np.zeros(1)),
+        )
+        batch = np.array([[1e3, -1e3], [-1e3, 1e3], [750.0, -750.0]])
+        net = init_mlp((2, 16, 8, 3), seed=13)
+        wide = np.random.default_rng(14).normal(size=(64, 2)) * 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cache = forward(identity, batch)
+            out, _ = forward(net, wide)
+        np.testing.assert_array_equal(cache.activations[1], [[1, 0], [0, 1], [1, 0]])
+        assert np.isfinite(out).all()
+
 
 class TestBackward:
     def test_hand_input_gradient(self):
@@ -158,6 +178,15 @@ class TestBackward:
         out, cache = forward(net, batch)
         grads, _ = backward(net, cache, 2.0 * (out - target) / out.size)
         assert_gradients_close(grads, numeric_gradient(loss, net))
+
+    def test_frozen_backward_skips_parameter_gradients_only(self):
+        net = init_mlp((3, 6, 4, 1), seed=15)
+        batch = np.random.default_rng(16).normal(size=(5, 3))
+        out, cache = forward(net, batch)
+        _, full = backward(net, cache, out - 1.0)
+        grads, frozen = backward(net, cache, out - 1.0, param_grads=False)
+        assert grads is None
+        np.testing.assert_array_equal(frozen, full)
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -236,6 +265,34 @@ class TestApplyUpdate:
         opt = init_optimizer(net)
         with pytest.raises(NonFiniteError):
             apply_update(net, self._grads(np.inf), opt)
+        deep = init_mlp((3, 4, 2), seed=17)
+        grads = Gradients(
+            weights=tuple(np.zeros_like(w) for w in deep.weights),
+            biases=(np.zeros(4), np.array([0.0, np.nan])),
+        )
+        with pytest.raises(NonFiniteError, match="layer 1"):
+            apply_update(deep, grads, init_optimizer(deep))
+
+    def test_update_leaves_the_input_net_untouched(self):
+        net = init_mlp((3, 5, 2), seed=18)
+        before = net.params.copy()
+        grads = Gradients(
+            weights=tuple(np.ones_like(w) for w in net.weights),
+            biases=tuple(np.ones_like(b) for b in net.biases),
+        )
+        for method in ("adam", "sgd"):
+            updated, _ = apply_update(net, grads, init_optimizer(net, method=method))
+            assert not np.shares_memory(updated.params, net.params)
+            assert not np.array_equal(updated.params, before)
+        np.testing.assert_array_equal(net.params, before)
+        with pytest.raises(ValueError):
+            net.weights[0][0, 0] = 1.0
+
+    def test_optimizer_moments_are_separate_buffers(self):
+        net = init_mlp((3, 5, 2), seed=19)
+        opt = init_optimizer(net)
+        assert opt.m.shape == opt.v.shape == net.params.shape
+        assert not np.shares_memory(opt.m, opt.v)
 
     def test_shape_mismatch(self):
         net = self._scalar_net()
