@@ -19,13 +19,12 @@ from .baselines import (
 from .cyclegan import (
     CycleGanConfig,
     CycleGanModel,
+    LOSS_FORMS,
     LossReport,
-    adversarial_loss_log,
-    adversarial_loss_lsgan,
     build_model,
-    convert_frames,
     cycle_loss,
-    full_objective,
+    discriminator_loss,
+    generator_loss,
     train,
 )
 from .errors import (
@@ -62,6 +61,7 @@ from .pipeline import (
     ConversionResult,
     SpeakerStats,
     SyntheticSpec,
+    augment_lower,
     compute_speaker_stats,
     convert_utterance,
     generate_dataset,

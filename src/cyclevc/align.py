@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, InsufficientDataError
-from .features import FeatureKind, FeatureSequence
+from .features import FeatureSequence
 
 
 @dataclass(frozen=True)

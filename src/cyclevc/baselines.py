@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientDataError
-from .cyclegan import _gen_loss, _gen_output_grad, discriminator_gradients
+from .cyclegan import LOSS_FORMS, discriminator_gradients, epoch_batches, generator_loss
 from .features import FeatureSequence
 from .net import Gradients, Mlp, apply_update, backward, forward, init_mlp, init_optimizer
 from .seeding import derive_rng, derive_seed
@@ -77,7 +77,7 @@ class GanBaselineConfig:
             raise ValueError("learning rates must be > 0")
         if self.batch_frames < 1 or self.epochs < 1:
             raise ValueError("batch_frames and epochs must be >= 1")
-        if self.loss_form not in ("lsgan", "log"):
+        if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"unknown loss_form {self.loss_form!r}")
 
 
@@ -96,14 +96,6 @@ def _mse_output_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 2.0 * (pred - target) / pred.size
 
 
-def _batches(frames: int, batch_frames: int, rng: np.random.Generator):
-    batch = min(batch_frames, frames)
-    steps = max(1, frames // batch)
-    order = rng.permutation(frames)
-    for k in range(steps):
-        yield order[k * batch : (k + 1) * batch]
-
-
 def train_mse_baseline(
     data: ParallelTrainSet, config: MseBaselineConfig = MseBaselineConfig()
 ) -> tuple[Mlp, list[float]]:
@@ -114,13 +106,13 @@ def train_mse_baseline(
         (data.dim, *config.hidden_dims, data.dim),
         derive_seed(config.seed, "init.G"),
     )
-    opt = init_optimizer(net, "adam", config.learning_rate)
+    opt = init_optimizer(net, config.learning_rate)
     shuffle_rng = derive_rng(config.seed, "train.shuffle")
 
     history: list[float] = []
     for _ in range(config.epochs):
         losses = []
-        for idx in _batches(data.frames, config.batch_frames, shuffle_rng):
+        for (idx,) in epoch_batches(shuffle_rng, config.batch_frames, data.frames):
             xb = data.x.data[idx]
             yb = data.y.data[idx]
             pred, cache = forward(net, xb)
@@ -146,11 +138,9 @@ def gan_baseline_generator_objective(
     """
     pred, cache_g = forward(gen, x_batch)
     d_fake, cache_d = forward(disc, pred)
-    adv = _gen_loss(d_fake, loss_form)
+    adv, g_adv = generator_loss(d_fake, loss_form)
     mse = mse_loss(pred, y_batch)
-    _, g_through_d = backward(
-        disc, cache_d, _gen_output_grad(d_fake, loss_form), param_grads=False
-    )
+    _, g_through_d = backward(disc, cache_d, g_adv, param_grads=False)
     g_out = g_through_d + mse_weight * _mse_output_grad(pred, y_batch)
     grads, _ = backward(gen, cache_g, g_out)
     return adv, mse, grads
@@ -176,15 +166,15 @@ def train_gan_baseline(
         (data.dim, *config.hidden_dims, 1),
         derive_seed(config.seed, "init.D"),
     )
-    opt_g = init_optimizer(gen, "adam", config.lr_generator)
-    opt_d = init_optimizer(disc, "adam", config.lr_discriminator)
+    opt_g = init_optimizer(gen, config.lr_generator)
+    opt_d = init_optimizer(disc, config.lr_discriminator)
     shuffle_rng = derive_rng(config.seed, "train.shuffle")
 
     history: list[dict[str, float]] = []
     for _ in range(config.epochs):
         sums = {"disc": 0.0, "adv": 0.0, "mse": 0.0, "total": 0.0}
         steps = 0
-        for idx in _batches(data.frames, config.batch_frames, shuffle_rng):
+        for (idx,) in epoch_batches(shuffle_rng, config.batch_frames, data.frames):
             xb = data.x.data[idx]
             yb = data.y.data[idx]
 

@@ -7,8 +7,8 @@ randomness flows from the single --seed value.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .baselines import (
     train_gan_baseline,
     train_mse_baseline,
 )
-from .cyclegan import CycleGanConfig, CycleGanModel, build_model, train
+from .cyclegan import LOSS_FORMS, CycleGanConfig, LossReport, build_model, train
 from .errors import DimensionMismatchError, InsufficientDataError
 from .features import (
     AUGMENTED_DIM,
@@ -31,7 +31,7 @@ from .features import (
     split_mcep,
     write_ftr,
 )
-from .net import Mlp, forward
+from .net import forward
 from .pipeline import (
     SyntheticSpec,
     augment_lower,
@@ -106,34 +106,7 @@ def _normalized_pool(paths, stats) -> FeatureSequence:
     return FeatureSequence(np.concatenate(parts, axis=0), FeatureKind.AUGMENTED75)
 
 
-_M_TOP_PAD = -2  # glibc <malloc.h>
-_HEAP_TOP_PAD = 64 << 20
-
-
-def _keep_heap_top() -> None:
-    """Have glibc keep 64 MiB of freed heap instead of returning it to the OS.
-
-    A training step allocates and frees several MB of activations,
-    gradients and parameter vectors. With glibc's default trim threshold
-    the heap top goes back to the OS at the end of each step and every
-    page faults in again during the next one: about 3000 minor faults per
-    default-size step, a fifth of its time. The pad only keeps address
-    space; untouched pages cost no memory. Without a C-library mallopt
-    nothing changes.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    _keep_heap_top()
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
     epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS[args.method]
@@ -144,11 +117,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     if args.method == "cyclegan":
-        if args.paired:
-            print(
-                "warning: --paired ignored; cycle-consistent training is nonparallel",
-                file=sys.stderr,
-            )
         x_data = _normalized_pool(args.src_mcep, src_stats)
         y_data = _normalized_pool(args.tgt_mcep, tgt_stats)
         config = CycleGanConfig(
@@ -170,11 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         write_loss_csv(
             out_dir / "losses.csv",
-            ["adv_g", "adv_f", "disc_x", "disc_y", "cycle", "total"],
-            [
-                (r.adv_g, r.adv_f, r.disc_x, r.disc_y, r.cycle, r.total)
-                for r in history
-            ],
+            [f.name for f in fields(LossReport)],
+            [astuple(r) for r in history],
         )
     else:
         if len(args.src_mcep) != len(args.tgt_mcep):
@@ -335,16 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lr-g", type=float, default=0.001)
     p.add_argument("--lr-d", type=float, default=0.0001)
-    p.add_argument("--loss-form", choices=("lsgan", "log"), default="lsgan")
+    p.add_argument("--loss-form", choices=LOSS_FORMS, default="lsgan")
     p.add_argument("--mse-weight", type=float, default=1.0)
     p.add_argument(
         "--hidden", type=_parse_hidden, default=(128, 256, 256, 128),
         help="comma-separated hidden layer widths",
-    )
-    p.add_argument(
-        "--paired",
-        action="store_true",
-        help="declare the utterance lists parallel (ignored by cyclegan)",
     )
     p.set_defaults(func=cmd_train)
 

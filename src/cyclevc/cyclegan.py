@@ -15,16 +15,28 @@ the non-saturating log loss for the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from .features import FeatureSequence
-from .net import Gradients, Mlp, OptimizerState, apply_update, backward, forward, init_optimizer
-from .seeding import derive_rng
+from .net import (
+    Gradients,
+    Mlp,
+    OptimizerState,
+    apply_update,
+    backward,
+    forward,
+    init_mlp,
+    init_optimizer,
+    keep_heap_top,
+    sigmoid_inplace,
+)
+from .seeding import derive_rng, derive_seed
 
+#: The adversarial loss forms every trainer and the CLI accept.
+LOSS_FORMS = ("lsgan", "log")
 _LOG_CLAMP = 1e-12
 
 
@@ -73,7 +85,7 @@ class CycleGanConfig:
             raise ValueError("batch_frames must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.loss_form not in ("lsgan", "log"):
+        if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"unknown loss_form {self.loss_form!r}")
 
 
@@ -105,12 +117,7 @@ class LossReport:
     def mean(reports: list["LossReport"]) -> "LossReport":
         n = len(reports)
         return LossReport(
-            adv_g=sum(r.adv_g for r in reports) / n,
-            adv_f=sum(r.adv_f for r in reports) / n,
-            disc_x=sum(r.disc_x for r in reports) / n,
-            disc_y=sum(r.disc_y for r in reports) / n,
-            cycle=sum(r.cycle for r in reports) / n,
-            total=sum(r.total for r in reports) / n,
+            *(sum(getattr(r, f.name) for r in reports) / n for f in fields(LossReport))
         )
 
 
@@ -126,18 +133,15 @@ class TrainerState:
     @staticmethod
     def fresh(model: CycleGanModel, config: CycleGanConfig) -> "TrainerState":
         return TrainerState(
-            opt_g=init_optimizer(model.g, "adam", config.lr_generator),
-            opt_f=init_optimizer(model.f, "adam", config.lr_generator),
-            opt_dx=init_optimizer(model.d_x, "adam", config.lr_discriminator),
-            opt_dy=init_optimizer(model.d_y, "adam", config.lr_discriminator),
+            opt_g=init_optimizer(model.g, config.lr_generator),
+            opt_f=init_optimizer(model.f, config.lr_generator),
+            opt_dx=init_optimizer(model.d_x, config.lr_discriminator),
+            opt_dy=init_optimizer(model.d_y, config.lr_discriminator),
         )
 
 
 def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
     """Seeded construction of the four networks from the shared config."""
-    from .net import init_mlp
-    from .seeding import derive_seed
-
     gen_dims = (feature_dim, *config.hidden_dims, feature_dim)
     disc_dims = (feature_dim, *config.hidden_dims, 1)
     return CycleGanModel(
@@ -149,64 +153,47 @@ def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
 
 
 # ---------------------------------------------------------------------------
-# Losses. All take raw (linear) discriminator outputs and return scalars to
-# be minimized; the gradient helpers return d(loss)/d(raw output).
+# Losses. Each takes raw (linear) discriminator outputs and returns the
+# scalar to be minimized plus its gradient with respect to those outputs.
 # ---------------------------------------------------------------------------
 
-def adversarial_loss_log(d_real: np.ndarray, d_fake: np.ndarray) -> tuple[float, float]:
-    """Log-form adversarial losses from raw discriminator outputs.
+def _sigmoid(raw: np.ndarray) -> np.ndarray:
+    p = np.array(raw, dtype=np.float64)
+    sigmoid_inplace(p)
+    return p
 
-    Outputs are squashed to (0,1) by a sigmoid before the log, with the log
-    arguments clamped at 1e-12. The discriminator loss is the negated
-    classic objective; the generator loss is the non-saturating variant
-    -mean log D(fake).
+
+def discriminator_loss(
+    d_real: np.ndarray, d_fake: np.ndarray, form: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The discriminator's loss and its gradients wrt the real and fake scores.
+
+    lsgan: mean (D(real)-1)^2 + mean D(fake)^2. log: the negated classic
+    objective on sigmoid-squashed scores, -mean log D(real) - mean
+    log(1 - D(fake)), with the log arguments clamped at 1e-12.
     """
-    p_real = expit(np.asarray(d_real, dtype=np.float64))
-    p_fake = expit(np.asarray(d_fake, dtype=np.float64))
-    disc = -(
+    n_real, n_fake = d_real.shape[0], d_fake.shape[0]
+    if form == "lsgan":
+        loss = np.mean((d_real - 1.0) ** 2) + np.mean(d_fake**2)
+        return float(loss), 2.0 * (d_real - 1.0) / n_real, 2.0 * d_fake / n_fake
+    p_real, p_fake = _sigmoid(d_real), _sigmoid(d_fake)
+    loss = -(
         np.mean(np.log(np.maximum(p_real, _LOG_CLAMP)))
         + np.mean(np.log(np.maximum(1.0 - p_fake, _LOG_CLAMP)))
     )
-    gen = -np.mean(np.log(np.maximum(p_fake, _LOG_CLAMP)))
-    return float(disc), float(gen)
+    return float(loss), -(1.0 - p_real) / n_real, p_fake / n_fake
 
 
-def adversarial_loss_lsgan(d_real: np.ndarray, d_fake: np.ndarray) -> tuple[float, float]:
-    """Least-squares adversarial losses from raw discriminator outputs.
+def generator_loss(d_fake: np.ndarray, form: str) -> tuple[float, np.ndarray]:
+    """A generator's adversarial loss and its gradient wrt the fake scores.
 
-    disc = mean (D(real)-1)^2 + mean D(fake)^2, gen = mean (D(fake)-1)^2.
+    lsgan: mean (D(fake)-1)^2. log: the non-saturating -mean log D(fake).
     """
-    d_real = np.asarray(d_real, dtype=np.float64)
-    d_fake = np.asarray(d_fake, dtype=np.float64)
-    disc = np.mean((d_real - 1.0) ** 2) + np.mean(d_fake**2)
-    gen = np.mean((d_fake - 1.0) ** 2)
-    return float(disc), float(gen)
-
-
-def _disc_output_grads(d_real, d_fake, loss_form):
-    """d(disc loss)/d(raw outputs), matching the loss functions above."""
-    n_real = d_real.shape[0]
-    n_fake = d_fake.shape[0]
-    if loss_form == "lsgan":
-        return 2.0 * (d_real - 1.0) / n_real, 2.0 * d_fake / n_fake
-    p_real = expit(d_real)
-    p_fake = expit(d_fake)
-    return -(1.0 - p_real) / n_real, p_fake / n_fake
-
-
-def _gen_loss(d_fake, loss_form):
-    """Generator's adversarial loss from raw fake scores."""
-    if loss_form == "lsgan":
-        return float(np.mean((d_fake - 1.0) ** 2))
-    return float(-np.mean(np.log(np.maximum(expit(d_fake), _LOG_CLAMP))))
-
-
-def _gen_output_grad(d_fake, loss_form):
-    """d(gen loss)/d(raw fake outputs)."""
     n = d_fake.shape[0]
-    if loss_form == "lsgan":
-        return 2.0 * (d_fake - 1.0) / n
-    return -(1.0 - expit(d_fake)) / n
+    if form == "lsgan":
+        return float(np.mean((d_fake - 1.0) ** 2)), 2.0 * (d_fake - 1.0) / n
+    p_fake = _sigmoid(d_fake)
+    return float(-np.mean(np.log(np.maximum(p_fake, _LOG_CLAMP)))), -(1.0 - p_fake) / n
 
 
 def cycle_loss(
@@ -232,11 +219,6 @@ def _l1_grad(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.sign(rec - ref) / rec.shape[0]
 
 
-def full_objective(losses: LossReport, cycle_weight: float) -> float:
-    """Generator-side total: adv_G + adv_F + cycle_weight * cycle."""
-    return losses.adv_g + losses.adv_f + cycle_weight * losses.cycle
-
-
 # ---------------------------------------------------------------------------
 # Objective evaluation with gradients
 # ---------------------------------------------------------------------------
@@ -248,9 +230,7 @@ def discriminator_gradients(
     parameter gradients; the generated frames are constants here."""
     d_real, cache_r = forward(disc, real)
     d_fake, cache_f = forward(disc, fake)
-    loss_fn = adversarial_loss_lsgan if loss_form == "lsgan" else adversarial_loss_log
-    loss, _ = loss_fn(d_real, d_fake)
-    g_real, g_fake = _disc_output_grads(d_real, d_fake, loss_form)
+    loss, g_real, g_fake = discriminator_loss(d_real, d_fake, loss_form)
     grads_r, _ = backward(disc, cache_r, g_real)
     grads_f, _ = backward(disc, cache_f, g_fake)
     return loss, grads_r + grads_f
@@ -289,10 +269,8 @@ def generator_objective(
     # Forward direction: x -> fake_y -> rec_x, scored by D_Y.
     fake_y, cache_g1 = forward(model.g, x_batch)
     d_fake_y, cache_dy = forward(model.d_y, fake_y)
-    adv_g = _gen_loss(d_fake_y, loss_form)
-    _, g_into_dy = backward(
-        model.d_y, cache_dy, _gen_output_grad(d_fake_y, loss_form), param_grads=False
-    )
+    adv_g, g_adv_g = generator_loss(d_fake_y, loss_form)
+    _, g_into_dy = backward(model.d_y, cache_dy, g_adv_g, param_grads=False)
     rec_x, cache_f1 = forward(model.f, fake_y)
     grads_f_fwd, g_into_f = backward(
         model.f, cache_f1, cycle_weight * _l1_grad(rec_x, x_batch)
@@ -302,10 +280,8 @@ def generator_objective(
     # Backward direction: y -> fake_x -> rec_y, scored by D_X.
     fake_x, cache_f2 = forward(model.f, y_batch)
     d_fake_x, cache_dx = forward(model.d_x, fake_x)
-    adv_f = _gen_loss(d_fake_x, loss_form)
-    _, g_into_dx = backward(
-        model.d_x, cache_dx, _gen_output_grad(d_fake_x, loss_form), param_grads=False
-    )
+    adv_f, g_adv_f = generator_loss(d_fake_x, loss_form)
+    _, g_into_dx = backward(model.d_x, cache_dx, g_adv_f, param_grads=False)
     rec_y, cache_g2 = forward(model.g, fake_x)
     grads_g_bwd, g_into_g = backward(
         model.g, cache_g2, cycle_weight * _l1_grad(rec_y, y_batch)
@@ -327,6 +303,24 @@ def generator_objective(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+def epoch_batches(rng: np.random.Generator, batch_frames: int, *frame_counts: int):
+    """One epoch of mini-batches over one or more datasets.
+
+    Draws one permutation per dataset from rng, in argument order, then
+    yields, for each step, a tuple with the next slice of every
+    permutation. The batch size is capped by the smallest dataset, and an
+    epoch walks the smallest dataset once without replacement, so batch k
+    of one dataset is paired with batch k of another purely by position.
+    Also sets the training heap pad (net.keep_heap_top).
+    """
+    keep_heap_top()
+    batch = min(batch_frames, *frame_counts)
+    steps = max(1, min(frame_counts) // batch)
+    orders = [rng.permutation(n) for n in frame_counts]
+    for k in range(steps):
+        yield tuple(order[k * batch : (k + 1) * batch] for order in orders)
+
 
 def train_step(
     model: CycleGanModel,
@@ -350,14 +344,7 @@ def train_step(
     new_f, opt_f = apply_update(model.f, grads_f, state.opt_f)
     model = CycleGanModel(g=new_g, f=new_f, d_x=model.d_x, d_y=model.d_y)
 
-    report = LossReport(
-        adv_g=gen_report.adv_g,
-        adv_f=gen_report.adv_f,
-        disc_x=disc_x_loss,
-        disc_y=disc_y_loss,
-        cycle=gen_report.cycle,
-        total=gen_report.total,
-    )
+    report = replace(gen_report, disc_x=disc_x_loss, disc_y=disc_y_loss)
     return model, TrainerState(opt_g=opt_g, opt_f=opt_f, opt_dx=opt_dx, opt_dy=opt_dy), report
 
 
@@ -380,33 +367,18 @@ def train(
         raise DimensionMismatchError(
             f"model expects width {model.feature_dim}, got {x_data.dim}/{y_data.dim}"
         )
-    batch = min(config.batch_frames, x_data.frames, y_data.frames)
-    steps = max(1, min(x_data.frames, y_data.frames) // batch)
     shuffle_rng = derive_rng(config.seed, "train.shuffle")
     state = TrainerState.fresh(model, config)
 
     history: list[LossReport] = []
     for _ in range(config.epochs):
-        x_order = shuffle_rng.permutation(x_data.frames)
-        y_order = shuffle_rng.permutation(y_data.frames)
         step_reports = []
-        for k in range(steps):
-            xb = x_data.data[x_order[k * batch : (k + 1) * batch]]
-            yb = y_data.data[y_order[k * batch : (k + 1) * batch]]
-            model, state, report = train_step(model, xb, yb, config, state)
+        for x_idx, y_idx in epoch_batches(
+            shuffle_rng, config.batch_frames, x_data.frames, y_data.frames
+        ):
+            model, state, report = train_step(
+                model, x_data.data[x_idx], y_data.data[y_idx], config, state
+            )
             step_reports.append(report)
         history.append(LossReport.mean(step_reports))
     return model, history
-
-
-def convert_frames(
-    model: CycleGanModel, x: FeatureSequence, direction: str = "xy"
-) -> FeatureSequence:
-    """Map normalized frames through G ("xy") or F ("yx")."""
-    if direction not in ("xy", "yx"):
-        raise ValueError(f"direction must be 'xy' or 'yx', got {direction!r}")
-    net = model.g if direction == "xy" else model.f
-    if x.dim != net.d_in:
-        raise DimensionMismatchError(f"expected width {net.d_in}, got {x.dim}")
-    out, _ = forward(net, x.data)
-    return FeatureSequence(out, x.kind)

@@ -334,32 +334,3 @@ def read_ftr(path) -> FeatureSequence:
     body = np.frombuffer(raw, dtype="<f4", offset=_FTR_HEADER.size)
     data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
     return FeatureSequence(data, kind)
-
-
-def write_csv(path, seq: FeatureSequence) -> None:
-    """One frame per line, comma-separated full-precision decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in seq.data:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def read_csv(path, kind: FeatureKind = FeatureKind.GENERIC, dim: int | None = None) -> FeatureSequence:
-    """Read a frame-per-line CSV; dim disambiguates an empty file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: unparsable frame") from exc
-    if not rows:
-        width = dim if dim is not None else (kind.fixed_dim or 1)
-        return FeatureSequence(np.zeros((0, width)), kind)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return FeatureSequence(np.asarray(rows, dtype=np.float64), kind)

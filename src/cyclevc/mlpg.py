@@ -7,7 +7,9 @@ once. The window matrices use the same edge replication as the delta
 computation, so a delta-expanded sequence is recovered exactly.
 
 Each static dimension is an independent symmetric positive-definite banded
-system (bandwidth = twice the largest window offset), solved in O(T).
+system (bandwidth = twice the largest window offset), solved in O(T). The
+bands of the normal equations are built for all dimensions at once,
+straight from the windows' row entries, without forming any T x T matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .errors import DimensionMismatchError
@@ -64,24 +65,19 @@ class GaussianTrajectory:
         return self.means.shape[1] // self.windows.count
 
 
-def _window_matrix(win, frames: int) -> sparse.csr_matrix:
-    """T x T matrix applying one kernel with edge replication.
+def _window_rows(win, frames: int, max_offset: int) -> np.ndarray:
+    """One kernel's T x T window matrix W, row t holding W[t, t-K..t+K]
+    (K = max_offset; entries off either edge stay 0).
 
-    Clamped offsets that land on the same column get their coefficients
-    summed, exactly as in the delta computation.
+    Edge replication clamps out-of-range offsets onto the edge frame, and
+    offsets that land on the same column get their coefficients summed,
+    exactly as in the delta computation.
     """
-    rows = []
-    cols = []
-    vals = []
+    rows = np.zeros((frames, 2 * max_offset + 1))
+    t = np.arange(frames)
     for offset, coef in win:
-        rows.append(np.arange(frames))
-        cols.append(np.clip(np.arange(frames) + offset, 0, frames - 1))
-        vals.append(np.full(frames, coef))
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(frames, frames),
-    )
-    return mat.tocsr()
+        rows[t, np.clip(t + offset, 0, frames - 1) - t + max_offset] += coef
+    return rows
 
 
 def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
@@ -95,29 +91,35 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
         raise ValueError("need at least one frame")
     t = traj.frames
     s = traj.static_dim
-    n_win = traj.windows.count
     precisions = 1.0 / traj.variances  # +inf variance -> zero weight
     if (precisions[:s] <= 0).any():
         raise ValueError("static-stream variances must be finite (identity window must bind)")
 
-    w_mats = [_window_matrix(win, t) for win in traj.windows.windows]
-    normal_mats = [(w.T @ w).tocsc() for w in w_mats]
-    bandwidth = min(2 * traj.windows.max_offset, t - 1)
+    k = traj.windows.max_offset
+    bandwidth = min(2 * k, t - 1)
+    ab = np.zeros((s, bandwidth + 1, t))  # solveh_banded's upper storage
+    rhs = np.zeros((s, t))
+    for w, win in enumerate(traj.windows.windows):
+        p = precisions[w * s : (w + 1) * s, None]
+        rows = _window_rows(win, t, k)
+        mu = traj.means[:, w * s : (w + 1) * s].T * p
+        # Row r of W adds W[r,i] W[r,j] to entry (i, j) of W^T W, stored for
+        # i <= j at ab[bandwidth - (j - i), j], and W[r,i] mu[r] to rhs[i].
+        # With i = r+d1 and j = r+d2, rows lo..hi-1 are those where both
+        # columns exist.
+        for d1 in range(-k, k + 1):
+            lo = max(0, -d1)
+            hi = max(lo, t - max(d1, 0))
+            rhs[:, lo + d1 : hi + d1] += rows[lo:hi, d1 + k] * mu[:, lo:hi]
+            for d2 in range(d1, min(k, d1 + bandwidth) + 1):
+                hi = max(lo, t - max(d2, 0))
+                ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
+                    rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
+                )
 
     out = np.empty((t, s))
-    ab = np.zeros((bandwidth + 1, t))
     for dim in range(s):
-        ab[:] = 0.0
-        rhs = np.zeros(t)
-        for w in range(n_win):
-            p = precisions[w * s + dim]
-            if p == 0.0:
-                continue
-            for off in range(bandwidth + 1):
-                diag = normal_mats[w].diagonal(off)
-                ab[bandwidth - off, off : off + diag.shape[0]] += p * diag
-            rhs += p * (w_mats[w].T @ traj.means[:, w * s + dim])
-        out[:, dim] = solveh_banded(ab, rhs, lower=False)
+        out[:, dim] = solveh_banded(ab[dim], rhs[dim], lower=False)
 
     kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
     return FeatureSequence(out, kind)

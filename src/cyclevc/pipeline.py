@@ -24,7 +24,6 @@ from .align import dtw_align, paired_frames
 from .baselines import ParallelTrainSet
 from .errors import DimensionMismatchError, FormatError, InsufficientDataError
 from .features import (
-    AUGMENTED_DIM,
     DEFAULT_WINDOWS,
     DeltaWindowSet,
     FeatureKind,

@@ -88,8 +88,6 @@ def _with_param(net: Mlp, field: str, layer: int, idx, delta: float) -> Mlp:
         layer_dims=net.layer_dims,
         weights=tuple(arrays) if field == "weights" else net.weights,
         biases=tuple(arrays) if field == "biases" else net.biases,
-        hidden_activation=net.hidden_activation,
-        output_activation=net.output_activation,
     )
 
 
@@ -471,8 +469,6 @@ def test_criterion_8_round_trips(tmp_path):
             layer_dims=base.layer_dims,
             weights=tuple(w * np.pi for w in base.weights),
             biases=tuple(b + 1.0 / 3.0 for b in base.biases),
-            hidden_activation=base.hidden_activation,
-            output_activation=base.output_activation,
         )
         save_mlp(tmp_path / "net.mlp", net)
         loaded = load_mlp(tmp_path / "net.mlp")

@@ -174,10 +174,6 @@ class TestTrain:
         assert main(args) == 1
         assert "parallel" in capsys.readouterr().err
 
-    def test_cyclegan_warns_on_paired_flag(self, corpus, tmp_path, capsys):
-        assert main(train_args(corpus, "cyclegan", tmp_path / "m", "--paired")) == 0
-        assert "ignored" in capsys.readouterr().err
-
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):

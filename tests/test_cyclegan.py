@@ -3,28 +3,34 @@
 from __future__ import annotations
 
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclevc
 from cyclevc.cyclegan import (
     CycleGanConfig,
     CycleGanModel,
-    LossReport,
-    adversarial_loss_log,
-    adversarial_loss_lsgan,
+    LOSS_FORMS,
     build_model,
-    convert_frames,
     cycle_loss,
+    discriminator_loss,
     discriminator_objective,
-    full_objective,
+    generator_loss,
     generator_objective,
     train,
     train_step,
     TrainerState,
 )
 from cyclevc.errors import DimensionMismatchError, InsufficientDataError
-from cyclevc.features import FeatureKind, FeatureSequence
+from cyclevc.features import FeatureSequence
 from cyclevc.net import Mlp, forward
 
 
@@ -33,46 +39,65 @@ def tiny_model(seed: int = 0, dim: int = 3) -> CycleGanModel:
     return build_model(dim, config)
 
 
-class TestLsganLoss:
-    def test_exact_targets(self):
-        disc, gen = adversarial_loss_lsgan(np.array([1.0]), np.array([0.0]))
-        assert disc == 0.0
-        assert gen == 1.0
+_P07 = 1.0 / (1.0 + math.exp(-0.7))
+_CLAMPED = -math.log(1e-12)
 
-    def test_midpoint(self):
-        disc, gen = adversarial_loss_lsgan(np.array([0.5]), np.array([0.5]))
-        assert disc == pytest.approx(0.5)  # 0.25 + 0.25
-        assert gen == pytest.approx(0.25)
+#: Case name -> (form, d_real, d_fake, disc loss, gen loss, abs tolerance).
+#: The -30 fake score and the clamping case fall below the 1e-12 clamp
+#: inside the logs; at +-1e4 the sigmoids are exactly 0 or 1 and only the
+#: clamp keeps the losses finite.
+LOSS_CASES = {
+    "lsgan-exact_targets": ("lsgan", [1.0], [0.0], 0.0, 1.0, 0.0),
+    "lsgan-midpoint": ("lsgan", [0.5], [0.5], 0.5, 0.25, 0.0),  # disc 0.25 + 0.25
+    "lsgan-generator_target_reached": ("lsgan", [0.3], [1.0], 1.49, 0.0, 0.0),
+    "lsgan-batch_mean": ("lsgan", [1.0, 0.0], [0.0, 0.0], 0.5, 1.0, 0.0),
+    "log-uninformative_discriminator": ("log", [0.0], [0.0], 2 * math.log(2), math.log(2), 0.0),
+    "log-confident_discriminator": ("log", [30.0], [-30.0], 0.0, _CLAMPED, 1e-10),
+    "log-batch_of_one_is_pointwise": (
+        "log", [0.7], [0.7], -(math.log(_P07) + math.log(1 - _P07)), -math.log(_P07), 0.0
+    ),
+    "log-clamping_keeps_loss_finite": ("log", [-1e4], [1e4], 2 * _CLAMPED, 0.0, 0.0),
+}
 
-    def test_generator_target_reached(self):
-        _, gen = adversarial_loss_lsgan(np.array([0.3]), np.array([1.0]))
-        assert gen == 0.0
 
-    def test_batch_mean(self):
-        disc, _ = adversarial_loss_lsgan(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        assert disc == pytest.approx(0.5)  # mean[(d_real-1)^2] = 0.5, fake term 0
+@pytest.mark.parametrize(
+    "form, d_real, d_fake, disc, gen, tol", list(LOSS_CASES.values()), ids=list(LOSS_CASES)
+)
+def test_adversarial_loss_values(form, d_real, d_fake, disc, gen, tol):
+    d_real, d_fake = np.array(d_real), np.array(d_fake)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disc_loss, g_real, g_fake = discriminator_loss(d_real, d_fake, form)
+        gen_loss, g_gen = generator_loss(d_fake, form)
+    assert disc_loss == pytest.approx(disc, rel=1e-12, abs=tol)
+    assert gen_loss == pytest.approx(gen, rel=1e-12, abs=tol)
+    assert g_real.shape == d_real.shape and g_fake.shape == g_gen.shape == d_fake.shape
+    assert np.isfinite(g_real).all() and np.isfinite(g_fake).all() and np.isfinite(g_gen).all()
 
 
-class TestLogLoss:
-    def test_uninformative_discriminator(self):
-        """Raw output 0 squashes to 0.5 on both sides: loss is 2 log 2."""
-        disc, _ = adversarial_loss_log(np.array([0.0]), np.array([0.0]))
-        assert disc == pytest.approx(2 * math.log(2), rel=1e-12)
+@pytest.mark.parametrize("form", LOSS_FORMS)
+def test_adversarial_loss_gradients_match_finite_differences(form):
+    rng = np.random.default_rng(3)
+    d_real, d_fake = rng.normal(size=(5, 1)), rng.normal(size=(4, 1))
+    _, g_real, g_fake = discriminator_loss(d_real, d_fake, form)
+    _, g_gen = generator_loss(d_fake, form)
 
-    def test_confident_discriminator(self):
-        disc, _ = adversarial_loss_log(np.array([30.0]), np.array([-30.0]))
-        assert disc == pytest.approx(0.0, abs=1e-10)
+    def numeric(loss, x, step=1e-6):
+        out = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            plus, minus = x.copy(), x.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            out[idx] = (loss(plus) - loss(minus)) / (2 * step)
+        return out
 
-    def test_clamping_keeps_loss_finite(self):
-        disc, gen = adversarial_loss_log(np.array([-1e4]), np.array([1e4]))
-        assert np.isfinite(disc) and np.isfinite(gen)
-
-    def test_batch_of_one_is_pointwise(self):
-        raw = 0.7
-        p = 1.0 / (1.0 + math.exp(-raw))
-        disc, gen = adversarial_loss_log(np.array([raw]), np.array([raw]))
-        assert disc == pytest.approx(-(math.log(p) + math.log(1 - p)), rel=1e-12)
-        assert gen == pytest.approx(-math.log(p), rel=1e-12)
+    checks = (
+        (g_real, numeric(lambda r: discriminator_loss(r, d_fake, form)[0], d_real)),
+        (g_fake, numeric(lambda f: discriminator_loss(d_real, f, form)[0], d_fake)),
+        (g_gen, numeric(lambda f: generator_loss(f, form)[0], d_fake)),
+    )
+    for analytic, expected in checks:
+        np.testing.assert_allclose(analytic, expected, rtol=1e-6, atol=1e-9)
 
 
 class TestCycleLoss:
@@ -102,19 +127,29 @@ class TestCycleLoss:
 
 
 class TestFullObjective:
-    def _report(self, adv_g, adv_f, cycle):
-        return LossReport(adv_g=adv_g, adv_f=adv_f, disc_x=0.0, disc_y=0.0,
-                          cycle=cycle, total=0.0)
+    """The generator-side total adv_g + adv_f + cycle_weight * cycle, as
+    generator_objective reports it."""
+
+    def _report(self, cycle_weight):
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        report, _, _ = generator_objective(tiny_model(seed=15), x, y, cycle_weight, "lsgan")
+        return report
 
     def test_weighted_sum(self):
-        assert full_objective(self._report(1.0, 1.0, 0.5), 10.0) == pytest.approx(7.0)
+        r = self._report(10.0)
+        assert r.cycle > 0.0
+        assert r.total == pytest.approx(r.adv_g + r.adv_f + 10.0 * r.cycle, rel=1e-12)
 
     def test_zero_weight_is_pure_adversarial(self):
-        assert full_objective(self._report(0.3, 0.4, 99.0), 0.0) == pytest.approx(0.7)
+        r = self._report(0.0)
+        assert r.total == pytest.approx(r.adv_g + r.adv_f, rel=1e-12)
 
     def test_linear_in_weight(self):
-        base = full_objective(self._report(0.0, 0.0, 2.0), 1.0)
-        assert full_objective(self._report(0.0, 0.0, 2.0), 3.0) == pytest.approx(3 * base)
+        base, tripled = self._report(1.0), self._report(3.0)
+        assert tripled.total - tripled.adv_g - tripled.adv_f == pytest.approx(
+            3 * (base.total - base.adv_g - base.adv_f), rel=1e-12
+        )
 
 
 class TestGeneratorGradients:
@@ -194,19 +229,20 @@ class TestDiscriminatorObjective:
         loss_x, loss_y, _, _ = discriminator_objective(model, x, y, "lsgan")
         d_real_x = forward(model.d_x, x)[0].ravel()
         d_fake_x = forward(model.d_x, forward(model.f, y)[0])[0].ravel()
-        expected_x, _ = adversarial_loss_lsgan(d_real_x, d_fake_x)
+        expected_x, _, _ = discriminator_loss(d_real_x, d_fake_x, "lsgan")
         assert loss_x == pytest.approx(expected_x, rel=1e-12)
         d_real_y = forward(model.d_y, y)[0].ravel()
         d_fake_y = forward(model.d_y, forward(model.g, x)[0])[0].ravel()
-        expected_y, _ = adversarial_loss_lsgan(d_real_y, d_fake_y)
+        expected_y, _, _ = discriminator_loss(d_real_y, d_fake_y, "lsgan")
         assert loss_y == pytest.approx(expected_y, rel=1e-12)
 
-    def test_discriminator_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("loss_form", LOSS_FORMS)
+    def test_discriminator_gradients_match_finite_differences(self, loss_form):
         rng = np.random.default_rng(5)
         model = tiny_model(seed=10)
         x = rng.normal(size=(3, 3))
         y = rng.normal(size=(3, 3))
-        _, _, grads_dx, grads_dy = discriminator_objective(model, x, y, "lsgan")
+        _, _, grads_dx, grads_dy = discriminator_objective(model, x, y, loss_form)
 
         step = 1e-5
         for disc_name, analytic in (("d_x", grads_dx), ("d_y", grads_dy)):
@@ -225,7 +261,7 @@ class TestDiscriminatorObjective:
                             d_x=candidate if disc_name == "d_x" else model.d_x,
                             d_y=candidate if disc_name == "d_y" else model.d_y,
                         )
-                        lx, ly, _, _ = discriminator_objective(patched, x, y, "lsgan")
+                        lx, ly, _, _ = discriminator_objective(patched, x, y, loss_form)
                         vals.append(lx if disc_name == "d_x" else ly)
                     numeric[idx] = (vals[0] - vals[1]) / (2 * step)
                 a = analytic.weights[layer]
@@ -296,37 +332,40 @@ class TestTraining:
             train(model, data, data, config)
 
 
-class TestConvertFrames:
-    def test_frame_count_preserved(self):
-        rng = np.random.default_rng(9)
-        model = tiny_model(seed=11)
-        x = FeatureSequence(rng.normal(size=(13, 3)))
-        out = convert_frames(model, x, "xy")
-        assert out.frames == 13
+_FAULTS_PER_STEP = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from cyclevc import cyclegan
+    from cyclevc.features import FeatureSequence
 
-    def test_batch_equals_per_frame(self):
-        rng = np.random.default_rng(10)
-        model = tiny_model(seed=12)
-        x = rng.normal(size=(6, 3))
-        batch_out = convert_frames(model, FeatureSequence(x), "xy").data
-        row_out = np.vstack(
-            [convert_frames(model, FeatureSequence(x[k : k + 1]), "xy").data
-             for k in range(6)]
-        )
-        # BLAS may route single-row and batched products differently, so the
-        # comparison is numerical rather than bitwise
-        np.testing.assert_allclose(batch_out, row_out, rtol=1e-12, atol=1e-14)
+    marks = []
+    step = cyclegan.train_step
+    def counted(*args):
+        marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return step(*args)
+    cyclegan.train_step = counted
+    config = cyclegan.CycleGanConfig(epochs=1, seed=3)
+    rng = np.random.default_rng(0)
+    x = FeatureSequence(rng.normal(size=(128 * 10, 75)))
+    y = FeatureSequence(rng.normal(size=(128 * 10, 75)))
+    cyclegan.train(cyclegan.build_model(75, config), x, y, config)
+    # The first two steps allocate the optimizer moments and grow the heap.
+    print((marks[-1] - marks[2]) / (len(marks) - 3))
+""")
 
-    def test_directions_use_different_generators(self):
-        rng = np.random.default_rng(11)
-        model = tiny_model(seed=13)
-        x = FeatureSequence(rng.normal(size=(4, 3)))
-        fwd = convert_frames(model, x, "xy").data
-        rev = convert_frames(model, x, "yx").data
-        assert not np.array_equal(fwd, rev)
 
-    def test_bad_direction(self):
-        model = tiny_model(seed=14)
-        x = FeatureSequence(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            convert_frames(model, x, "sideways")
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap pad is a glibc mallopt setting",
+)
+def test_library_training_does_not_refault_the_heap_each_step():
+    """cyclegan.train at the default net, in a fresh interpreter so no
+    earlier test has set the heap pad: once warm, a step reuses the heap
+    instead of faulting its pages in again (about 3000 faults per step)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(cyclevc.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_STEP],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert float(run.stdout) < 300

@@ -33,11 +33,9 @@ from cyclevc.features import (
     fit_norm_stats,
     merge_mcep,
     normalize,
-    read_csv,
     read_ftr,
     split_mcep,
     transform_f0,
-    write_csv,
     write_ftr,
 )
 
@@ -324,11 +322,3 @@ class TestFtrFormat:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             read_ftr(path)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        seq = FeatureSequence(rng.normal(size=(5, 4)))
-        path = tmp_path / "x.csv"
-        write_csv(path, seq)
-        back = read_csv(path)
-        assert np.array_equal(back.data, seq.data)

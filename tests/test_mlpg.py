@@ -75,6 +75,23 @@ class TestMlpgGenerate:
             dense = dense_mlpg(means, variances)
             assert np.abs(banded - dense).max() <= 1e-8, f"trial {trial}"
 
+    def test_wide_asymmetric_windows_match_dense_solve(self):
+        """Offsets up to 3, one-sided kernels and a repeated offset: the
+        bands must hold every clamped and summed coefficient."""
+        windows = DeltaWindowSet(windows=(
+            ((0, 1.0),),
+            ((-2, -0.25), (-1, -0.5), (1, 0.5), (2, 0.25)),
+            ((0, -1.0), (3, 1.0), (3, 0.5)),
+        ))
+        rng = np.random.default_rng(1)
+        for frames in (1, 2, 3, 4, 5, 7, 12, 40):
+            means = rng.normal(size=(frames, 2 * 3))
+            variances = rng.uniform(0.1, 4.0, size=2 * 3)
+            traj = GaussianTrajectory(means=means, variances=variances, windows=windows)
+            banded = mlpg_generate(traj).data
+            dense = dense_mlpg(means, variances, windows)
+            assert np.abs(banded - dense).max() <= 1e-8, f"{frames} frames"
+
     def test_recovers_delta_expansion(self):
         """Means that truly came from a static sequence are recovered exactly."""
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclevc.errors import DimensionMismatchError, NonFiniteError
+from cyclevc.errors import DimensionMismatchError, FormatError, NonFiniteError
 from cyclevc.net import (
     Gradients,
     Mlp,
@@ -52,8 +52,6 @@ def _perturbed(net: Mlp, field: str, layer: int, idx, delta: float) -> Mlp:
         layer_dims=net.layer_dims,
         weights=kwargs.get("weights", net.weights),
         biases=kwargs.get("biases", net.biases),
-        hidden_activation=net.hidden_activation,
-        output_activation=net.output_activation,
     )
 
 
@@ -221,23 +219,11 @@ class TestApplyUpdate:
     def _grads(self, g_w: float, g_b: float = 0.0) -> Gradients:
         return Gradients(weights=(np.array([[g_w]]),), biases=(np.array([g_b]),))
 
-    def test_sgd_step(self):
-        net = self._scalar_net(1.0)
-        opt = init_optimizer(net, method="sgd", learning_rate=0.001)
-        updated, _ = apply_update(net, self._grads(2.0), opt)
-        assert updated.weights[0][0, 0] == pytest.approx(1.0 - 0.002)
-
-    def test_sgd_zero_gradient_is_identity(self):
-        net = self._scalar_net(0.7)
-        opt = init_optimizer(net, method="sgd", learning_rate=0.1)
-        updated, _ = apply_update(net, self._grads(0.0), opt)
-        assert updated.weights[0][0, 0] == 0.7
-
     def test_adam_first_step_is_signed_learning_rate(self):
         """Step 1 bias correction cancels: move = -lr*g/(|g|+eps) ~ -lr*sign(g)."""
         for g in (3.7, -0.004, 120.0):
             net = self._scalar_net(0.5)
-            opt = init_optimizer(net, method="adam", learning_rate=0.001)
+            opt = init_optimizer(net, learning_rate=0.001)
             updated, _ = apply_update(net, self._grads(g), opt)
             moved = updated.weights[0][0, 0] - 0.5
             assert moved == pytest.approx(-0.001 * g / (abs(g) + 1e-8), rel=1e-12)
@@ -247,7 +233,7 @@ class TestApplyUpdate:
         """Several steps against an inline transcription of the update rule."""
         rng = np.random.default_rng(9)
         net = self._scalar_net(0.3)
-        opt = init_optimizer(net, method="adam", learning_rate=0.01)
+        opt = init_optimizer(net, learning_rate=0.01)
         p, m, v = 0.3, 0.0, 0.0
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 8):
@@ -280,10 +266,9 @@ class TestApplyUpdate:
             weights=tuple(np.ones_like(w) for w in net.weights),
             biases=tuple(np.ones_like(b) for b in net.biases),
         )
-        for method in ("adam", "sgd"):
-            updated, _ = apply_update(net, grads, init_optimizer(net, method=method))
-            assert not np.shares_memory(updated.params, net.params)
-            assert not np.array_equal(updated.params, before)
+        updated, _ = apply_update(net, grads, init_optimizer(net))
+        assert not np.shares_memory(updated.params, net.params)
+        assert not np.array_equal(updated.params, before)
         np.testing.assert_array_equal(net.params, before)
         with pytest.raises(ValueError):
             net.weights[0][0, 0] = 1.0
@@ -339,4 +324,27 @@ class TestPersistence:
         path = tmp_path / "garbage.mlp"
         path.write_text("not a model\n")
         with pytest.raises(Exception):
+            load_mlp(path)
+
+    @pytest.mark.parametrize(
+        "old, new, cause",
+        [
+            ("hidden_activation sigmoid", "hidden_activation tanh", "activations"),
+            ("bias 0 3\n0.0 0.0 0.0", "bias 0 3\n0.0 0.0", "bias 0"),
+            ("weight 0 3 2\n0.5", "weight 0 3 2\nnan", "not finite"),
+        ],
+        ids=["activation", "bias-length", "nan-weight"],
+    )
+    def test_malformed_file_error_names_the_file(self, tmp_path, old, new, cause):
+        net = Mlp(
+            layer_dims=(2, 3, 1),
+            weights=(np.full((3, 2), 0.5), np.full((1, 3), 0.25)),
+            biases=(np.zeros(3), np.zeros(1)),
+        )
+        path = tmp_path / "bad.mlp"
+        save_mlp(path, net)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError, match=f"bad.mlp.*{cause}"):
             load_mlp(path)
