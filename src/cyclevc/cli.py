@@ -31,17 +31,17 @@ from .features import (
     split_mcep,
     write_ftr,
 )
-from .net import forward
+from .net import forward, load_mlp
 from .pipeline import (
     SyntheticSpec,
     augment_lower,
     compute_speaker_stats,
     convert_utterance,
     generate_dataset,
-    load_model_bundle,
     load_speaker_stats,
     mel_cepstral_distortion,
     prepare_parallel_frames,
+    read_manifest,
     save_model_bundle,
     save_speaker_stats,
     write_loss_csv,
@@ -187,13 +187,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    method, networks = load_model_bundle(args.model_dir)
-    if method == "cyclegan":
-        net = networks["G"] if args.direction == "xy" else networks["F"]
-    elif args.direction == "yx":
+    # Only the generator that converts is parsed: G maps x to y, and a
+    # cyclegan's F maps y to x. The parallel methods train G alone.
+    method, paths = read_manifest(args.model_dir)
+    if args.direction == "yx" and method != "cyclegan":
         raise ValueError(f"method {method} trains a one-way mapping; use --direction xy")
-    else:
-        net = networks["G"]
+    net = load_mlp(paths["G" if args.direction == "xy" else "F"])
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
     mcep = _read_expected(args.mcep, FeatureKind.MCEP49)

@@ -37,7 +37,6 @@ from .seeding import derive_rng, derive_seed
 
 #: The adversarial loss forms every trainer and the CLI accept.
 LOSS_FORMS = ("lsgan", "log")
-_LOG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,30 +169,29 @@ def discriminator_loss(
 
     lsgan: mean (D(real)-1)^2 + mean D(fake)^2. log: the negated classic
     objective on sigmoid-squashed scores, -mean log D(real) - mean
-    log(1 - D(fake)), with the log arguments clamped at 1e-12.
+    log(1 - D(fake)), computed as log(1 + e^-d) and log(1 + e^d) so that
+    it stays exact and finite for scores of any size.
     """
     n_real, n_fake = d_real.shape[0], d_fake.shape[0]
     if form == "lsgan":
         loss = np.mean((d_real - 1.0) ** 2) + np.mean(d_fake**2)
         return float(loss), 2.0 * (d_real - 1.0) / n_real, 2.0 * d_fake / n_fake
+    loss = np.mean(np.logaddexp(0.0, -d_real)) + np.mean(np.logaddexp(0.0, d_fake))
     p_real, p_fake = _sigmoid(d_real), _sigmoid(d_fake)
-    loss = -(
-        np.mean(np.log(np.maximum(p_real, _LOG_CLAMP)))
-        + np.mean(np.log(np.maximum(1.0 - p_fake, _LOG_CLAMP)))
-    )
     return float(loss), -(1.0 - p_real) / n_real, p_fake / n_fake
 
 
 def generator_loss(d_fake: np.ndarray, form: str) -> tuple[float, np.ndarray]:
     """A generator's adversarial loss and its gradient wrt the fake scores.
 
-    lsgan: mean (D(fake)-1)^2. log: the non-saturating -mean log D(fake).
+    lsgan: mean (D(fake)-1)^2. log: the non-saturating -mean log D(fake),
+    computed as mean log(1 + e^-d).
     """
     n = d_fake.shape[0]
     if form == "lsgan":
         return float(np.mean((d_fake - 1.0) ** 2)), 2.0 * (d_fake - 1.0) / n
-    p_fake = _sigmoid(d_fake)
-    return float(-np.mean(np.log(np.maximum(p_fake, _LOG_CLAMP)))), -(1.0 - p_fake) / n
+    loss = np.mean(np.logaddexp(0.0, -d_fake))
+    return float(loss), -(1.0 - _sigmoid(d_fake)) / n
 
 
 def cycle_loss(

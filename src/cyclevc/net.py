@@ -26,6 +26,7 @@ import ctypes
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -370,12 +371,15 @@ _MODEL_MAGIC = "MLP1"
 _ACTIVATIONS = {"hidden_activation": "sigmoid", "output_activation": "linear"}
 
 
-def save_mlp(path, net: Mlp) -> None:
-    """Write a text document that reloads to bit-identical parameters.
+def _format_row(values: list[float]) -> str:
+    """The floats space-separated, each as its repr(): the shortest decimal
+    that round-trips the exact 64-bit value, so no precision is lost. A
+    list's repr() is its items' reprs joined by ", " inside brackets."""
+    return repr(values)[1:-1].replace(",", "")
 
-    repr() of a Python float is the shortest decimal that round-trips the
-    exact 64-bit value, so no precision is lost.
-    """
+
+def save_mlp(path, net: Mlp) -> None:
+    """Write a text document that reloads to bit-identical parameters."""
     lines = [
         _MODEL_MAGIC,
         "layer_dims " + " ".join(str(d) for d in net.layer_dims),
@@ -384,14 +388,34 @@ def save_mlp(path, net: Mlp) -> None:
     for layer in range(net.n_layers):
         w = net.weights[layer]
         lines.append(f"weight {layer} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(_format_row(row.tolist()) for row in w)
         b = net.biases[layer]
         lines.append(f"bias {layer} {b.shape[0]}")
-        lines.append(" ".join(repr(float(v)) for v in b))
+        lines.append(_format_row(b.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+
+
+def _parse_block(path, lines: list[str], shape: tuple[int, ...], what: str, line_no: int):
+    """One weight or bias block as an array of ``shape``.
+
+    numpy's text reader converts each token with the same C routine as
+    float(), so the values are bit-identical to a float() per token.
+    Blank rows are skipped by the reader, so a blank row shows up as a
+    short block.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=len(shape))
+    except (ValueError, UserWarning) as exc:
+        raise FormatError(f"{path}: {what} at line {line_no}: {exc}") from exc
+    if values.shape != shape:
+        raise FormatError(
+            f"{path}: {what} at line {line_no} holds {values.shape} values, expected {shape}"
+        )
+    return values
 
 
 def load_mlp(path) -> Mlp:
@@ -421,14 +445,14 @@ def load_mlp(path) -> Mlp:
                 raise FormatError(f"{path}: expected 'weight {layer}' at line {pos + 1}")
             rows, cols = int(rows), int(cols)
             block = lines[pos + 1 : pos + 1 + rows]
-            weights.append(
-                np.array([[float(v) for v in row.split()] for row in block])
-            )
+            weights.append(_parse_block(path, block, (rows, cols), f"weight {layer}", pos + 2))
             pos += 1 + rows
             tag, idx, n = lines[pos].split()
             if tag != "bias" or int(idx) != layer:
                 raise FormatError(f"{path}: expected 'bias {layer}' at line {pos + 1}")
-            biases.append(np.array([float(v) for v in lines[pos + 1].split()]))
+            biases.append(
+                _parse_block(path, lines[pos + 1 : pos + 2], (int(n),), f"bias {layer}", pos + 2)
+            )
             pos += 2
         return Mlp(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
     except FormatError:

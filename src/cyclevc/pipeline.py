@@ -434,7 +434,12 @@ def save_model_bundle(model_dir, method: str, networks: dict[str, Mlp]) -> None:
     (model_dir / _MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:
+def read_manifest(model_dir) -> tuple[str, dict[str, Path]]:
+    """A bundle's method and the model file of each of its network roles.
+
+    Checks the manifest only: its magic, its lines, and that it names
+    exactly the roles of its method. No network file is opened.
+    """
     model_dir = Path(model_dir)
     manifest = model_dir / _MANIFEST_NAME
     if not manifest.exists():
@@ -443,7 +448,7 @@ def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:
     if not lines or lines[0] != _MANIFEST_MAGIC:
         raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
     method = None
-    networks: dict[str, Mlp] = {}
+    paths: dict[str, Path] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -451,12 +456,18 @@ def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:
         if parts[0] == "method" and len(parts) == 2:
             method = parts[1]
         elif parts[0] == "network" and len(parts) == 3:
-            networks[parts[1]] = load_mlp(model_dir / parts[2])
+            paths[parts[1]] = model_dir / parts[2]
         else:
             raise FormatError(f"{manifest}: unparsable line {line!r}")
-    if method is None or set(networks) != set(BUNDLE_ROLES.get(method, ())):
+    if method is None or set(paths) != set(BUNDLE_ROLES.get(method, ())):
         raise FormatError(f"{manifest}: incomplete manifest for method {method!r}")
-    return method, networks
+    return method, paths
+
+
+def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:
+    """A bundle's method and every network it holds, by role."""
+    method, paths = read_manifest(model_dir)
+    return method, {role: load_mlp(path) for role, path in paths.items()}
 
 
 def write_loss_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:

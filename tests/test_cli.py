@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cyclevc.cli import _DEFAULT_EPOCHS, build_parser, main
-from cyclevc.features import read_ftr
+from cyclevc.features import read_ftr, write_ftr
+from cyclevc.net import forward
+from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
 
 
 def write_spec(path, seed=31, frames_a=160, frames_b=140):
@@ -270,6 +273,95 @@ class TestConvertAndEval:
         out = capsys.readouterr().out
         value = float(out.split("mcd_db=")[1].split()[0])
         assert value > 0 and np.isfinite(value)
+
+
+@pytest.fixture(scope="module")
+def bundles(corpus, trained, tmp_path_factory):
+    """A trained bundle per method."""
+    out = {"cyclegan": trained}
+    for method in ("gan-parallel", "mse-parallel"):
+        out[method] = tmp_path_factory.mktemp(method)
+        assert main(train_args(corpus, method, out[method])) == 0
+    return out
+
+
+_OUTPUTS = ("out.mcep.ftr", "out.f0.ftr", "out.ap.ftr")
+
+
+def convert_argv(corpus, model_dir, out_dir, direction="xy"):
+    src, tgt = ("src", "tgt") if direction == "xy" else ("tgt", "src")
+    return [
+        "convert", "--model-dir", str(model_dir), "--direction", direction,
+        "--src-stats", str(corpus / f"{src}.stats"),
+        "--tgt-stats", str(corpus / f"{tgt}.stats"),
+        "--mcep", str(corpus / f"{src}.mcep.ftr"),
+        "--f0", str(corpus / f"{src}.f0.ftr"),
+        "--ap", str(corpus / f"{src}.ap.ftr"),
+        "--out-mcep", str(out_dir / "out.mcep.ftr"),
+        "--out-f0", str(out_dir / "out.f0.ftr"),
+        "--out-ap", str(out_dir / "out.ap.ftr"),
+    ]
+
+
+def whole_bundle_convert(corpus, model_dir, out_dir, direction):
+    """Convert through a load of every network in the bundle."""
+    src, tgt = ("src", "tgt") if direction == "xy" else ("tgt", "src")
+    _, networks = load_model_bundle(model_dir)
+    net = networks["G" if direction == "xy" else "F"]
+    result = convert_utterance(
+        generator=lambda batch: forward(net, batch)[0],
+        src_stats=load_speaker_stats(corpus / f"{src}.stats"),
+        tgt_stats=load_speaker_stats(corpus / f"{tgt}.stats"),
+        mcep=read_ftr(corpus / f"{src}.mcep.ftr"),
+        f0=read_ftr(corpus / f"{src}.f0.ftr"),
+        aperiodicity=read_ftr(corpus / f"{src}.ap.ftr"),
+    )
+    out_dir.mkdir()
+    for name, seq in zip(_OUTPUTS, (result.mcep, result.f0, result.aperiodicity)):
+        write_ftr(out_dir / name, seq)
+
+
+class TestConvertLoadsOneNetwork:
+    @pytest.mark.parametrize(
+        "method, direction",
+        [("cyclegan", "xy"), ("cyclegan", "yx"), ("gan-parallel", "xy"), ("mse-parallel", "xy")],
+    )
+    def test_matches_whole_bundle_conversion(self, corpus, bundles, tmp_path, method, direction):
+        whole_bundle_convert(corpus, bundles[method], tmp_path / "ref", direction)
+        (tmp_path / "cli").mkdir()
+        assert main(convert_argv(corpus, bundles[method], tmp_path / "cli", direction)) == 0
+        for name in _OUTPUTS:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_corrupt_discriminator_does_not_block_conversion(self, corpus, bundles, tmp_path):
+        model = tmp_path / "model"
+        shutil.copytree(bundles["cyclegan"], model)
+        (model / "d_x.mlp").write_text("not a model\n")
+        whole_bundle_convert(corpus, bundles["cyclegan"], tmp_path / "ref", "xy")
+        (tmp_path / "cli").mkdir()
+        assert main(convert_argv(corpus, model, tmp_path / "cli")) == 0
+        for name in _OUTPUTS:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("direction, filename", [("xy", "g.mlp"), ("yx", "f.mlp")])
+    def test_corrupt_generator_in_use_names_the_file(
+        self, corpus, bundles, tmp_path, capsys, direction, filename
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(bundles["cyclegan"], model)
+        (model / filename).write_text("not a model\n")
+        assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
+        assert str(model / filename) in capsys.readouterr().err
+
+    def test_reverse_direction_on_parallel_bundle_reads_no_network(
+        self, corpus, bundles, tmp_path, capsys
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(bundles["gan-parallel"], model)
+        for path in model.glob("*.mlp"):
+            path.unlink()
+        assert main(convert_argv(corpus, model, tmp_path, "yx")) == 1
+        assert "one-way mapping" in capsys.readouterr().err
 
 
 class TestAlign:

@@ -40,23 +40,23 @@ def tiny_model(seed: int = 0, dim: int = 3) -> CycleGanModel:
 
 
 _P07 = 1.0 / (1.0 + math.exp(-0.7))
-_CLAMPED = -math.log(1e-12)
 
 #: Case name -> (form, d_real, d_fake, disc loss, gen loss, abs tolerance).
-#: The -30 fake score and the clamping case fall below the 1e-12 clamp
-#: inside the logs; at +-1e4 the sigmoids are exactly 0 or 1 and only the
-#: clamp keeps the losses finite.
+#: At -30 the sigmoid is below 1e-13, and at +-1e4 it is exactly 0 or 1;
+#: the log-form losses there are still exact: -log sigmoid(d) = log(1 + e^-d).
 LOSS_CASES = {
     "lsgan-exact_targets": ("lsgan", [1.0], [0.0], 0.0, 1.0, 0.0),
     "lsgan-midpoint": ("lsgan", [0.5], [0.5], 0.5, 0.25, 0.0),  # disc 0.25 + 0.25
     "lsgan-generator_target_reached": ("lsgan", [0.3], [1.0], 1.49, 0.0, 0.0),
     "lsgan-batch_mean": ("lsgan", [1.0, 0.0], [0.0, 0.0], 0.5, 1.0, 0.0),
     "log-uninformative_discriminator": ("log", [0.0], [0.0], 2 * math.log(2), math.log(2), 0.0),
-    "log-confident_discriminator": ("log", [30.0], [-30.0], 0.0, _CLAMPED, 1e-10),
+    "log-confident_discriminator": (
+        "log", [30.0], [-30.0], 0.0, 30.0 + math.log1p(math.exp(-30.0)), 1e-10
+    ),
     "log-batch_of_one_is_pointwise": (
         "log", [0.7], [0.7], -(math.log(_P07) + math.log(1 - _P07)), -math.log(_P07), 0.0
     ),
-    "log-clamping_keeps_loss_finite": ("log", [-1e4], [1e4], 2 * _CLAMPED, 0.0, 0.0),
+    "log-saturated_scores_give_exact_losses": ("log", [-1e4], [1e4], 2e4, 0.0, 0.0),
 }
 
 
@@ -78,7 +78,10 @@ def test_adversarial_loss_values(form, d_real, d_fake, disc, gen, tol):
 @pytest.mark.parametrize("form", LOSS_FORMS)
 def test_adversarial_loss_gradients_match_finite_differences(form):
     rng = np.random.default_rng(3)
-    d_real, d_fake = rng.normal(size=(5, 1)), rng.normal(size=(4, 1))
+    # Scores at +-40 saturate the sigmoid; the loss must still bend with them.
+    saturated = np.array([[40.0], [-40.0]])
+    d_real = np.concatenate([rng.normal(size=(5, 1)), saturated])
+    d_fake = np.concatenate([rng.normal(size=(4, 1)), saturated])
     _, g_real, g_fake = discriminator_loss(d_real, d_fake, form)
     _, g_gen = generator_loss(d_fake, form)
 

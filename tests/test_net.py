@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cyclevc.cyclegan import CycleGanConfig, build_model, train
 from cyclevc.errors import DimensionMismatchError, FormatError, NonFiniteError
+from cyclevc.features import FeatureSequence
 from cyclevc.net import (
     Gradients,
     Mlp,
@@ -19,6 +21,7 @@ from cyclevc.net import (
     load_mlp,
     save_mlp,
 )
+from cyclevc.pipeline import BUNDLE_ROLES, save_model_bundle
 
 
 def numeric_gradient(loss_fn, net: Mlp, step: float = 1e-5) -> Gradients:
@@ -332,8 +335,19 @@ class TestPersistence:
             ("hidden_activation sigmoid", "hidden_activation tanh", "activations"),
             ("bias 0 3\n0.0 0.0 0.0", "bias 0 3\n0.0 0.0", "bias 0"),
             ("weight 0 3 2\n0.5", "weight 0 3 2\nnan", "not finite"),
+            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 0.5 0.5", "weight 0"),
+            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5", "weight 0"),
+            ("weight 1 1 3\n0.25 0.25 0.25", "weight 1 1 3\n0.25 0.25 0.25 0.25", "weight 1"),
+            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 0.5 # a comment", "weight 0"),
+            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n\n0.5 0.5", "weight 0"),
+            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 half", "weight 0"),
+            ("bias 0 3", "bias 0 4", "bias 0"),
         ],
-        ids=["activation", "bias-length", "nan-weight"],
+        ids=[
+            "activation", "bias-length", "nan-weight", "extra-value", "missing-value",
+            "extra-value-in-one-row-block", "comment", "blank-row", "not-a-number",
+            "count-not-in-header",
+        ],
     )
     def test_malformed_file_error_names_the_file(self, tmp_path, old, new, cause):
         net = Mlp(
@@ -348,3 +362,75 @@ class TestPersistence:
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(FormatError, match=f"bad.mlp.*{cause}"):
             load_mlp(path)
+
+
+#: Edge cases of the float64 text round trip: a negative zero, the smallest
+#: subnormal, another subnormal, the largest finite values, ordinary values.
+EXTREMES = (
+    -0.0, 5e-324, 2.2250738585072014e-309,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0, np.pi,
+)
+
+
+def extreme_net() -> Mlp:
+    first = np.array(EXTREMES[:6]).reshape(3, 2)
+    last = np.array([EXTREMES[6:] + (0.0,)])
+    return Mlp(
+        layer_dims=(2, 3, 1), weights=(first, last), biases=(np.array(EXTREMES[3:6]), np.zeros(1))
+    )
+
+
+def reference_text(net: Mlp) -> str:
+    """An MLP1 document as written with one repr(float(v)) per value."""
+    lines = [
+        "MLP1",
+        "layer_dims " + " ".join(str(d) for d in net.layer_dims),
+        "hidden_activation sigmoid",
+        "output_activation linear",
+    ]
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        lines.append(f"weight {layer} {w.shape[0]} {w.shape[1]}")
+        lines.extend(" ".join(repr(float(v)) for v in row) for row in w)
+        lines.append(f"bias {layer} {b.shape[0]}")
+        lines.append(" ".join(repr(float(v)) for v in b))
+    return "\n".join(lines) + "\n"
+
+
+def reference_params(path) -> np.ndarray:
+    """An MLP1 body parsed with one float() per token, in the flat layout."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    weights, biases, pos = [], [], 4
+    while pos < len(lines):
+        tag, _, rows = lines[pos].split()[:3]
+        rows = int(rows) if tag == "weight" else 1
+        block = [[float(v) for v in row.split()] for row in lines[pos + 1 : pos + 1 + rows]]
+        (weights if tag == "weight" else biases).append(np.array(block).ravel())
+        pos += 1 + rows
+    return np.concatenate(weights + biases)
+
+
+class TestTextFormat:
+    def test_writer_matches_per_value_repr(self, tmp_path):
+        for net in (extreme_net(), init_mlp((5, 7, 3), seed=4)):
+            save_mlp(tmp_path / "net.mlp", net)
+            assert (tmp_path / "net.mlp").read_bytes() == reference_text(net).encode()
+
+    def test_extremes_reload_bit_identical(self, tmp_path):
+        net = extreme_net()
+        path = tmp_path / "net.mlp"
+        save_mlp(path, net)
+        assert load_mlp(path).params.tobytes() == net.params.tobytes()
+        assert reference_params(path).tobytes() == net.params.tobytes()
+
+    def test_trained_bundle_parses_like_float(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = FeatureSequence(rng.normal(size=(64, 6)))
+        y = FeatureSequence(rng.normal(1.0, 0.5, size=(48, 6)))
+        config = CycleGanConfig(hidden_dims=(9, 7), batch_frames=16, epochs=2, seed=3)
+        model, _ = train(build_model(6, config), x, y, config)
+        save_model_bundle(
+            tmp_path, "cyclegan", {"G": model.g, "F": model.f, "D_X": model.d_x, "D_Y": model.d_y}
+        )
+        for role in BUNDLE_ROLES["cyclegan"]:
+            path = tmp_path / f"{role.lower()}.mlp"
+            assert load_mlp(path).params.tobytes() == reference_params(path).tobytes()

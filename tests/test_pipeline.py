@@ -30,6 +30,7 @@ from cyclevc.pipeline import (
     load_speaker_stats,
     mel_cepstral_distortion,
     prepare_parallel_frames,
+    read_manifest,
     save_model_bundle,
     save_speaker_stats,
     write_loss_csv,
@@ -357,6 +358,30 @@ class TestModelBundles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             load_model_bundle(tmp_path)
+
+    def test_manifest_names_files_without_parsing_them(self, tmp_path):
+        save_model_bundle(tmp_path, "gan-parallel", {
+            "G": init_mlp((75, 8, 75), seed=0), "D": init_mlp((75, 8, 1), seed=1),
+        })
+        (tmp_path / "d.mlp").write_text("not a model\n")
+        assert read_manifest(tmp_path) == (
+            "gan-parallel", {"G": tmp_path / "g.mlp", "D": tmp_path / "d.mlp"}
+        )
+        with pytest.raises(FormatError, match="d.mlp"):
+            load_model_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["VCMODEL2\nmethod mse-parallel\nnetwork G g.mlp\n",
+         "VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp extra\n",
+         "VCMODEL1\nmethod cyclegan\nnetwork G g.mlp\nnetwork F f.mlp\n",
+         "VCMODEL1\nmethod unknown\nnetwork G g.mlp\n"],
+        ids=["magic", "unparsable-line", "missing-roles", "unknown-method"],
+    )
+    def test_manifest_checks(self, tmp_path, text):
+        (tmp_path / "manifest.txt").write_text(text)
+        with pytest.raises(FormatError, match="manifest.txt"):
+            read_manifest(tmp_path)
 
     def test_loss_csv_format(self, tmp_path):
         path = tmp_path / "losses.csv"
