@@ -4,6 +4,15 @@ Produces the frame pairing that the parallel baselines train on. Steps are
 the unconstrained {(1,0), (0,1), (1,1)} set with squared Euclidean frame
 distance; backtrace ties prefer diagonal, then a-advance, then b-advance,
 so the returned path is deterministic.
+
+The cost recurrence runs as a numpy wavefront over anti-diagonals
+k = i + j: every cell of a diagonal depends only on the two diagonals
+before it, so each diagonal is a handful of vector operations. Two rolling
+vectors hold the costs, and every cell outside the grid reads inf. The
+diagonals of the distance and back-pointer matrices are read and written
+as strided views, so nothing is copied or skewed, and each cell gets the
+same strict comparisons and the same single addition as the scalar
+recurrence: costs and paths are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, InsufficientDataError
 from .features import FeatureSequence
@@ -53,39 +61,45 @@ def dtw_align(a: FeatureSequence, b: FeatureSequence) -> AlignmentPath:
     if a.frames < 1 or b.frames < 1:
         raise InsufficientDataError("both sequences need at least one frame")
 
+    # Imported here: scipy.spatial costs a third of a second to import, and
+    # only the commands that align need it.
+    from scipy.spatial.distance import cdist
+
     dist = cdist(a.data, b.data, metric="sqeuclidean")
     ta, tb = dist.shape
     # step codes: 0 diagonal, 1 a-advance (from i-1, j), 2 b-advance (from i, j-1)
-    back = [bytearray(tb) for _ in range(ta)]
+    back = np.zeros((ta, tb), dtype=np.uint8)
 
-    # Rolling plain-python rows: far faster than per-cell numpy indexing.
-    d = dist[0].tolist()
-    prev = d[:]
-    for j in range(1, tb):
-        prev[j] += prev[j - 1]
-        back[0][j] = 2
-    for i in range(1, ta):
-        d = dist[i].tolist()
-        cur = [prev[0] + d[0]] + [0.0] * (tb - 1)
-        back[i][0] = 1
-        back_i = back[i]
-        for j in range(1, tb):
-            best = prev[j - 1]
-            code = 0
-            if prev[j] < best:
-                best = prev[j]
-                code = 1
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-                code = 2
-            cur[j] = best + d[j]
-            back_i[j] = code
-        prev = cur
+    # Entry i + 1 of a diagonal-k buffer holds D[i, k - i]. Entry 0 and every
+    # entry past a diagonal's end are never written, so any predecessor
+    # outside the grid reads inf. Cell (i, k - i) is flat index
+    # k + i * (tb - 1), so a diagonal of dist or back is a strided view.
+    step = max(tb - 1, 1)
+    dist_flat = dist.reshape(-1)
+    back_flat = back.reshape(-1)
+    older = np.full(ta + 1, np.inf)  # diagonal k - 2; diagonal k overwrites it
+    newer = np.full(ta + 1, np.inf)  # diagonal k - 1
+    newer[1] = dist_flat[0]
+    for k in range(1, ta + tb - 1):
+        lo, hi = max(0, k - tb + 1), min(k, ta - 1)
+        cells = slice(k + lo * (tb - 1), k + hi * (tb - 1) + 1, step)
+        diag = older[lo : hi + 1]
+        up = newer[lo : hi + 1]
+        left = newer[lo + 1 : hi + 2]
+        # The strict < tests of the scalar recurrence, in its order: ties
+        # keep diagonal, then a-advance.
+        a_adv = up < diag
+        best = np.minimum(diag, up)
+        b_adv = left < best
+        np.minimum(best, left, out=best)
+        back_flat[cells] = np.where(b_adv, 2, a_adv)
+        np.add(best, dist_flat[cells], out=older[lo + 1 : hi + 2])
+        older, newer = newer, older
 
     pairs = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1
     while (i, j) != (0, 0):
-        code = back[i][j]
+        code = back[i, j]
         if code == 0:
             i, j = i - 1, j - 1
         elif code == 1:
@@ -94,7 +108,7 @@ def dtw_align(a: FeatureSequence, b: FeatureSequence) -> AlignmentPath:
             j -= 1
         pairs.append((i, j))
     pairs.reverse()
-    return AlignmentPath(pairs=tuple(pairs), cost=float(prev[tb - 1]))
+    return AlignmentPath(pairs=tuple(pairs), cost=float(newer[ta]))
 
 
 def paired_frames(

@@ -28,7 +28,6 @@ from .features import (
     FeatureSequence,
     normalize,
     read_ftr,
-    split_mcep,
     write_ftr,
 )
 from .net import forward, load_mlp
@@ -44,6 +43,7 @@ from .pipeline import (
     read_manifest,
     save_model_bundle,
     save_speaker_stats,
+    to_lower,
     write_loss_csv,
 )
 
@@ -224,9 +224,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     a = read_ftr(args.a)
     b = read_ftr(args.b)
-    if a.kind is FeatureKind.MCEP49 and b.kind is FeatureKind.MCEP49:
-        a, b = split_mcep(a)[0], split_mcep(b)[0]
-    path = dtw_align(a, b)
+    path = dtw_align(to_lower(a), to_lower(b))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("i,j\n")
         for i, j in path.pairs:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import DimensionMismatchError
 from .features import DEFAULT_WINDOWS, DeltaWindowSet, FeatureKind, FeatureSequence, LOW_DIM
@@ -116,6 +115,10 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
                 ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
                     rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
                 )
+
+    # Imported here: scipy.linalg costs about 0.2 s to import, and training
+    # and the statistics commands never smooth a trajectory.
+    from scipy.linalg import solveh_banded
 
     out = np.empty((t, s))
     for dim in range(s):

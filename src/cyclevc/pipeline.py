@@ -241,6 +241,14 @@ def convert_utterance(
     )
 
 
+def to_lower(seq: FeatureSequence) -> FeatureSequence:
+    """The lower 25 coefficients of a 49-dim mel-cepstrum; any other
+    sequence unchanged."""
+    if seq.kind is FeatureKind.MCEP49:
+        return split_mcep(seq)[0]
+    return seq
+
+
 def mel_cepstral_distortion(
     reference: FeatureSequence, converted: FeatureSequence
 ) -> float:
@@ -250,12 +258,6 @@ def mel_cepstral_distortion(
     differ, the sequences are DTW-aligned and the distortion is averaged
     over the path.
     """
-
-    def to_lower(seq: FeatureSequence) -> FeatureSequence:
-        if seq.kind is FeatureKind.MCEP49:
-            return split_mcep(seq)[0]
-        return seq
-
     ref = to_lower(reference)
     conv = to_lower(converted)
     if ref.dim != conv.dim:

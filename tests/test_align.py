@@ -1,4 +1,8 @@
-"""Tests for dynamic time warping: oracle equivalence and path validity."""
+"""Tests for dynamic time warping: oracle equivalence and path validity.
+
+``reference_dtw`` keeps the scalar row-by-row recurrence that the wavefront
+in ``cyclevc.align`` replaced; the two must agree exactly, path and cost.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from cyclevc.align import AlignmentPath, dtw_align, paired_frames
 from cyclevc.errors import DimensionMismatchError, InsufficientDataError
@@ -30,6 +37,94 @@ def brute_force_cost(a: np.ndarray, b: np.ndarray) -> float:
         return dist[i, j] + min(candidates)
 
     return best(a.shape[0] - 1, b.shape[0] - 1)
+
+
+def reference_dtw(a: np.ndarray, b: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+    """The scalar recurrence: rolling plain-python rows, strict < tests
+    (ties prefer diagonal, then a-advance), one addition per cell."""
+    dist = cdist(a, b, metric="sqeuclidean")
+    ta, tb = dist.shape
+    back = [bytearray(tb) for _ in range(ta)]
+    prev = dist[0].tolist()
+    for j in range(1, tb):
+        prev[j] += prev[j - 1]
+        back[0][j] = 2
+    for i in range(1, ta):
+        d = dist[i].tolist()
+        cur = [prev[0] + d[0]] + [0.0] * (tb - 1)
+        back[i][0] = 1
+        for j in range(1, tb):
+            best = prev[j - 1]
+            code = 0
+            if prev[j] < best:
+                best = prev[j]
+                code = 1
+            if cur[j - 1] < best:
+                best = cur[j - 1]
+                code = 2
+            cur[j] = best + d[j]
+            back[i][j] = code
+        prev = cur
+
+    pairs = [(ta - 1, tb - 1)]
+    i, j = ta - 1, tb - 1
+    while (i, j) != (0, 0):
+        code = back[i][j]
+        if code == 0:
+            i, j = i - 1, j - 1
+        elif code == 1:
+            i -= 1
+        else:
+            j -= 1
+        pairs.append((i, j))
+    pairs.reverse()
+    return tuple(pairs), prev[tb - 1]
+
+
+def assert_matches_reference(a: np.ndarray, b: np.ndarray) -> None:
+    """Both orientations, so every shape runs with ta > tb and ta < tb."""
+    for x, y in ((a, b), (b, a)):
+        path = dtw_align(FeatureSequence(x), FeatureSequence(y))
+        pairs, cost = reference_dtw(x, y)
+        assert path.pairs == pairs
+        assert path.cost == cost
+
+
+class TestMatchesScalarRecurrence:
+    """Exact agreement with the scalar recurrence, no tolerance."""
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes(self, ta, tb, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(rng.normal(size=(ta, 3)), rng.normal(size=(tb, 3)))
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_inputs(self, ta, tb, seed):
+        """Small-integer frames make equal predecessor costs common, so
+        the order and strictness of the comparisons decide the path."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=(ta, 1)).astype(np.float64)
+        b = rng.integers(0, 3, size=(tb, 1)).astype(np.float64)
+        assert_matches_reference(a, b)
+
+    @pytest.mark.parametrize("ta, tb", [(1, 1), (1, 9), (2, 1), (37, 5)])
+    def test_degenerate_and_thin_grids(self, ta, tb):
+        rng = np.random.default_rng(ta * 100 + tb)
+        assert_matches_reference(rng.normal(size=(ta, 2)), rng.normal(size=(tb, 2)))
+
+    def test_long_utterances(self):
+        rng = np.random.default_rng(7)
+        assert_matches_reference(rng.normal(size=(700, 25)), rng.normal(size=(560, 25)))
 
 
 class TestDtwAlign:

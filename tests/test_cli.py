@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclevc
 from cyclevc.cli import _DEFAULT_EPOCHS, build_parser, main
-from cyclevc.features import read_ftr, write_ftr
+from cyclevc.features import read_ftr, split_mcep, write_ftr
 from cyclevc.net import forward
 from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
 
@@ -66,6 +71,19 @@ def train_args(corpus, method, out_dir, *extra):
         "--epochs", "2", "--hidden", "8", "--seed", "7",
         *extra,
     ]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported inside DTW and MLPG, the only code that uses it, so
+    train, stats and gen-synthetic never pay its import time. Checked in a
+    fresh interpreter, where no earlier test has loaded scipy."""
+    code = "import sys, cyclevc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestParserDefaults:
@@ -380,3 +398,28 @@ class TestAlign:
         assert first == (0, 0)
         assert last == (159, 139)
         assert "cost=" in capsys.readouterr().out
+
+    def test_mixed_widths_align_on_the_path_eval_uses(self, corpus, tmp_path, capsys):
+        """A 49-dim file against a 25-dim one aligns on the lower 25, as
+        eval does: same path and cost as two 49-dim files, and eval's MCD is
+        the average along that path."""
+        tgt = read_ftr(corpus / "tgt.mcep.ftr")
+        low = tmp_path / "tgt.low.ftr"
+        write_ftr(low, split_mcep(tgt)[0])
+        src = str(corpus / "src.mcep.ftr")
+
+        def align(b, out):
+            assert main(["align", "--a", src, "--b", str(b), "--out", str(out)]) == 0
+            return out.read_text(), capsys.readouterr().out
+
+        mixed_csv, mixed_out = align(low, tmp_path / "mixed.csv")
+        full_csv, full_out = align(corpus / "tgt.mcep.ftr", tmp_path / "full.csv")
+        assert (mixed_csv, mixed_out) == (full_csv, full_out)
+
+        assert main(["eval", "--reference", src, "--converted", str(low)]) == 0
+        mcd = float(capsys.readouterr().out.split("mcd_db=")[1].split()[0])
+        pairs = np.loadtxt(tmp_path / "mixed.csv", delimiter=",", skiprows=1, dtype=np.intp)
+        a = split_mcep(read_ftr(src))[0].data[pairs[:, 0]]
+        b = split_mcep(tgt)[0].data[pairs[:, 1]]
+        per_frame = 10.0 / np.log(10.0) * np.sqrt(2.0 * ((a[:, 1:] - b[:, 1:]) ** 2).sum(axis=1))
+        assert mcd == pytest.approx(per_frame.mean(), rel=1e-12)
