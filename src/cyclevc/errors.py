@@ -15,3 +15,14 @@ class NonFiniteError(ValueError):
 
 class FormatError(ValueError):
     """An on-disk file does not follow the expected format."""
+
+
+def utf8_text(path, data: bytes) -> str:
+    """``data``, the contents of the file at ``path``, decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise FormatError naming the file.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc

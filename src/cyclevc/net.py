@@ -24,19 +24,26 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, NonFiniteError
+from .errors import DimensionMismatchError, FormatError, NonFiniteError, utf8_text
 
 
 def _flatten(weights, biases) -> np.ndarray:
     """All weights, then all biases, layer order, as one new float64 vector."""
     return np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
+
+
+def _shapes(layer_dims):
+    """The weight and the bias shapes of a net with these layer widths."""
+    return [(o, i) for i, o in zip(layer_dims, layer_dims[1:])], [(o,) for o in layer_dims[1:]]
 
 
 def _views(vector: np.ndarray, weight_shapes, bias_shapes):
@@ -91,10 +98,7 @@ class Mlp:
 
     def _bind(self, params: np.ndarray) -> None:
         params.flags.writeable = False
-        dims = self.layer_dims
-        weights, biases = _views(
-            params, [(o, i) for i, o in zip(dims, dims[1:])], [(o,) for o in dims[1:]]
-        )
+        weights, biases = _views(params, *_shapes(self.layer_dims))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
@@ -363,12 +367,27 @@ def keep_heap_top() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: versioned text document, full-precision decimals
+# Persistence: versioned text document, full-precision decimals, plus a
+# binary image of the same parameters that stands in for the text's parse
 # ---------------------------------------------------------------------------
+#
+# The MLP1 text is the one format. Beside it, save_mlp writes ``<path>.f8``:
+# the SHA-256 of the text's bytes, then ``Mlp.params`` as raw little-endian
+# float64 in the flat layout. load_mlp takes the parameters from the image
+# only when it holds exactly that digest and the header's parameter count;
+# otherwise (no image, a stale, short or long one, an edited text) it parses
+# the text. Loads never write an image; deleting one only costs load time.
 
 _MODEL_MAGIC = "MLP1"
 #: The one layer layout the engine implements, named in every file's header.
 _ACTIVATIONS = {"hidden_activation": "sigmoid", "output_activation": "linear"}
+_IMAGE_SUFFIX = ".f8"
+_DIGEST_BYTES = hashlib.sha256().digest_size
+_IMAGE_DTYPE = np.dtype("<f8")
+
+
+def _image_path(path) -> str:
+    return os.fspath(path) + _IMAGE_SUFFIX
 
 
 def _format_row(values: list[float]) -> str:
@@ -379,7 +398,8 @@ def _format_row(values: list[float]) -> str:
 
 
 def save_mlp(path, net: Mlp) -> None:
-    """Write a text document that reloads to bit-identical parameters."""
+    """Write a text document that reloads to bit-identical parameters, then
+    its binary image."""
     lines = [
         _MODEL_MAGIC,
         "layer_dims " + " ".join(str(d) for d in net.layer_dims),
@@ -392,9 +412,45 @@ def save_mlp(path, net: Mlp) -> None:
         b = net.biases[layer]
         lines.append(f"bias {layer} {b.shape[0]}")
         lines.append(_format_row(b.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    with open(_image_path(path), "wb") as fh:
+        fh.write(hashlib.sha256(text).digest())
+        fh.write(net.params.astype(_IMAGE_DTYPE, copy=False).tobytes())
+
+
+def _head(path, data: bytes, n: int) -> list[str]:
+    """The first n lines of the UTF-8 text in ``data``, as str.splitlines()
+    gives them, decoding only those lines.
+
+    A line feed always ends a line, and no other character's UTF-8 bytes
+    contain one, so the bytes up to the n-th line feed decode and split
+    into the same first lines as the whole text.
+    """
+    end = 0
+    for _ in range(n):
+        end = data.find(b"\n", end) + 1
+        if not end:
+            end = len(data)
+            break
+    return utf8_text(path, data[:end]).splitlines()[:n]
+
+
+def _image_params(path, text: bytes, size: int) -> np.ndarray | None:
+    """The ``size`` parameters in path's image, or None unless the image is
+    exactly the digest of ``text`` followed by that many float64 values."""
+    want = _DIGEST_BYTES + _IMAGE_DTYPE.itemsize * size
+    try:
+        with open(_image_path(path), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != want:
+                return None
+            image = fh.read()
+    except OSError:
+        return None
+    if len(image) != want or image[:_DIGEST_BYTES] != hashlib.sha256(text).digest():
+        return None
+    return np.frombuffer(image, dtype=_IMAGE_DTYPE, offset=_DIGEST_BYTES)
 
 
 def _parse_block(path, lines: list[str], shape: tuple[int, ...], what: str, line_no: int):
@@ -418,14 +474,39 @@ def _parse_block(path, lines: list[str], shape: tuple[int, ...], what: str, line
     return values
 
 
+def _parse_body(path, lines: list[str], dims: tuple[int, ...]):
+    """The weight and bias blocks after the four header lines."""
+    weights: list[np.ndarray] = []
+    biases: list[np.ndarray] = []
+    pos = 4
+    for layer in range(len(dims) - 1):
+        tag, idx, rows, cols = lines[pos].split()
+        if tag != "weight" or int(idx) != layer:
+            raise FormatError(f"{path}: expected 'weight {layer}' at line {pos + 1}")
+        rows, cols = int(rows), int(cols)
+        block = lines[pos + 1 : pos + 1 + rows]
+        weights.append(_parse_block(path, block, (rows, cols), f"weight {layer}", pos + 2))
+        pos += 1 + rows
+        tag, idx, n = lines[pos].split()
+        if tag != "bias" or int(idx) != layer:
+            raise FormatError(f"{path}: expected 'bias {layer}' at line {pos + 1}")
+        biases.append(
+            _parse_block(path, lines[pos + 1 : pos + 2], (int(n),), f"bias {layer}", pos + 2)
+        )
+        pos += 2
+    return weights, biases
+
+
 def load_mlp(path) -> Mlp:
-    """Read a save_mlp document; any defect raises FormatError naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
+    """Read a save_mlp document, from its image when that is verified; any
+    defect raises FormatError naming path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = _head(path, data, 4)
+    if not header or header[0] != _MODEL_MAGIC:
         raise FormatError(f"{path}: not a {_MODEL_MAGIC} model file")
     try:
-        fields = dict(line.split(" ", 1) for line in lines[1:4])
+        fields = dict(line.split(" ", 1) for line in header[1:4])
         dims = tuple(int(d) for d in fields["layer_dims"].split())
         activations = {key: fields[key] for key in _ACTIVATIONS}
     except (KeyError, ValueError) as exc:
@@ -435,25 +516,14 @@ def load_mlp(path) -> Mlp:
             f"{path}: unsupported activations {activations}, expected {_ACTIVATIONS}"
         )
 
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    pos = 4
+    weight_shapes, bias_shapes = _shapes(dims)
+    size = sum(math.prod(shape) for shape in weight_shapes + bias_shapes)
     try:
-        for layer in range(len(dims) - 1):
-            tag, idx, rows, cols = lines[pos].split()
-            if tag != "weight" or int(idx) != layer:
-                raise FormatError(f"{path}: expected 'weight {layer}' at line {pos + 1}")
-            rows, cols = int(rows), int(cols)
-            block = lines[pos + 1 : pos + 1 + rows]
-            weights.append(_parse_block(path, block, (rows, cols), f"weight {layer}", pos + 2))
-            pos += 1 + rows
-            tag, idx, n = lines[pos].split()
-            if tag != "bias" or int(idx) != layer:
-                raise FormatError(f"{path}: expected 'bias {layer}' at line {pos + 1}")
-            biases.append(
-                _parse_block(path, lines[pos + 1 : pos + 2], (int(n),), f"bias {layer}", pos + 2)
-            )
-            pos += 2
+        params = _image_params(path, data, size)
+        if params is not None:
+            weights, biases = _views(params, weight_shapes, bias_shapes)
+        else:
+            weights, biases = _parse_body(path, utf8_text(path, data).splitlines(), dims)
         return Mlp(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
     except FormatError:
         raise

@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import dtw_align, paired_frames
 from .baselines import ParallelTrainSet
-from .errors import DimensionMismatchError, FormatError, InsufficientDataError
+from .errors import DimensionMismatchError, FormatError, InsufficientDataError, utf8_text
 from .features import (
     DEFAULT_WINDOWS,
     DeltaWindowSet,
@@ -100,7 +100,7 @@ def save_speaker_stats(path, stats: SpeakerStats) -> None:
 
 
 def load_speaker_stats(path) -> SpeakerStats:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = utf8_text(path, Path(path).read_bytes()).splitlines()
     if not lines or lines[0] != _STATS_MAGIC:
         raise FormatError(f"{path}: not a {_STATS_MAGIC} file")
     fields = {}
@@ -338,7 +338,7 @@ class SyntheticSpec:
     @staticmethod
     def from_json(path) -> "SyntheticSpec":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(utf8_text(path, Path(path).read_bytes()))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON") from exc
         try:
@@ -446,21 +446,27 @@ def read_manifest(model_dir) -> tuple[str, dict[str, Path]]:
     manifest = model_dir / _MANIFEST_NAME
     if not manifest.exists():
         raise FormatError(f"{manifest}: missing model manifest")
-    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines = utf8_text(manifest, manifest.read_bytes()).splitlines()
     if not lines or lines[0] != _MANIFEST_MAGIC:
         raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
     method = None
     paths: dict[str, Path] = {}
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         parts = line.split()
         if parts[0] == "method" and len(parts) == 2:
+            if method is not None:
+                raise FormatError(f"{manifest}: line {line_no} repeats the method: {line!r}")
             method = parts[1]
         elif parts[0] == "network" and len(parts) == 3:
+            if parts[1] in paths:
+                raise FormatError(
+                    f"{manifest}: line {line_no} repeats network {parts[1]}: {line!r}"
+                )
             paths[parts[1]] = model_dir / parts[2]
         else:
-            raise FormatError(f"{manifest}: unparsable line {line!r}")
+            raise FormatError(f"{manifest}: unparsable line {line_no}: {line!r}")
     if method is None or set(paths) != set(BUNDLE_ROLES.get(method, ())):
         raise FormatError(f"{manifest}: incomplete manifest for method {method!r}")
     return method, paths

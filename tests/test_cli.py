@@ -371,6 +371,35 @@ class TestConvertLoadsOneNetwork:
         assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
         assert str(model / filename) in capsys.readouterr().err
 
+    def test_non_utf8_stats_error_names_the_file(self, corpus, bundles, tmp_path, capsys):
+        stats = tmp_path / "src.stats"
+        stats.write_bytes(b"\xff" + (corpus / "src.stats").read_bytes())
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path)
+        argv[argv.index("--src-stats") + 1] = str(stats)
+        assert main(argv) == 1
+        assert f"{stats}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["cyclegan", "gan-parallel", "mse-parallel"])
+    def test_images_load_the_parameters_the_text_holds(
+        self, bundles, tmp_path, monkeypatch, method
+    ):
+        text_only = tmp_path / "model"
+        shutil.copytree(bundles[method], text_only)
+        images = sorted(text_only.glob("*.mlp.f8"))
+        assert [p.name for p in images] == sorted(f"{p.name}.f8" for p in text_only.glob("*.mlp"))
+        for path in images:
+            path.unlink()
+        parsed = []
+        parse = cyclevc.net._parse_block
+        monkeypatch.setattr(cyclevc.net, "_parse_block", lambda *a: parsed.append(a[0]) or parse(*a))
+        _, through_images = load_model_bundle(bundles[method])
+        assert parsed == []
+        _, through_text = load_model_bundle(text_only)
+        assert {Path(p).name for p in parsed} == {p.name[:-3] for p in images}
+        assert through_images.keys() == through_text.keys()
+        for role, net in through_images.items():
+            assert net.params.tobytes() == through_text[role].params.tobytes()
+
     def test_reverse_direction_on_parallel_bundle_reads_no_network(
         self, corpus, bundles, tmp_path, capsys
     ):

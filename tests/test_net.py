@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from cyclevc import net as net_module
 from cyclevc.cyclegan import CycleGanConfig, build_model, train
 from cyclevc.errors import DimensionMismatchError, FormatError, NonFiniteError
 from cyclevc.features import FeatureSequence
@@ -324,9 +326,11 @@ class TestPersistence:
         assert all(np.array_equal(x, y) for x, y in zip(back.biases, trained.biases))
 
     def test_rejects_garbage(self, tmp_path):
+        # Saved first, so a valid image of the old text stays beside it.
         path = tmp_path / "garbage.mlp"
+        save_mlp(path, init_mlp((4, 9, 2), seed=21))
         path.write_text("not a model\n")
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="garbage.mlp: not a MLP1"):
             load_mlp(path)
 
     @pytest.mark.parametrize(
@@ -350,6 +354,7 @@ class TestPersistence:
         ],
     )
     def test_malformed_file_error_names_the_file(self, tmp_path, old, new, cause):
+        """Each edit leaves the saved image beside the text stale."""
         net = Mlp(
             layer_dims=(2, 3, 1),
             weights=(np.full((3, 2), 0.5), np.full((1, 3), 0.25)),
@@ -434,3 +439,78 @@ class TestTextFormat:
         for role in BUNDLE_ROLES["cyclegan"]:
             path = tmp_path / f"{role.lower()}.mlp"
             assert load_mlp(path).params.tobytes() == reference_params(path).tobytes()
+
+
+def parse_spy(monkeypatch) -> list:
+    """Record each call of the text block parser; the list stays empty while
+    loads come from the binary image."""
+    calls = []
+    parse = net_module._parse_block
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(net_module, "_parse_block", spy)
+    return calls
+
+
+def pi_net(seed: int = 21) -> Mlp:
+    base = init_mlp((4, 9, 2), seed=seed)
+    return Mlp(
+        layer_dims=base.layer_dims,
+        weights=tuple(w * np.pi for w in base.weights),
+        biases=tuple(b + 1.0 / 3.0 for b in base.biases),
+    )
+
+
+class TestBinaryImage:
+    def test_image_is_text_digest_then_little_endian_params(self, tmp_path):
+        net = pi_net()
+        path = tmp_path / "net.mlp"
+        save_mlp(path, net)
+        image = (tmp_path / "net.mlp.f8").read_bytes()
+        assert image[:32] == hashlib.sha256(path.read_bytes()).digest()
+        assert image[32:] == net.params.astype("<f8").tobytes()
+
+    def test_verified_image_replaces_the_parse(self, tmp_path, monkeypatch):
+        net = pi_net()
+        save_mlp(tmp_path / "net.mlp", net)
+        calls = parse_spy(monkeypatch)
+        loaded = load_mlp(tmp_path / "net.mlp")
+        assert calls == []
+        assert loaded.params.tobytes() == net.params.tobytes()
+        assert loaded.params.flags.writeable is False
+
+    @pytest.mark.parametrize("damage", ["missing", "stale", "truncated", "over-long"])
+    def test_unverified_image_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
+        path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
+        save_mlp(path, pi_net())
+        want = pi_net()
+        if damage == "missing":
+            image.unlink()
+        elif damage == "stale":
+            # Same architecture, other values: the image is the right size
+            # but holds the digest of the text it was saved with.
+            want = pi_net(seed=22)
+            save_mlp(tmp_path / "other.mlp", want)
+            path.write_bytes((tmp_path / "other.mlp").read_bytes())
+        elif damage == "truncated":
+            image.write_bytes(image.read_bytes()[:-8])
+        else:
+            image.write_bytes(image.read_bytes() + bytes(8))
+        before = image.read_bytes() if image.exists() else None
+        calls = parse_spy(monkeypatch)
+        assert load_mlp(path).params.tobytes() == want.params.tobytes()
+        assert calls == ["weight 0", "bias 0", "weight 1", "bias 1"]
+        assert (image.read_bytes() if image.exists() else None) == before
+
+    @pytest.mark.parametrize("line", [1, 6], ids=["header", "body"])
+    def test_non_utf8_file_error_names_the_file(self, tmp_path, line):
+        path = tmp_path / "net.mlp"
+        save_mlp(path, pi_net())
+        lines = path.read_bytes().split(b"\n")
+        lines[line] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="net.mlp.*not UTF-8"):
+            load_mlp(path)

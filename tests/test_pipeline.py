@@ -94,6 +94,15 @@ class TestSpeakerStats:
         with pytest.raises(FormatError):
             load_speaker_stats(path)
 
+    def test_non_utf8_file_error_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(2)
+        mcep, f0, _ = make_speaker(rng)
+        path = tmp_path / "speaker.stats"
+        save_speaker_stats(path, compute_speaker_stats([mcep], [f0]))
+        path.write_bytes(path.read_bytes().replace(b"logf0_mean", b"logf0_mean\xff"))
+        with pytest.raises(FormatError, match="speaker.stats.*not UTF-8"):
+            load_speaker_stats(path)
+
 
 class TestParallelPreparation:
     def test_warped_lengths_match(self):
@@ -371,16 +380,22 @@ class TestModelBundles:
             load_model_bundle(tmp_path)
 
     @pytest.mark.parametrize(
-        "text",
-        ["VCMODEL2\nmethod mse-parallel\nnetwork G g.mlp\n",
-         "VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp extra\n",
-         "VCMODEL1\nmethod cyclegan\nnetwork G g.mlp\nnetwork F f.mlp\n",
-         "VCMODEL1\nmethod unknown\nnetwork G g.mlp\n"],
-        ids=["magic", "unparsable-line", "missing-roles", "unknown-method"],
+        "text, cause",
+        [(b"VCMODEL2\nmethod mse-parallel\nnetwork G g.mlp\n", "not a VCMODEL1"),
+         (b"VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp extra\n", "unparsable line 3"),
+         (b"VCMODEL1\nmethod cyclegan\nnetwork G g.mlp\nnetwork F f.mlp\n", "incomplete"),
+         (b"VCMODEL1\nmethod unknown\nnetwork G g.mlp\n", "incomplete"),
+         (b"VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp\nnetwork G other.mlp\n",
+          "line 4 repeats network G: 'network G other.mlp'"),
+         (b"VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp\n\nmethod cyclegan\n",
+          "line 5 repeats the method: 'method cyclegan'"),
+         (b"VCMODEL1\nmethod mse-parallel\xff\nnetwork G g.mlp\n", "not UTF-8")],
+        ids=["magic", "unparsable-line", "missing-roles", "unknown-method",
+             "repeated-network", "repeated-method", "not-utf8"],
     )
-    def test_manifest_checks(self, tmp_path, text):
-        (tmp_path / "manifest.txt").write_text(text)
-        with pytest.raises(FormatError, match="manifest.txt"):
+    def test_manifest_checks(self, tmp_path, text, cause):
+        (tmp_path / "manifest.txt").write_bytes(text)
+        with pytest.raises(FormatError, match=f"manifest.txt: {cause}"):
             read_manifest(tmp_path)
 
     def test_loss_csv_format(self, tmp_path):
