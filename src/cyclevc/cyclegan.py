@@ -15,6 +15,8 @@ the non-saturating log loss for the generators.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from .net import (
     OptimizerState,
     apply_update,
     backward,
+    blas_threads_per_lane,
     forward,
     init_mlp,
     init_optimizer,
@@ -221,6 +224,63 @@ def _l1_grad(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # Objective evaluation with gradients
 # ---------------------------------------------------------------------------
 
+#: Per training thread, the executor whose one worker runs the second lane
+#: of each step while train() runs; unset, the lanes run inline.
+_lanes = threading.local()
+
+#: The network functions both lanes call, as this module bound them. A
+#: wrapper put in their place (a tracer, a profiler, a test spy) may keep
+#: state that is not safe across threads, so the lanes then run inline.
+_LANE_CALLS = (forward, backward, apply_update)
+
+
+@contextmanager
+def _lane_worker():
+    """For the body, split the loaded OpenBLAS's threads between two lanes
+    (net.blas_threads_per_lane) and run second lanes on one worker thread.
+    Where that split is not worth it, or a function in _LANE_CALLS has been
+    replaced, leave BLAS alone and the lanes inline."""
+    own = globals()
+    if any(own[fn.__name__] is not fn for fn in _LANE_CALLS):
+        yield
+        return
+    # Imported here: concurrent.futures costs about 4 ms to import, and
+    # only training uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with blas_threads_per_lane() as split:
+        if not split:
+            yield
+            return
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cyclevc-lane") as pool:
+            _lanes.pool = pool
+            try:
+                yield
+            finally:
+                _lanes.pool = None
+
+
+def _run_lanes(first, second):
+    """(first(), second()): second on the lane worker while first runs on
+    the calling thread, or both inline, first then second, outside
+    _lane_worker.
+
+    The two lanes share no mutable state, so they give the same bytes
+    either way; they overlap wherever numpy releases the GIL. If a lane
+    raises, its error propagates only once both lanes are done, and
+    first's error wins, as inline.
+    """
+    pool = getattr(_lanes, "pool", None)
+    if pool is None:
+        return first(), second()
+    pending = pool.submit(second)
+    try:
+        done = first()
+    finally:
+        pending.exception()  # waits for the worker lane; raises nothing
+    return done, pending.result()
+
+
 def discriminator_gradients(
     disc: Mlp, real: np.ndarray, fake: np.ndarray, loss_form: str
 ) -> tuple[float, Gradients]:
@@ -240,14 +300,42 @@ def discriminator_objective(
     """Discriminator losses and their parameter gradients on one batch.
 
     Generated frames are treated as constants here (no gradient flows back
-    into the generators). Returns (disc_x_loss, disc_y_loss, grads for D_X,
-    grads for D_Y).
+    into the generators). The two halves, F(y) scored by D_X and G(x)
+    scored by D_Y, run as two lanes (see _run_lanes). Returns (disc_x_loss,
+    disc_y_loss, grads for D_X, grads for D_Y).
     """
-    fake_y, _ = forward(model.g, x_batch)
-    fake_x, _ = forward(model.f, y_batch)
-    loss_x, grads_dx = discriminator_gradients(model.d_x, x_batch, fake_x, loss_form)
-    loss_y, grads_dy = discriminator_gradients(model.d_y, y_batch, fake_y, loss_form)
+    (loss_x, grads_dx), (loss_y, grads_dy) = _run_lanes(
+        lambda: discriminator_gradients(
+            model.d_x, x_batch, forward(model.f, y_batch)[0], loss_form
+        ),
+        lambda: discriminator_gradients(
+            model.d_y, y_batch, forward(model.g, x_batch)[0], loss_form
+        ),
+    )
     return loss_x, loss_y, grads_dx, grads_dy
+
+
+def _cycle_direction(
+    gen: Mlp,
+    back: Mlp,
+    disc: Mlp,
+    batch: np.ndarray,
+    cycle_weight: float,
+    loss_form: str,
+) -> tuple[float, np.ndarray, Gradients, Gradients]:
+    """One cycle direction, batch -> gen -> back, with gen's output scored
+    by the frozen disc. Returns the adversarial loss, the reconstruction,
+    and the parameter gradients for gen and for back."""
+    fake, cache_gen = forward(gen, batch)
+    d_fake, cache_disc = forward(disc, fake)
+    adv, g_adv = generator_loss(d_fake, loss_form)
+    _, g_into_disc = backward(disc, cache_disc, g_adv, param_grads=False)
+    rec, cache_back = forward(back, fake)
+    grads_back, g_into_back = backward(
+        back, cache_back, cycle_weight * _l1_grad(rec, batch)
+    )
+    grads_gen, _ = backward(gen, cache_gen, g_into_disc + g_into_back)
+    return adv, rec, grads_gen, grads_back
 
 
 def generator_objective(
@@ -262,30 +350,16 @@ def generator_objective(
     Both cycle directions contribute: X -> G -> F compared against x, and
     Y -> F -> G compared against y. Adversarial terms flow through the
     (frozen) discriminators back into the generators without computing
-    discriminator parameter gradients.
+    discriminator parameter gradients. The two directions run as two
+    lanes (see _run_lanes); each network's gradient is the forward
+    direction's plus the backward direction's.
     """
-    # Forward direction: x -> fake_y -> rec_x, scored by D_Y.
-    fake_y, cache_g1 = forward(model.g, x_batch)
-    d_fake_y, cache_dy = forward(model.d_y, fake_y)
-    adv_g, g_adv_g = generator_loss(d_fake_y, loss_form)
-    _, g_into_dy = backward(model.d_y, cache_dy, g_adv_g, param_grads=False)
-    rec_x, cache_f1 = forward(model.f, fake_y)
-    grads_f_fwd, g_into_f = backward(
-        model.f, cache_f1, cycle_weight * _l1_grad(rec_x, x_batch)
+    xyx, yxy = _run_lanes(
+        lambda: _cycle_direction(model.g, model.f, model.d_y, x_batch, cycle_weight, loss_form),
+        lambda: _cycle_direction(model.f, model.g, model.d_x, y_batch, cycle_weight, loss_form),
     )
-    grads_g_fwd, _ = backward(model.g, cache_g1, g_into_dy + g_into_f)
-
-    # Backward direction: y -> fake_x -> rec_y, scored by D_X.
-    fake_x, cache_f2 = forward(model.f, y_batch)
-    d_fake_x, cache_dx = forward(model.d_x, fake_x)
-    adv_f, g_adv_f = generator_loss(d_fake_x, loss_form)
-    _, g_into_dx = backward(model.d_x, cache_dx, g_adv_f, param_grads=False)
-    rec_y, cache_g2 = forward(model.g, fake_x)
-    grads_g_bwd, g_into_g = backward(
-        model.g, cache_g2, cycle_weight * _l1_grad(rec_y, y_batch)
-    )
-    grads_f_bwd, _ = backward(model.f, cache_f2, g_into_dx + g_into_g)
-
+    adv_g, rec_x, grads_g_fwd, grads_f_fwd = xyx
+    adv_f, rec_y, grads_f_bwd, grads_g_bwd = yxy
     cycle = cycle_loss(x_batch, rec_x, y_batch, rec_y)
     report = LossReport(
         adv_g=adv_g,
@@ -327,19 +401,27 @@ def train_step(
     config: CycleGanConfig,
     state: TrainerState,
 ) -> tuple[CycleGanModel, TrainerState, LossReport]:
-    """One alternating update: discriminators first, then both generators."""
+    """One alternating update: discriminators first, then both generators.
+
+    Each phase runs as two lanes (see _run_lanes): its objective, then the
+    two networks' Adam updates.
+    """
     disc_x_loss, disc_y_loss, grads_dx, grads_dy = discriminator_objective(
         model, x_batch, y_batch, config.loss_form
     )
-    new_dx, opt_dx = apply_update(model.d_x, grads_dx, state.opt_dx)
-    new_dy, opt_dy = apply_update(model.d_y, grads_dy, state.opt_dy)
+    (new_dx, opt_dx), (new_dy, opt_dy) = _run_lanes(
+        lambda: apply_update(model.d_x, grads_dx, state.opt_dx),
+        lambda: apply_update(model.d_y, grads_dy, state.opt_dy),
+    )
     model = CycleGanModel(g=model.g, f=model.f, d_x=new_dx, d_y=new_dy)
 
     gen_report, grads_g, grads_f = generator_objective(
         model, x_batch, y_batch, config.cycle_weight, config.loss_form
     )
-    new_g, opt_g = apply_update(model.g, grads_g, state.opt_g)
-    new_f, opt_f = apply_update(model.f, grads_f, state.opt_f)
+    (new_g, opt_g), (new_f, opt_f) = _run_lanes(
+        lambda: apply_update(model.g, grads_g, state.opt_g),
+        lambda: apply_update(model.f, grads_f, state.opt_f),
+    )
     model = CycleGanModel(g=new_g, f=new_f, d_x=model.d_x, d_y=model.d_y)
 
     report = replace(gen_report, disc_x=disc_x_loss, disc_y=disc_y_loss)
@@ -358,6 +440,13 @@ def train(
     without replacement; batch k of speaker X is paired with batch k of
     speaker Y purely positionally (the data is nonparallel, nothing is
     aligned). Returns the trained model and one mean LossReport per epoch.
+
+    For the run, the loaded OpenBLAS's threads are split between two lanes
+    and each step's second lane runs on one worker thread that the run
+    owns. A BLAS without a thread control or on one thread
+    (net.blas_threads_per_lane), and wrapped network functions
+    (_LANE_CALLS), run the lanes inline. The results are the same bytes
+    either way.
     """
     if x_data.frames < 1 or y_data.frames < 1:
         raise InsufficientDataError("both training datasets must be nonempty")
@@ -369,14 +458,15 @@ def train(
     state = TrainerState.fresh(model, config)
 
     history: list[LossReport] = []
-    for _ in range(config.epochs):
-        step_reports = []
-        for x_idx, y_idx in epoch_batches(
-            shuffle_rng, config.batch_frames, x_data.frames, y_data.frames
-        ):
-            model, state, report = train_step(
-                model, x_data.data[x_idx], y_data.data[y_idx], config, state
-            )
-            step_reports.append(report)
-        history.append(LossReport.mean(step_reports))
+    with _lane_worker():
+        for _ in range(config.epochs):
+            step_reports = []
+            for x_idx, y_idx in epoch_batches(
+                shuffle_rng, config.batch_frames, x_data.frames, y_data.frames
+            ):
+                model, state, report = train_step(
+                    model, x_data.data[x_idx], y_data.data[y_idx], config, state
+                )
+                step_reports.append(report)
+            history.append(LossReport.mean(step_reports))
     return model, history

@@ -22,6 +22,7 @@ returned state shares them with the state passed in.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -364,6 +365,74 @@ def keep_heap_top() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
+#: Thread-count setters of OpenBLAS builds: the scipy-openblas build that
+#: numpy wheels ship, other 64-bit-integer builds, and the classic one. Each
+#: getter has the same name with "get" for "set".
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """A (get, set) pair of thread-count functions for each OpenBLAS loaded
+    in this process, found by name among the objects mapped into it. Where
+    /proc/self/maps does not exist (outside Linux) there are none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {
+                fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+            }
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            try:
+                get, set_ = getattr(lib, name.replace("set", "get", 1)), getattr(lib, name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            controls.append((get, set_))
+            break
+    return controls
+
+
+@contextlib.contextmanager
+def blas_threads_per_lane():
+    """Run the body with each OpenBLAS that _openblas_thread_controls finds
+    on half its thread count, so that two lanes calling it at once use the
+    cores one lane used before; yields whether two lanes are worth running.
+
+    They are when a control was found and every count was at least two.
+    Lanes on a BLAS that still spawns its full thread count oversubscribe
+    the cores and run slower than one lane, and on one BLAS thread two
+    lanes only add thread handoffs, so otherwise this yields False and
+    leaves the counts alone. The previous counts come back on exit, also
+    on an exception. The counts are process-wide, so bodies that overlap
+    in several threads restore them in the order they exit.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    if not controls or min(previous) < 2:
+        yield False
+        return
+    for (_, set_), count in zip(controls, previous):
+        set_(count // 2)
+    try:
+        yield True
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 # ---------------------------------------------------------------------------

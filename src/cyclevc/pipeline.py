@@ -104,9 +104,11 @@ def load_speaker_stats(path) -> SpeakerStats:
     if not lines or lines[0] != _STATS_MAGIC:
         raise FormatError(f"{path}: not a {_STATS_MAGIC} file")
     fields = {}
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], 2):
         if line.strip():
             key, _, value = line.partition(" ")
+            if key in fields:
+                raise FormatError(f"{path}: line {line_no} repeats {key}: {line!r}")
             fields[key] = value
     try:
         return SpeakerStats(

@@ -94,6 +94,17 @@ class TestSpeakerStats:
         with pytest.raises(FormatError):
             load_speaker_stats(path)
 
+    def test_repeated_key_names_the_file_line_and_key(self, tmp_path):
+        rng = np.random.default_rng(2)
+        mcep, f0, _ = make_speaker(rng)
+        path = tmp_path / "speaker.stats"
+        save_speaker_stats(path, compute_speaker_stats([mcep], [f0]))
+        text = path.read_text()
+        path.write_text(text + "logf0_mean 9.5\n")
+        line_no = len(text.splitlines()) + 1
+        with pytest.raises(FormatError, match=rf"speaker\.stats: line {line_no} repeats logf0_mean"):
+            load_speaker_stats(path)
+
     def test_non_utf8_file_error_names_the_file(self, tmp_path):
         rng = np.random.default_rng(2)
         mcep, f0, _ = make_speaker(rng)

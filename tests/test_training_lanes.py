@@ -1,0 +1,230 @@
+"""Tests for the two-lane training step: the lanes on a worker thread give
+the same bytes as inline, the BLAS thread count is split between them and
+comes back, they stay inline where they cannot gain or are not safe, and a
+lane's error surfaces unchanged once both lanes are done."""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from cyclevc import cyclegan, net
+from cyclevc.cyclegan import CycleGanConfig, build_model, train
+from cyclevc.errors import NonFiniteError
+from cyclevc.features import FeatureSequence
+
+requires_blas_control = pytest.mark.skipif(
+    not net._openblas_thread_controls(), reason="no OpenBLAS thread control is loaded"
+)
+
+
+def blas_threads() -> list[int]:
+    return [get() for get, _ in net._openblas_thread_controls()]
+
+
+def lane_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("cyclevc-lane")]
+
+
+def on_worker(names: list[str]) -> bool:
+    return any(name.startswith("cyclevc-lane") for name in names)
+
+
+def problem(batch: int, loss_form: str, hidden=(128, 256, 256, 128), epochs: int = 2):
+    """A config and data with one step per epoch at the given batch."""
+    config = CycleGanConfig(
+        batch_frames=batch, epochs=epochs, seed=11, loss_form=loss_form, hidden_dims=hidden
+    )
+    rng = np.random.default_rng(batch)
+    x = FeatureSequence(rng.normal(size=(batch, 75)))
+    y = FeatureSequence(rng.normal(size=(batch + 5, 75)))
+    return config, x, y
+
+
+def trained_digest(config, x, y) -> str:
+    model, history = train(build_model(75, config), x, y, config)
+    digest = hashlib.sha256()
+    for network in (model.g, model.f, model.d_x, model.d_y):
+        digest.update(network.params.tobytes())
+    digest.update(repr(history).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def blas_at():
+    """Sets every OpenBLAS thread control to a count; the counts found
+    before come back after the test."""
+    controls = net._openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+
+    def set_all(count: int) -> None:
+        for _, set_ in controls:
+            set_(count)
+
+    yield set_all
+    for (_, set_), count in zip(controls, previous):
+        set_(count)
+
+
+@pytest.fixture
+def lane_names(monkeypatch):
+    """The name of the thread each discriminator_gradients call runs on;
+    D_X's runs in the calling thread's lane and D_Y's in the worker's."""
+    names = []
+    gradients = cyclegan.discriminator_gradients
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return gradients(*args)
+
+    monkeypatch.setattr(cyclegan, "discriminator_gradients", spy)
+    return names
+
+
+@requires_blas_control
+@pytest.mark.parametrize("loss_form", ["lsgan", "log"])
+@pytest.mark.parametrize("batch", [128, 2048])
+def test_lanes_give_the_bytes_of_inline_lanes(monkeypatch, blas_at, lane_names, batch, loss_form):
+    """Two steps at batch 128; one at 2048, which costs 16 times as much."""
+    config, x, y = problem(batch, loss_form, epochs=2 if batch == 128 else 1)
+    blas_at(2)
+    with_lanes = trained_digest(config, x, y)
+    assert on_worker(lane_names)
+
+    lane_names.clear()
+    blas_at(1)
+    inline_one_thread = trained_digest(config, x, y)
+    assert lane_names and not on_worker(lane_names)
+
+    blas_at(2)
+    with monkeypatch.context() as patch:
+        patch.setattr(net, "_openblas_thread_controls", lambda: [])
+        lane_names.clear()
+        no_blas_control = trained_digest(config, x, y)
+        assert lane_names and not on_worker(lane_names)
+
+    assert inline_one_thread == with_lanes
+    assert no_blas_control == with_lanes
+
+
+@requires_blas_control
+def test_lanes_give_the_same_bytes_under_frequent_thread_switches(monkeypatch, blas_at):
+    """A 10 us switch interval interleaves the lanes' Python code far more
+    often than the default 5 ms; the lanes share no mutable state, so the
+    bytes must not move."""
+    config, x, y = problem(128, "log")
+    blas_at(2)
+    with monkeypatch.context() as patch:
+        patch.setattr(net, "_openblas_thread_controls", lambda: [])
+        inline = trained_digest(config, x, y)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        switched = trained_digest(config, x, y)
+    finally:
+        sys.setswitchinterval(interval)
+    assert switched == inline
+
+
+@requires_blas_control
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_training_halves_the_blas_threads_and_restores_them(monkeypatch, blas_at, count):
+    """Each lane gets half the threads one lane had, so two lanes use the
+    cores the parent step used; a small net runs on the lanes too."""
+    blas_at(count)
+    before = blas_threads()
+    during, names = [], []
+    gradients = cyclegan.discriminator_gradients
+
+    def spy(*args):
+        during.append(blas_threads())
+        names.append(threading.current_thread().name)
+        return gradients(*args)
+
+    monkeypatch.setattr(cyclegan, "discriminator_gradients", spy)
+    config, x, y = problem(32, "lsgan", hidden=(16, 8))
+    train(build_model(75, config), x, y, config)
+    assert on_worker(names)
+    assert during and all(counts == [count // 2] * len(before) for counts in during)
+    assert blas_threads() == before
+    assert not lane_threads()
+
+
+@requires_blas_control
+def test_one_blas_thread_runs_the_lanes_inline_with_blas_untouched(blas_at, lane_names):
+    blas_at(1)
+    config, x, y = problem(32, "lsgan", hidden=(16, 8))
+    train(build_model(75, config), x, y, config)
+    assert lane_names and set(lane_names) == {threading.current_thread().name}
+    assert blas_threads() == [1] * len(blas_threads())
+
+
+@requires_blas_control
+@pytest.mark.parametrize("wrapped", ["forward", "backward", "apply_update"])
+def test_wrapped_network_functions_run_the_lanes_inline(monkeypatch, blas_at, wrapped):
+    """A wrapper around a function both lanes call (as a tracer installs)
+    may not be safe across threads, so every call stays on the caller."""
+    blas_at(2)
+    config, x, y = problem(32, "log", hidden=(16, 8))
+    with_lanes = trained_digest(config, x, y)
+    names = []
+    inner = getattr(cyclegan, wrapped)
+
+    def wrapper(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cyclegan, wrapped, wrapper)
+    assert trained_digest(config, x, y) == with_lanes
+    assert names and set(names) == {threading.current_thread().name}
+    assert blas_threads() == [2] * len(blas_threads())
+
+
+@requires_blas_control
+@pytest.mark.parametrize("failing_lane", ["worker", "caller"])
+def test_a_lane_error_keeps_its_type_and_waits_for_the_other_lane(
+    monkeypatch, blas_at, failing_lane
+):
+    """D_X's gradients are the calling thread's lane and D_Y's the
+    worker's. The failing lane raises at once, while the other one still
+    runs; the error leaves the step only after that."""
+    blas_at(2)
+    config, x, y = problem(128, "lsgan", epochs=1)
+    model = build_model(75, config)
+    failing, slow = (model.d_y, model.d_x) if failing_lane == "worker" else (model.d_x, model.d_y)
+    events = []
+    gradients = cyclegan.discriminator_gradients
+
+    def flaky(disc, *args):
+        if disc is failing:
+            events.append(("raise", threading.current_thread().name))
+            raise NonFiniteError("non-finite gradient in layer 2")
+        if disc is slow:
+            time.sleep(0.2)
+            events.append(("finish", threading.current_thread().name))
+        return gradients(disc, *args)
+
+    step = cyclegan.train_step
+
+    def watched(*args):
+        try:
+            return step(*args)
+        except NonFiniteError:
+            events.append(("leave the step", threading.current_thread().name))
+            raise
+
+    monkeypatch.setattr(cyclegan, "discriminator_gradients", flaky)
+    monkeypatch.setattr(cyclegan, "train_step", watched)
+    before = blas_threads()
+    with pytest.raises(NonFiniteError, match=r"^non-finite gradient in layer 2$"):
+        train(model, x, y, config)
+    assert [kind for kind, _ in events] == ["raise", "finish", "leave the step"]
+    worker_event = dict(events)["raise" if failing_lane == "worker" else "finish"]
+    assert worker_event.startswith("cyclevc-lane")
+    assert blas_threads() == before
+    assert not lane_threads()
