@@ -5,14 +5,15 @@ the unconstrained {(1,0), (0,1), (1,1)} set with squared Euclidean frame
 distance; backtrace ties prefer diagonal, then a-advance, then b-advance,
 so the returned path is deterministic.
 
-The cost recurrence runs as a numpy wavefront over anti-diagonals
-k = i + j: every cell of a diagonal depends only on the two diagonals
-before it, so each diagonal is a handful of vector operations. Two rolling
-vectors hold the costs, and every cell outside the grid reads inf. The
-diagonals of the distance and back-pointer matrices are read and written
-as strided views, so nothing is copied or skewed, and each cell gets the
-same strict comparisons and the same single addition as the scalar
-recurrence: costs and paths are bit-identical to it.
+The cumulative cost is accumulated in place, inside the distance matrix
+that ``cdist`` returns, so that matrix is the only ta x tb array. Row 0 and
+column 0 are running sums; the interior runs as a numpy wavefront over
+anti-diagonals k = i + j, each of which depends only on the two before it
+and costs three ufunc calls over strided views. Each cell gets the same
+minimum and the same single addition as the scalar recurrence, so costs
+are bit-identical to it. The path is read back from the stored costs with
+the recurrence's strict comparisons in its order, so it is the path the
+scalar recurrence's back-pointers give.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientDataError
+from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from .features import FeatureSequence
 
 
@@ -65,50 +66,55 @@ def dtw_align(a: FeatureSequence, b: FeatureSequence) -> AlignmentPath:
     # only the commands that align need it.
     from scipy.spatial.distance import cdist
 
-    dist = cdist(a.data, b.data, metric="sqeuclidean")
-    ta, tb = dist.shape
-    # step codes: 0 diagonal, 1 a-advance (from i-1, j), 2 b-advance (from i, j-1)
-    back = np.zeros((ta, tb), dtype=np.uint8)
+    cost = cdist(a.data, b.data, metric="sqeuclidean")
+    ta, tb = cost.shape
+    # Accumulate in place: once a diagonal is done, cost[i, j] holds D[i, j].
+    # Row 0 and column 0 are the sequential running sums of the recurrence.
+    np.cumsum(cost[0], out=cost[0])
+    np.cumsum(cost[:, 0], out=cost[:, 0])
 
-    # Entry i + 1 of a diagonal-k buffer holds D[i, k - i]. Entry 0 and every
-    # entry past a diagonal's end are never written, so any predecessor
-    # outside the grid reads inf. Cell (i, k - i) is flat index
-    # k + i * (tb - 1), so a diagonal of dist or back is a strided view.
-    step = max(tb - 1, 1)
-    dist_flat = dist.reshape(-1)
-    back_flat = back.reshape(-1)
-    older = np.full(ta + 1, np.inf)  # diagonal k - 2; diagonal k overwrites it
-    newer = np.full(ta + 1, np.inf)  # diagonal k - 1
-    newer[1] = dist_flat[0]
-    for k in range(1, ta + tb - 1):
-        lo, hi = max(0, k - tb + 1), min(k, ta - 1)
-        cells = slice(k + lo * (tb - 1), k + hi * (tb - 1) + 1, step)
-        diag = older[lo : hi + 1]
-        up = newer[lo : hi + 1]
-        left = newer[lo + 1 : hi + 2]
-        # The strict < tests of the scalar recurrence, in its order: ties
-        # keep diagonal, then a-advance.
-        a_adv = up < diag
-        best = np.minimum(diag, up)
-        b_adv = left < best
-        np.minimum(best, left, out=best)
-        back_flat[cells] = np.where(b_adv, 2, a_adv)
-        np.add(best, dist_flat[cells], out=older[lo + 1 : hi + 2])
-        older, newer = newer, older
+    # Interior cell (i, k - i) of diagonal k is flat index k + i * (tb - 1);
+    # its predecessors sit tb + 1 (diagonal), tb (up) and 1 (left) before it,
+    # so each diagonal and its three predecessor sets are strided views.
+    # min(min(diag, up), left) is the value the strict < tests pick.
+    step = tb - 1
+    flat = cost.reshape(-1)
+    lowest = np.empty(min(ta, tb))
+    for k in range(2, ta + tb - 1) if ta > 1 and tb > 1 else ():
+        lo, hi = max(1, k - tb + 1), min(k - 1, ta - 1)
+        start, stop = k + lo * step, k + hi * step + 1
+        best = lowest[: hi - lo + 1]
+        np.minimum(flat[start - tb - 1 : stop - tb - 1 : step],
+                   flat[start - tb : stop - tb : step], out=best)
+        np.minimum(best, flat[start - 1 : stop - 1 : step], out=best)
+        cells = flat[start:stop:step]
+        np.add(cells, best, out=cells)
 
+    total = float(cost[ta - 1, tb - 1])
+    if not np.isfinite(total):
+        raise NonFiniteError(
+            f"DTW cost of a {ta}x{tb} alignment is {total}: the squared frame "
+            "distances overflowed float64"
+        )
+
+    # Read each step back from the stored costs with the recurrence's strict
+    # < tests in its order: ties keep diagonal, then a-advance.
     pairs = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1
-    while (i, j) != (0, 0):
-        code = back[i, j]
-        if code == 0:
-            i, j = i - 1, j - 1
-        elif code == 1:
-            i -= 1
-        else:
-            j -= 1
+    while i and j:
+        best_cost = cost[i - 1, j - 1]
+        di, dj = 1, 1
+        up = cost[i - 1, j]
+        if up < best_cost:
+            best_cost, dj = up, 0
+        if cost[i, j - 1] < best_cost:
+            di, dj = 0, 1
+        i, j = i - di, j - dj
         pairs.append((i, j))
+    pairs.extend((i, jj) for jj in range(j - 1, -1, -1))
+    pairs.extend((ii, 0) for ii in range(i - 1, -1, -1))
     pairs.reverse()
-    return AlignmentPath(pairs=tuple(pairs), cost=float(newer[ta]))
+    return AlignmentPath(pairs=tuple(pairs), cost=total)
 
 
 def paired_frames(

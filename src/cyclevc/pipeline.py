@@ -22,7 +22,13 @@ import numpy as np
 
 from .align import dtw_align, paired_frames
 from .baselines import ParallelTrainSet
-from .errors import DimensionMismatchError, FormatError, InsufficientDataError, utf8_text
+from .errors import (
+    DimensionMismatchError,
+    FormatError,
+    InsufficientDataError,
+    NonFiniteError,
+    utf8_text,
+)
 from .features import (
     DEFAULT_WINDOWS,
     DeltaWindowSet,
@@ -258,7 +264,8 @@ def mel_cepstral_distortion(
 
     49-dim inputs are reduced to their lower 25 first. If the frame counts
     differ, the sequences are DTW-aligned and the distortion is averaged
-    over the path.
+    over the path. Frames so large that their distances overflow float64
+    raise NonFiniteError.
     """
     ref = to_lower(reference)
     conv = to_lower(converted)
@@ -269,9 +276,16 @@ def mel_cepstral_distortion(
     if ref.frames != conv.frames:
         path = dtw_align(ref, conv)
         ref, conv = paired_frames(ref, conv, path)
-    diff = ref.data[:, 1:] - conv.data[:, 1:]
-    per_frame = _MCD_CONST * np.sqrt(2.0 * np.sum(diff**2, axis=1))
-    return float(per_frame.mean())
+    with np.errstate(over="ignore"):
+        diff = ref.data[:, 1:] - conv.data[:, 1:]
+        per_frame = _MCD_CONST * np.sqrt(2.0 * np.sum(diff**2, axis=1))
+        mcd = float(per_frame.mean())
+    if not np.isfinite(mcd):
+        raise NonFiniteError(
+            "mel-cepstral distortion is not finite: the squared frame "
+            "differences overflowed float64"
+        )
+    return mcd
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ in ``cyclevc.align`` replaced; the two must agree exactly, path and cost.
 
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from cyclevc.align import AlignmentPath, dtw_align, paired_frames
-from cyclevc.errors import DimensionMismatchError, InsufficientDataError
+from cyclevc.errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from cyclevc.features import FeatureSequence
+from cyclevc.pipeline import mel_cepstral_distortion
 
 
 def brute_force_cost(a: np.ndarray, b: np.ndarray) -> float:
@@ -186,6 +188,33 @@ class TestDtwAlign:
         b = FeatureSequence(np.zeros((3, 2)))
         with pytest.raises(InsufficientDataError):
             dtw_align(a, b)
+
+    @pytest.mark.parametrize("align", [dtw_align, mel_cepstral_distortion])
+    @pytest.mark.parametrize("ta, tb", [(6, 4), (5, 5)])
+    def test_overflowing_distances_raise(self, align, ta, tb):
+        """Squared distances of frames near 1e160 overflow to inf; that is
+        a typed error, not an IndexError from a backtrace that walked off
+        the grid, nor a path that costs inf."""
+        rng = np.random.default_rng(ta * 10 + tb)
+        a = FeatureSequence(rng.normal(size=(ta, 25)) * 1e160)
+        b = FeatureSequence(rng.normal(size=(tb, 25)) * 1e160)
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            align(a, b)
+
+    def test_cost_matrix_is_the_only_grid_sized_array(self):
+        """The cumulative cost lives in the distance matrix itself: no
+        back-pointer matrix or second grid-sized buffer is allocated."""
+        rng = np.random.default_rng(6)
+        a = FeatureSequence(rng.normal(size=(300, 25)))
+        b = FeatureSequence(rng.normal(size=(400, 25)))
+        dtw_align(a, b)  # warm: imports and first-call set-up
+        tracemalloc.start()
+        try:
+            dtw_align(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 300 * 400 * 8
 
 
 class TestAlignmentPath:
