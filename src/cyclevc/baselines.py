@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientDataError
-from .cyclegan import LOSS_FORMS, discriminator_gradients, epoch_batches, generator_loss
+from .errors import DimensionMismatchError
+from .cyclegan import LOSS_FORMS, TrainConfig, discriminator_gradients, fit, generator_loss
 from .features import FeatureSequence
-from .net import Gradients, Mlp, apply_update, backward, forward, init_mlp, init_optimizer
-from .seeding import derive_rng, derive_seed
+from .net import Gradients, Mlp, apply_update, backward, forward, init_optimizer
 
 
 @dataclass(frozen=True)
@@ -45,40 +44,26 @@ class ParallelTrainSet:
 
 
 @dataclass(frozen=True)
-class MseBaselineConfig:
-    learning_rate: float = 0.001
-    batch_frames: int = 128
+class MseBaselineConfig(TrainConfig):
     epochs: int = 60
-    seed: int = 0
-    hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
-        if self.batch_frames < 1 or self.epochs < 1:
-            raise ValueError("batch_frames and epochs must be >= 1")
 
 
 @dataclass(frozen=True)
-class GanBaselineConfig:
+class GanBaselineConfig(TrainConfig):
     mse_weight: float = 1.0
-    lr_generator: float = 0.001
     lr_discriminator: float = 0.0001
-    batch_frames: int = 128
-    epochs: int = 400
-    seed: int = 0
     loss_form: str = "lsgan"
-    hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mse_weight < 0:
             raise ValueError("mse_weight must be >= 0")
-        if self.lr_generator <= 0 or self.lr_discriminator <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.batch_frames < 1 or self.epochs < 1:
-            raise ValueError("batch_frames and epochs must be >= 1")
         if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"unknown loss_form {self.loss_form!r}")
+
+
+#: The gan-parallel loss history's keys, in losses.csv column order.
+GAN_LOSS_COLUMNS = ("disc", "adv", "mse", "total")
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -100,27 +85,20 @@ def train_mse_baseline(
     data: ParallelTrainSet, config: MseBaselineConfig = MseBaselineConfig()
 ) -> tuple[Mlp, list[float]]:
     """Mini-batch Adam on plain MSE; returns the net and per-epoch mean MSE."""
-    if data.frames < 1:
-        raise InsufficientDataError("training set is empty")
-    net = init_mlp(
-        (data.dim, *config.hidden_dims, data.dim),
-        derive_seed(config.seed, "init.G"),
-    )
-    opt = init_optimizer(net, config.learning_rate)
-    shuffle_rng = derive_rng(config.seed, "train.shuffle")
+    net = config.init_net(data.dim, data.dim, "G")
 
-    history: list[float] = []
-    for _ in range(config.epochs):
-        losses = []
-        for (idx,) in epoch_batches(shuffle_rng, config.batch_frames, data.frames):
-            xb = data.x.data[idx]
-            yb = data.y.data[idx]
-            pred, cache = forward(net, xb)
-            losses.append(mse_loss(pred, yb))
-            grads, _ = backward(net, cache, _mse_output_grad(pred, yb))
-            net, opt = apply_update(net, grads, opt)
-        history.append(float(np.mean(losses)))
-    return net, history
+    def step(nets, idx):
+        net, opt = nets
+        xb = data.x.data[idx]
+        yb = data.y.data[idx]
+        pred, cache = forward(net, xb)
+        loss = mse_loss(pred, yb)
+        grads, _ = backward(net, cache, _mse_output_grad(pred, yb))
+        return apply_update(net, grads, opt), (loss,)
+
+    opt = init_optimizer(net, config.lr_generator)
+    (net, _), history = fit(step, (net, opt), config, data.frames)
+    return net, [mse for (mse,) in history]
 
 
 def gan_baseline_generator_objective(
@@ -156,43 +134,28 @@ def train_gan_baseline(
     Discriminator first, then generator, once each per batch. Returns
     (generator, discriminator, per-epoch mean losses).
     """
-    if data.frames < 1:
-        raise InsufficientDataError("training set is empty")
-    gen = init_mlp(
-        (data.dim, *config.hidden_dims, data.dim),
-        derive_seed(config.seed, "init.G"),
-    )
-    disc = init_mlp(
-        (data.dim, *config.hidden_dims, 1),
-        derive_seed(config.seed, "init.D"),
-    )
+    gen = config.init_net(data.dim, data.dim, "G")
+    disc = config.init_net(data.dim, 1, "D")
+
+    def step(nets, idx):
+        gen, disc, opt_g, opt_d = nets
+        xb = data.x.data[idx]
+        yb = data.y.data[idx]
+
+        # Discriminator update on (real y, fake G(x)).
+        fake, _ = forward(gen, xb)
+        disc_loss, grads_d = discriminator_gradients(disc, yb, fake, config.loss_form)
+        disc, opt_d = apply_update(disc, grads_d, opt_d)
+
+        # Generator update against the refreshed discriminator.
+        adv, mse, grads = gan_baseline_generator_objective(
+            gen, disc, xb, yb, config.mse_weight, config.loss_form
+        )
+        gen, opt_g = apply_update(gen, grads, opt_g)
+        losses = (disc_loss, adv, mse, adv + config.mse_weight * mse)
+        return (gen, disc, opt_g, opt_d), losses
+
     opt_g = init_optimizer(gen, config.lr_generator)
     opt_d = init_optimizer(disc, config.lr_discriminator)
-    shuffle_rng = derive_rng(config.seed, "train.shuffle")
-
-    history: list[dict[str, float]] = []
-    for _ in range(config.epochs):
-        sums = {"disc": 0.0, "adv": 0.0, "mse": 0.0, "total": 0.0}
-        steps = 0
-        for (idx,) in epoch_batches(shuffle_rng, config.batch_frames, data.frames):
-            xb = data.x.data[idx]
-            yb = data.y.data[idx]
-
-            # Discriminator update on (real y, fake G(x)).
-            fake, _ = forward(gen, xb)
-            disc_loss, grads_d = discriminator_gradients(disc, yb, fake, config.loss_form)
-            disc, opt_d = apply_update(disc, grads_d, opt_d)
-
-            # Generator update against the refreshed discriminator.
-            adv, mse, grads = gan_baseline_generator_objective(
-                gen, disc, xb, yb, config.mse_weight, config.loss_form
-            )
-            gen, opt_g = apply_update(gen, grads, opt_g)
-
-            sums["disc"] += disc_loss
-            sums["adv"] += adv
-            sums["mse"] += mse
-            sums["total"] += adv + config.mse_weight * mse
-            steps += 1
-        history.append({k: v / steps for k, v in sums.items()})
-    return gen, disc, history
+    (gen, disc, _, _), history = fit(step, (gen, disc, opt_g, opt_d), config, data.frames)
+    return gen, disc, [dict(zip(GAN_LOSS_COLUMNS, record)) for record in history]

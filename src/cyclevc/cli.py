@@ -15,6 +15,7 @@ import numpy as np
 
 from .align import dtw_align
 from .baselines import (
+    GAN_LOSS_COLUMNS,
     GanBaselineConfig,
     MseBaselineConfig,
     train_gan_baseline,
@@ -46,10 +47,6 @@ from .pipeline import (
     to_lower,
     write_loss_csv,
 )
-
-_METHODS = ("cyclegan", "gan-parallel", "mse-parallel")
-_DEFAULT_EPOCHS = {"cyclegan": 400, "gan-parallel": 400, "mse-parallel": 60}
-
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
@@ -106,82 +103,54 @@ def _normalized_pool(paths, stats) -> FeatureSequence:
     return FeatureSequence(np.concatenate(parts, axis=0), FeatureKind.AUGMENTED75)
 
 
+def _train_cyclegan(config, x_data, y_data):
+    model, history = train(build_model(AUGMENTED_DIM, config), x_data, y_data, config)
+    networks = {"G": model.g, "F": model.f, "D_X": model.d_x, "D_Y": model.d_y}
+    return networks, [f.name for f in fields(LossReport)], [astuple(r) for r in history]
+
+
+def _train_gan_parallel(config, pairs):
+    gen, disc, history = train_gan_baseline(pairs, config)
+    return {"G": gen, "D": disc}, GAN_LOSS_COLUMNS, [tuple(r.values()) for r in history]
+
+
+def _train_mse_parallel(config, pairs):
+    net, history = train_mse_baseline(pairs, config)
+    return {"G": net}, ["mse"], [(mse,) for mse in history]
+
+
+#: Each method's config and trainer. A trainer takes the config and the
+#: training data and returns the networks by bundle role, the losses.csv
+#: columns and one row of losses per epoch.
+_METHODS = {
+    "cyclegan": (CycleGanConfig, _train_cyclegan),
+    "gan-parallel": (GanBaselineConfig, _train_gan_parallel),
+    "mse-parallel": (MseBaselineConfig, _train_mse_parallel),
+}
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    config_type, trainer = _METHODS[args.method]
+    given = {f.name: getattr(args, f.name) for f in fields(config_type)}
+    config = config_type(**{name: value for name, value in given.items() if value is not None})
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
-    epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS[args.method]
-    print(
-        f"method={args.method} lambda={args.cycle_weight!r} batch={args.batch} "
-        f"epochs={epochs} lr_g={args.lr_g!r} lr_d={args.lr_d!r} seed={args.seed}"
-    )
+    settings = (f"{f.name}={getattr(config, f.name)!r}" for f in fields(config))
+    print(" ".join([f"method={args.method}", *settings]))
 
-    out_dir = Path(args.out_dir)
     if args.method == "cyclegan":
-        x_data = _normalized_pool(args.src_mcep, src_stats)
-        y_data = _normalized_pool(args.tgt_mcep, tgt_stats)
-        config = CycleGanConfig(
-            cycle_weight=args.cycle_weight,
-            lr_generator=args.lr_g,
-            lr_discriminator=args.lr_d,
-            batch_frames=args.batch,
-            epochs=epochs,
-            seed=args.seed,
-            loss_form=args.loss_form,
-            hidden_dims=args.hidden,
-        )
-        model = build_model(AUGMENTED_DIM, config)
-        model, history = train(model, x_data, y_data, config)
-        save_model_bundle(
-            out_dir,
-            "cyclegan",
-            {"G": model.g, "F": model.f, "D_X": model.d_x, "D_Y": model.d_y},
-        )
-        write_loss_csv(
-            out_dir / "losses.csv",
-            [f.name for f in fields(LossReport)],
-            [astuple(r) for r in history],
+        data = (
+            _normalized_pool(args.src_mcep, src_stats),
+            _normalized_pool(args.tgt_mcep, tgt_stats),
         )
     else:
-        if len(args.src_mcep) != len(args.tgt_mcep):
-            raise DimensionMismatchError(
-                f"method {args.method} needs parallel utterance lists; "
-                f"got {len(args.src_mcep)} source vs {len(args.tgt_mcep)} target files"
-            )
-        pairs = prepare_parallel_frames(
-            _read_many(args.src_mcep, FeatureKind.MCEP49),
-            _read_many(args.tgt_mcep, FeatureKind.MCEP49),
-            src_stats,
-            tgt_stats,
-        )
-        if args.method == "mse-parallel":
-            config = MseBaselineConfig(
-                learning_rate=args.lr_g,
-                batch_frames=args.batch,
-                epochs=epochs,
-                seed=args.seed,
-                hidden_dims=args.hidden,
-            )
-            net, history = train_mse_baseline(pairs, config)
-            save_model_bundle(out_dir, "mse-parallel", {"G": net})
-            write_loss_csv(out_dir / "losses.csv", ["mse"], [(v,) for v in history])
-        else:
-            config = GanBaselineConfig(
-                mse_weight=args.mse_weight,
-                lr_generator=args.lr_g,
-                lr_discriminator=args.lr_d,
-                batch_frames=args.batch,
-                epochs=epochs,
-                seed=args.seed,
-                loss_form=args.loss_form,
-                hidden_dims=args.hidden,
-            )
-            gen, disc, history = train_gan_baseline(pairs, config)
-            save_model_bundle(out_dir, "gan-parallel", {"G": gen, "D": disc})
-            write_loss_csv(
-                out_dir / "losses.csv",
-                ["disc", "adv", "mse", "total"],
-                [(r["disc"], r["adv"], r["mse"], r["total"]) for r in history],
-            )
+        src_mceps = _read_many(args.src_mcep, FeatureKind.MCEP49)
+        tgt_mceps = _read_many(args.tgt_mcep, FeatureKind.MCEP49)
+        data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
+    networks, columns, rows = trainer(config, *data)
+    out_dir = Path(args.out_dir)
+    save_model_bundle(out_dir, args.method, networks)
+    write_loss_csv(out_dir / "losses.csv", columns, rows)
     print(f"models written to {out_dir}")
     return 0
 
@@ -280,27 +249,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-stats", required=True)
     p.add_argument("--tgt-stats", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    # Each setting's dest is its config field, and its default the
+    # method's config default (None here).
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--lambda",
         dest="cycle_weight",
         type=float,
-        default=10.0,
         help="cycle-consistency weight (default 10)",
     )
-    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--batch", dest="batch_frames", type=int)
     p.add_argument(
         "--epochs",
         type=int,
-        default=None,
         help="default 400 (cyclegan, gan-parallel) or 60 (mse-parallel)",
     )
-    p.add_argument("--lr-g", type=float, default=0.001)
-    p.add_argument("--lr-d", type=float, default=0.0001)
-    p.add_argument("--loss-form", choices=LOSS_FORMS, default="lsgan")
-    p.add_argument("--mse-weight", type=float, default=1.0)
+    p.add_argument("--lr-g", dest="lr_generator", type=float)
+    p.add_argument("--lr-d", dest="lr_discriminator", type=float)
+    p.add_argument("--loss-form", choices=LOSS_FORMS)
+    p.add_argument("--mse-weight", type=float)
     p.add_argument(
-        "--hidden", type=_parse_hidden, default=(128, 256, 256, 128),
+        "--hidden", dest="hidden_dims", type=_parse_hidden,
         help="comma-separated hidden layer widths",
     )
     p.set_defaults(func=cmd_train)
@@ -345,7 +314,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = getattr(exc, "position", None)  # a training step's, see cyclegan.fit
+        print(f"error: {where}: {exc}" if where else f"error: {exc}", file=sys.stderr)
         return 1
 
 

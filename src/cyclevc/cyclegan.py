@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -68,25 +68,36 @@ class CycleGanModel:
 
 
 @dataclass(frozen=True)
-class CycleGanConfig:
-    cycle_weight: float = 10.0
+class TrainConfig:
+    """The settings every trainer shares; each method's config extends it."""
+
     lr_generator: float = 0.001
-    lr_discriminator: float = 0.0001
     batch_frames: int = 128
     epochs: int = 400
     seed: int = 0
-    loss_form: str = "lsgan"
     hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
 
     def __post_init__(self) -> None:
+        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name.startswith("lr_")):
+            raise ValueError("learning rates must be > 0")
+        if self.batch_frames < 1 or self.epochs < 1:
+            raise ValueError("batch_frames and epochs must be >= 1")
+
+    def init_net(self, d_in: int, d_out: int, role: str) -> Mlp:
+        """A fresh d_in -> hidden_dims -> d_out network, seeded by its role."""
+        return init_mlp((d_in, *self.hidden_dims, d_out), derive_seed(self.seed, f"init.{role}"))
+
+
+@dataclass(frozen=True)
+class CycleGanConfig(TrainConfig):
+    cycle_weight: float = 10.0
+    lr_discriminator: float = 0.0001
+    loss_form: str = "lsgan"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.cycle_weight < 0:
             raise ValueError("cycle_weight must be >= 0")
-        if self.lr_generator <= 0 or self.lr_discriminator <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.batch_frames < 1:
-            raise ValueError("batch_frames must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"unknown loss_form {self.loss_form!r}")
 
@@ -115,13 +126,6 @@ class LossReport:
         if self.cycle < 0:
             raise ValueError("cycle loss cannot be negative")
 
-    @staticmethod
-    def mean(reports: list["LossReport"]) -> "LossReport":
-        n = len(reports)
-        return LossReport(
-            *(sum(getattr(r, f.name) for r in reports) / n for f in fields(LossReport))
-        )
-
 
 @dataclass
 class TrainerState:
@@ -144,13 +148,11 @@ class TrainerState:
 
 def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
     """Seeded construction of the four networks from the shared config."""
-    gen_dims = (feature_dim, *config.hidden_dims, feature_dim)
-    disc_dims = (feature_dim, *config.hidden_dims, 1)
     return CycleGanModel(
-        g=init_mlp(gen_dims, derive_seed(config.seed, "init.G")),
-        f=init_mlp(gen_dims, derive_seed(config.seed, "init.F")),
-        d_x=init_mlp(disc_dims, derive_seed(config.seed, "init.D_X")),
-        d_y=init_mlp(disc_dims, derive_seed(config.seed, "init.D_Y")),
+        g=config.init_net(feature_dim, feature_dim, "G"),
+        f=config.init_net(feature_dim, feature_dim, "F"),
+        d_x=config.init_net(feature_dim, 1, "D_X"),
+        d_y=config.init_net(feature_dim, 1, "D_Y"),
     )
 
 
@@ -394,6 +396,33 @@ def epoch_batches(rng: np.random.Generator, batch_frames: int, *frame_counts: in
         yield tuple(order[k * batch : (k + 1) * batch] for order in orders)
 
 
+def fit(step, nets, config: TrainConfig, *frame_counts: int):
+    """The epoch loop of every trainer, over datasets of the given frame
+    counts. Each epoch draws epoch_batches from one seeded shuffle stream
+    and calls step(nets, *indices) -> (nets, record) per batch, a record
+    being a tuple of float losses. Returns the last nets and, per epoch,
+    np.mean of the stacked records: the steps summed in order, or pairwise
+    for one-column records. A NonFiniteError from a step gets its 1-based
+    position, "epoch E, step S".
+    """
+    if min(frame_counts) < 1:
+        raise InsufficientDataError("every training dataset must be nonempty")
+    shuffle_rng = derive_rng(config.seed, "train.shuffle")
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        records = []
+        batches = epoch_batches(shuffle_rng, config.batch_frames, *frame_counts)
+        for k, indices in enumerate(batches, 1):
+            try:
+                nets, record = step(nets, *indices)
+            except NonFiniteError as exc:
+                exc.position = f"epoch {epoch}, step {k}"
+                raise
+            records.append(record)
+        history.append(tuple(np.mean(np.array(records), axis=0).tolist()))
+    return nets, history
+
+
 def train_step(
     model: CycleGanModel,
     x_batch: np.ndarray,
@@ -448,25 +477,20 @@ def train(
     (_LANE_CALLS), run the lanes inline. The results are the same bytes
     either way.
     """
-    if x_data.frames < 1 or y_data.frames < 1:
-        raise InsufficientDataError("both training datasets must be nonempty")
     if x_data.dim != model.feature_dim or y_data.dim != model.feature_dim:
         raise DimensionMismatchError(
             f"model expects width {model.feature_dim}, got {x_data.dim}/{y_data.dim}"
         )
-    shuffle_rng = derive_rng(config.seed, "train.shuffle")
-    state = TrainerState.fresh(model, config)
 
-    history: list[LossReport] = []
+    def step(nets, x_idx, y_idx):
+        model, state = nets
+        model, state, report = train_step(
+            model, x_data.data[x_idx], y_data.data[y_idx], config, state
+        )
+        return (model, state), astuple(report)
+
     with _lane_worker():
-        for _ in range(config.epochs):
-            step_reports = []
-            for x_idx, y_idx in epoch_batches(
-                shuffle_rng, config.batch_frames, x_data.frames, y_data.frames
-            ):
-                model, state, report = train_step(
-                    model, x_data.data[x_idx], y_data.data[y_idx], config, state
-                )
-                step_reports.append(report)
-            history.append(LossReport.mean(step_reports))
-    return model, history
+        (model, _), history = fit(
+            step, (model, TrainerState.fresh(model, config)), config, x_data.frames, y_data.frames
+        )
+    return model, [LossReport(*record) for record in history]

@@ -10,7 +10,11 @@ class InsufficientDataError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A NaN or infinity showed up where the computation must stay finite."""
+    """A NaN or infinity showed up where the computation must stay finite.
+
+    Raised from a training step, it gets a ``position`` attribute, "epoch
+    E, step S" (1-based, cyclegan.fit); the message stays the step's own.
+    """
 
 
 class FormatError(ValueError):

@@ -151,7 +151,7 @@ def prepare_parallel_frames(
     """
     if len(src_mceps) != len(tgt_mceps):
         raise DimensionMismatchError(
-            f"parallel lists differ in length: {len(src_mceps)} vs {len(tgt_mceps)}"
+            f"parallel lists differ: {len(src_mceps)} source vs {len(tgt_mceps)} target utterances"
         )
     if not src_mceps:
         raise InsufficientDataError("no parallel utterances given")

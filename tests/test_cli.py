@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 import cyclevc
-from cyclevc.cli import _DEFAULT_EPOCHS, build_parser, main
+from cyclevc import baselines, cyclegan
+from cyclevc.baselines import GanBaselineConfig, MseBaselineConfig
+from cyclevc.cli import build_parser, main
+from cyclevc.cyclegan import CycleGanConfig
+from cyclevc.errors import NonFiniteError
 from cyclevc.features import read_ftr, split_mcep, write_ftr
 from cyclevc.net import forward
 from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
@@ -92,14 +96,20 @@ class TestParserDefaults:
             ["train", "--method", "cyclegan", "--src-mcep", "a", "--tgt-mcep", "b",
              "--src-stats", "s", "--tgt-stats", "t", "--out-dir", "d"]
         )
-        assert args.cycle_weight == 10.0
-        assert args.batch == 128
-        assert args.lr_g == 0.001
-        assert args.lr_d == 0.0001
-        assert args.epochs is None  # resolved per method at run time
-        assert _DEFAULT_EPOCHS["cyclegan"] == 400
-        assert _DEFAULT_EPOCHS["gan-parallel"] == 400
-        assert _DEFAULT_EPOCHS["mse-parallel"] == 60
+        # A setting left out stays None: its method's config default applies.
+        for dest in (
+            "seed", "cycle_weight", "batch_frames", "epochs", "lr_generator",
+            "lr_discriminator", "loss_form", "mse_weight", "hidden_dims",
+        ):
+            assert getattr(args, dest) is None
+        config = CycleGanConfig()
+        assert config.cycle_weight == 10.0
+        assert config.batch_frames == 128
+        assert config.lr_generator == 0.001
+        assert config.lr_discriminator == 0.0001
+        assert config.epochs == 400
+        assert GanBaselineConfig().epochs == 400
+        assert MseBaselineConfig().epochs == 60
 
     def test_hidden_parse(self):
         args = build_parser().parse_args(
@@ -107,7 +117,7 @@ class TestParserDefaults:
              "--src-stats", "s", "--tgt-stats", "t", "--out-dir", "d",
              "--hidden", "16,32,16"]
         )
-        assert args.hidden == (16, 32, 16)
+        assert args.hidden_dims == (16, 32, 16)
 
 
 class TestGenSynthetic:
@@ -157,9 +167,11 @@ class TestTrain:
     def test_cyclegan_outputs(self, corpus, tmp_path, capsys):
         out = tmp_path / "models"
         assert main(train_args(corpus, "cyclegan", out)) == 0
-        captured = capsys.readouterr().out
-        assert "method=cyclegan" in captured
-        assert "lambda=10.0" in captured and "batch=128" in captured
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            "method=cyclegan lr_generator=0.001 batch_frames=128 epochs=2 seed=7 "
+            "hidden_dims=(8,) cycle_weight=10.0 lr_discriminator=0.0001 loss_form='lsgan'"
+        )
         manifest = (out / "manifest.txt").read_text()
         for role in ("G", "F", "D_X", "D_Y"):
             assert f"network {role} " in manifest
@@ -174,16 +186,28 @@ class TestTrain:
         assert (first / "losses.csv").read_bytes() == (second / "losses.csv").read_bytes()
         assert (first / "g.mlp").read_bytes() == (second / "g.mlp").read_bytes()
 
-    def test_mse_parallel(self, corpus, tmp_path):
+    def test_mse_parallel(self, corpus, tmp_path, capsys):
+        """The header names only the settings mse-parallel uses."""
         out = tmp_path / "models"
-        assert main(train_args(corpus, "mse-parallel", out)) == 0
+        assert main(train_args(corpus, "mse-parallel", out, "--lambda", "3", "--lr-d", "0.5")) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            "method=mse-parallel lr_generator=0.001 batch_frames=128 epochs=2 seed=7 "
+            "hidden_dims=(8,)"
+        )
         lines = (out / "losses.csv").read_text().splitlines()
         assert lines[0] == "epoch,mse"
         assert len(lines) == 3  # header + 2 epochs
 
-    def test_gan_parallel(self, corpus, tmp_path):
+    def test_gan_parallel(self, corpus, tmp_path, capsys):
         out = tmp_path / "models"
-        assert main(train_args(corpus, "gan-parallel", out)) == 0
+        args = train_args(corpus, "gan-parallel", out, "--mse-weight", "0.5", "--loss-form", "log")
+        assert main(args) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            "method=gan-parallel lr_generator=0.001 batch_frames=128 epochs=2 seed=7 "
+            "hidden_dims=(8,) mse_weight=0.5 lr_discriminator=0.0001 loss_form='log'"
+        )
         lines = (out / "losses.csv").read_text().splitlines()
         assert lines[0] == "epoch,disc,adv,mse,total"
 
@@ -194,6 +218,33 @@ class TestTrain:
         ] + args[args.index("--tgt-mcep") + 2 :]
         assert main(args) == 1
         assert "parallel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["cyclegan", "gan-parallel", "mse-parallel"])
+    def test_non_finite_step_names_its_epoch_and_step(
+        self, corpus, tmp_path, capsys, monkeypatch, method
+    ):
+        """An update that diverges in epoch 2, step 3 is reported there."""
+        steps = []  # steps drawn so far, one entry per epoch
+        batches = cyclegan.epoch_batches
+        update = cyclegan.apply_update
+
+        def counted(*args):
+            steps.append(0)
+            for indices in batches(*args):
+                steps[-1] += 1
+                yield indices
+
+        def diverging(*args):
+            if len(steps) == 2 and steps[1] == 3:
+                raise NonFiniteError("non-finite gradient in layer 1")
+            return update(*args)
+
+        monkeypatch.setattr(cyclegan, "epoch_batches", counted)
+        monkeypatch.setattr(cyclegan, "apply_update", diverging)
+        monkeypatch.setattr(baselines, "apply_update", diverging)
+        assert main(train_args(corpus, method, tmp_path / "m", "--batch", "16")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: epoch 2, step 3: non-finite gradient in layer 1\n"
 
 
 @pytest.fixture(scope="module")
