@@ -35,8 +35,7 @@ from .errors import (
 )
 from .features import (
     AUGMENTED_DIM,
-    DEFAULT_WINDOWS,
-    DeltaWindowSet,
+    DELTA_WINDOWS,
     FeatureKind,
     FeatureSequence,
     HIGH_DIM,

@@ -132,6 +132,9 @@ _METHODS = {
 def cmd_train(args: argparse.Namespace) -> int:
     config_type, trainer = _METHODS[args.method]
     given = {f.name: getattr(args, f.name) for f in fields(config_type)}
+    for dest, flag in args.setting_flags.items():
+        if dest not in given and getattr(args, dest) is not None:
+            raise ValueError(f"{flag} is not used by --method {args.method}")
     config = config_type(**{name: value for name, value in given.items() if value is not None})
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
@@ -251,28 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     # Each setting's dest is its config field, and its default the
     # method's config default (None here).
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--lambda",
-        dest="cycle_weight",
-        type=float,
-        help="cycle-consistency weight (default 10)",
-    )
-    p.add_argument("--batch", dest="batch_frames", type=int)
-    p.add_argument(
-        "--epochs",
-        type=int,
-        help="default 400 (cyclegan, gan-parallel) or 60 (mse-parallel)",
-    )
-    p.add_argument("--lr-g", dest="lr_generator", type=float)
-    p.add_argument("--lr-d", dest="lr_discriminator", type=float)
-    p.add_argument("--loss-form", choices=LOSS_FORMS)
-    p.add_argument("--mse-weight", type=float)
-    p.add_argument(
-        "--hidden", dest="hidden_dims", type=_parse_hidden,
-        help="comma-separated hidden layer widths",
-    )
-    p.set_defaults(func=cmd_train)
+    settings = [
+        p.add_argument("--seed", type=int),
+        p.add_argument(
+            "--lambda",
+            dest="cycle_weight",
+            type=float,
+            help="cycle-consistency weight (default 10)",
+        ),
+        p.add_argument("--batch", dest="batch_frames", type=int),
+        p.add_argument(
+            "--epochs",
+            type=int,
+            help="default 400 (cyclegan, gan-parallel) or 60 (mse-parallel)",
+        ),
+        p.add_argument("--lr-g", dest="lr_generator", type=float),
+        p.add_argument("--lr-d", dest="lr_discriminator", type=float),
+        p.add_argument("--loss-form", choices=LOSS_FORMS),
+        p.add_argument("--mse-weight", type=float),
+        p.add_argument(
+            "--hidden", dest="hidden_dims", type=_parse_hidden,
+            help="comma-separated hidden layer widths",
+        ),
+    ]
+    p.set_defaults(func=cmd_train, setting_flags={a.dest: a.option_strings[0] for a in settings})
 
     p = sub.add_parser("convert", help="convert one utterance")
     p.add_argument("--model-dir", required=True)

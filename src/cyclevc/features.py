@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,42 +140,16 @@ class LogF0Stats:
             raise ValueError("voiced_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class DeltaWindowSet:
-    """Ordered derivative kernels; the first must be the static identity.
-
-    Each window is a tuple of (frame offset, coefficient) pairs applied
-    around the current frame with edge replication at sequence boundaries.
-    """
-
-    windows: tuple[tuple[tuple[int, float], ...], ...] = field(
-        default=(
-            ((0, 1.0),),
-            ((-1, -0.5), (1, 0.5)),
-            ((-1, 1.0), (0, -2.0), (1, 1.0)),
-        )
-    )
-
-    def __post_init__(self) -> None:
-        if not self.windows:
-            raise ValueError("at least one window is required")
-        if self.windows[0] != ((0, 1.0),):
-            raise ValueError("first window must be the identity kernel ((0, 1.0),)")
-        for win in self.windows:
-            if not any(coef != 0.0 for _, coef in win):
-                raise ValueError("every window needs a nonzero coefficient")
-
-    @property
-    def count(self) -> int:
-        return len(self.windows)
-
-    @property
-    def max_offset(self) -> int:
-        return max(abs(off) for win in self.windows for off, _ in win)
-
-
-#: Static + delta + delta-delta kernels in the common HTS convention.
-DEFAULT_WINDOWS = DeltaWindowSet()
+#: Static, delta and delta-delta kernels in the HTS convention, each a
+#: tuple of (frame offset, coefficient) pairs applied with edge frames
+#: replicated. The first kernel is the identity, so the first LOW_DIM
+#: augmented columns are the statics. Neither the stats file nor the
+#: model bundle records the windows, so this is the only set.
+DELTA_WINDOWS = (
+    ((0, 1.0),),
+    ((-1, -0.5), (1, 0.5)),
+    ((-1, 1.0), (0, -2.0), (1, 1.0)),
+)
 
 
 def split_mcep(seq: FeatureSequence) -> tuple[FeatureSequence, FeatureSequence]:
@@ -208,21 +182,19 @@ def merge_mcep(lower: FeatureSequence, higher: FeatureSequence) -> FeatureSequen
     return FeatureSequence(merged, FeatureKind.MCEP49)
 
 
-def compute_deltas(
-    seq: FeatureSequence, windows: DeltaWindowSet = DEFAULT_WINDOWS
-) -> FeatureSequence:
+def compute_deltas(seq: FeatureSequence) -> FeatureSequence:
     """Augment static features with derivative streams.
 
-    Output columns are ordered [static | delta | delta-delta | ...], one
-    block per window. Boundary frames replicate the edge frame, so the
-    frame count never changes.
+    Output columns are ordered [static | delta | delta-delta], one block
+    per kernel of DELTA_WINDOWS. Boundary frames replicate the edge frame,
+    so the frame count never changes.
     """
     if seq.frames < 1:
         raise InsufficientDataError("compute_deltas needs at least one frame")
     t = seq.frames
     idx = np.arange(t)
     blocks = []
-    for win in windows.windows:
+    for win in DELTA_WINDOWS:
         block = np.zeros_like(seq.data)
         for offset, coef in win:
             block += coef * seq.data[np.clip(idx + offset, 0, t - 1)]
@@ -230,7 +202,7 @@ def compute_deltas(
     out = np.concatenate(blocks, axis=1)
     kind = (
         FeatureKind.AUGMENTED75
-        if seq.kind is FeatureKind.MCEP_LOW25 and out.shape[1] == AUGMENTED_DIM
+        if seq.kind is FeatureKind.MCEP_LOW25
         else FeatureKind.GENERIC
     )
     return FeatureSequence(out, kind)
@@ -333,4 +305,7 @@ def read_ftr(path) -> FeatureSequence:
         )
     body = np.frombuffer(raw, dtype="<f4", offset=_FTR_HEADER.size)
     data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
-    return FeatureSequence(data, kind)
+    try:
+        return FeatureSequence(data, kind)
+    except ValueError as exc:  # the content error's own type, naming the file
+        raise type(exc)(f"{path}: {exc}") from exc

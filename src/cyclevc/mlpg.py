@@ -19,27 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .features import DEFAULT_WINDOWS, DeltaWindowSet, FeatureKind, FeatureSequence, LOW_DIM
+from .features import DELTA_WINDOWS, FeatureKind, FeatureSequence, LOW_DIM
+
+#: Largest frame offset of any delta kernel: the half-width of every band.
+_MAX_OFFSET = max(abs(off) for win in DELTA_WINDOWS for off, _ in win)
 
 
 @dataclass(frozen=True)
 class GaussianTrajectory:
-    """Per-frame means for S statics x W windows plus global variances.
+    """Per-frame means for S statics x 3 delta windows plus global variances.
 
-    means columns are ordered [static block | delta block | ...], matching
+    means columns are ordered [static | delta | delta-delta] blocks, matching
     compute_deltas output. variances may be +inf to switch a stream off.
     """
 
     means: np.ndarray
     variances: np.ndarray
-    windows: DeltaWindowSet = DEFAULT_WINDOWS
 
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=np.float64)
         variances = np.asarray(self.variances, dtype=np.float64).reshape(-1)
         if means.ndim != 2:
             raise DimensionMismatchError("means must be a T x (S*W) matrix")
-        w = self.windows.count
+        w = len(DELTA_WINDOWS)
         if means.shape[1] % w != 0:
             raise DimensionMismatchError(
                 f"means width {means.shape[1]} is not divisible by {w} windows"
@@ -61,21 +63,21 @@ class GaussianTrajectory:
 
     @property
     def static_dim(self) -> int:
-        return self.means.shape[1] // self.windows.count
+        return self.means.shape[1] // len(DELTA_WINDOWS)
 
 
-def _window_rows(win, frames: int, max_offset: int) -> np.ndarray:
+def _window_rows(win, frames: int) -> np.ndarray:
     """One kernel's T x T window matrix W, row t holding W[t, t-K..t+K]
-    (K = max_offset; entries off either edge stay 0).
+    (K = _MAX_OFFSET; entries off either edge stay 0).
 
     Edge replication clamps out-of-range offsets onto the edge frame, and
     offsets that land on the same column get their coefficients summed,
     exactly as in the delta computation.
     """
-    rows = np.zeros((frames, 2 * max_offset + 1))
+    rows = np.zeros((frames, 2 * _MAX_OFFSET + 1))
     t = np.arange(frames)
     for offset, coef in win:
-        rows[t, np.clip(t + offset, 0, frames - 1) - t + max_offset] += coef
+        rows[t, np.clip(t + offset, 0, frames - 1) - t + _MAX_OFFSET] += coef
     return rows
 
 
@@ -94,13 +96,13 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     if (precisions[:s] <= 0).any():
         raise ValueError("static-stream variances must be finite (identity window must bind)")
 
-    k = traj.windows.max_offset
+    k = _MAX_OFFSET
     bandwidth = min(2 * k, t - 1)
     ab = np.zeros((s, bandwidth + 1, t))  # solveh_banded's upper storage
     rhs = np.zeros((s, t))
-    for w, win in enumerate(traj.windows.windows):
+    for w, win in enumerate(DELTA_WINDOWS):
         p = precisions[w * s : (w + 1) * s, None]
-        rows = _window_rows(win, t, k)
+        rows = _window_rows(win, t)
         mu = traj.means[:, w * s : (w + 1) * s].T * p
         # Row r of W adds W[r,i] W[r,j] to entry (i, j) of W^T W, stored for
         # i <= j at ab[bandwidth - (j - i), j], and W[r,i] mu[r] to rhs[i].

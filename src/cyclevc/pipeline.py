@@ -30,8 +30,6 @@ from .errors import (
     utf8_text,
 )
 from .features import (
-    DEFAULT_WINDOWS,
-    DeltaWindowSet,
     FeatureKind,
     FeatureSequence,
     LOW_DIM,
@@ -65,21 +63,18 @@ class SpeakerStats:
     logf0: LogF0Stats
 
 
-def augment_lower(
-    mcep: FeatureSequence, windows: DeltaWindowSet = DEFAULT_WINDOWS
-) -> FeatureSequence:
+def augment_lower(mcep: FeatureSequence) -> FeatureSequence:
     """49-dim mel-cepstrum -> 75-dim lower-order static+delta features."""
     lower, _ = split_mcep(mcep)
-    return compute_deltas(lower, windows)
+    return compute_deltas(lower)
 
 
 def compute_speaker_stats(
     mcep_seqs: Iterable[FeatureSequence],
     f0_seqs: Iterable[FeatureSequence],
-    windows: DeltaWindowSet = DEFAULT_WINDOWS,
 ) -> SpeakerStats:
     """Pool all of one speaker's utterances and fit their statistics."""
-    augmented = [augment_lower(seq, windows).data for seq in mcep_seqs]
+    augmented = [augment_lower(seq).data for seq in mcep_seqs]
     if not augmented:
         raise InsufficientDataError("no mel-cepstrum files given")
     pooled = FeatureSequence(np.concatenate(augmented, axis=0))
@@ -141,7 +136,6 @@ def prepare_parallel_frames(
     tgt_mceps: Sequence[FeatureSequence],
     src_stats: SpeakerStats,
     tgt_stats: SpeakerStats,
-    windows: DeltaWindowSet = DEFAULT_WINDOWS,
 ) -> ParallelTrainSet:
     """DTW-align utterance pairs and pool the warped, normalized frames.
 
@@ -157,8 +151,8 @@ def prepare_parallel_frames(
         raise InsufficientDataError("no parallel utterances given")
     xs, ys = [], []
     for src, tgt in zip(src_mceps, tgt_mceps):
-        src_aug = normalize(augment_lower(src, windows), src_stats.norm)
-        tgt_aug = normalize(augment_lower(tgt, windows), tgt_stats.norm)
+        src_aug = normalize(augment_lower(src), src_stats.norm)
+        tgt_aug = normalize(augment_lower(tgt), tgt_stats.norm)
         src_statics = FeatureSequence(src_aug.data[:, :LOW_DIM])
         tgt_statics = FeatureSequence(tgt_aug.data[:, :LOW_DIM])
         path = dtw_align(src_statics, tgt_statics)
@@ -194,7 +188,6 @@ def convert_utterance(
     aperiodicity: FeatureSequence,
     use_mlpg: bool = True,
     postfilter_beta: float = 0.0,
-    windows: DeltaWindowSet = DEFAULT_WINDOWS,
     trace: Callable[[str], None] | None = None,
 ) -> ConversionResult:
     """Run one utterance through the conversion chain.
@@ -209,7 +202,7 @@ def convert_utterance(
     stage("split-mcep")
     lower, higher = split_mcep(mcep)
     stage("compute-deltas")
-    aug = compute_deltas(lower, windows)
+    aug = compute_deltas(lower)
     stage("normalize-source")
     z = normalize(aug, src_stats.norm)
     stage("generator")
@@ -222,9 +215,7 @@ def convert_utterance(
     out = denormalize(FeatureSequence(mapped, FeatureKind.AUGMENTED75), tgt_stats.norm)
     if use_mlpg:
         stage("mlpg")
-        traj = GaussianTrajectory(
-            means=out.data, variances=tgt_stats.norm.std**2, windows=windows
-        )
+        traj = GaussianTrajectory(means=out.data, variances=tgt_stats.norm.std**2)
         statics = mlpg_generate(traj)
     else:
         stage("slice-statics")
@@ -335,6 +326,9 @@ class SpeakerSpec:
     high_band_std: float = 0.05
 
     def __post_init__(self) -> None:
+        # The name becomes the stem of the speaker's output files.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"speaker name {self.name!r} is not a plain file name")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.logf0_std <= 0:
@@ -350,6 +344,12 @@ class SyntheticSpec:
     seed: int
     speakers: tuple[SpeakerSpec, ...]
     aperiodicity_dim: int = 5
+
+    def __post_init__(self) -> None:
+        names = [spk.name for spk in self.speakers]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"speaker name {name!r} is used more than once")
 
     @staticmethod
     def from_json(path) -> "SyntheticSpec":

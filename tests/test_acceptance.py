@@ -33,7 +33,6 @@ from cyclevc.cyclegan import (
     train,
 )
 from cyclevc.features import (
-    DEFAULT_WINDOWS,
     FeatureKind,
     FeatureSequence,
     LogF0Stats,
@@ -168,6 +167,15 @@ def test_criterion_1_gradients_match_finite_differences():
 # Criterion 2: banded trajectory solver against a dense reference
 # ---------------------------------------------------------------------------
 
+#: The static, delta and delta-delta kernels, written out here so that the
+#: reference does not move with the program's own copy.
+_WINDOWS = (
+    ((0, 1.0),),
+    ((-1, -0.5), (1, 0.5)),
+    ((-1, 1.0), (0, -2.0), (1, 1.0)),
+)
+
+
 def _dense_window_matrix(win, frames: int) -> np.ndarray:
     mat = np.zeros((frames, frames))
     for t in range(frames):
@@ -176,10 +184,10 @@ def _dense_window_matrix(win, frames: int) -> np.ndarray:
     return mat
 
 
-def _dense_mlpg(means: np.ndarray, variances: np.ndarray, windows=DEFAULT_WINDOWS) -> np.ndarray:
+def _dense_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     frames = means.shape[0]
-    statics = means.shape[1] // windows.count
-    mats = [_dense_window_matrix(win, frames) for win in windows.windows]
+    statics = means.shape[1] // len(_WINDOWS)
+    mats = [_dense_window_matrix(win, frames) for win in _WINDOWS]
     out = np.zeros((frames, statics))
     for s in range(statics):
         a = np.zeros((frames, frames))

@@ -90,6 +90,32 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_stats_and_cyclegan_training_load_no_scipy(tmp_path):
+    """gen-synthetic, stats and a cyclegan run need neither DTW nor MLPG, so
+    a fresh interpreter that runs all three has not loaded scipy."""
+    spec = tmp_path / "spec.json"
+    write_spec(spec, frames_a=40, frames_b=40)
+    runs = [["gen-synthetic", "--spec", str(spec), "--out-dir", str(tmp_path)]]
+    for name in ("src", "tgt"):
+        runs.append([
+            "stats", "--mcep", str(tmp_path / f"{name}.mcep.ftr"),
+            "--f0", str(tmp_path / f"{name}.f0.ftr"), "--out", str(tmp_path / f"{name}.stats"),
+        ])
+    runs.append(train_args(tmp_path, "cyclegan", tmp_path / "model") + ["--batch", "16"])
+    code = (
+        "import json, sys; from cyclevc.cli import main\n"
+        "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert (tmp_path / "model" / "losses.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 class TestParserDefaults:
     def test_training_flag_defaults(self):
         args = build_parser().parse_args(
@@ -136,6 +162,24 @@ class TestGenSynthetic:
         spec.write_text("{")
         assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "names",
+        [("a", "a"), ("", "b"), (".", "b"), ("..", "b"), ("../escape", "b"), ("a\\b", "c")],
+        ids=["repeated", "empty", "dot", "dot-dot", "parent-path", "backslash"],
+    )
+    def test_unsafe_speaker_names_write_nothing(self, tmp_path, capsys, names):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        for speaker, name in zip(doc["speakers"], names):
+            speaker["name"] = name
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sub" / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: malformed synthetic spec: ")
+        assert not (tmp_path / "sub").exists()
+        assert list(tmp_path.rglob("*.ftr")) == []
 
 
 class TestStats:
@@ -189,7 +233,7 @@ class TestTrain:
     def test_mse_parallel(self, corpus, tmp_path, capsys):
         """The header names only the settings mse-parallel uses."""
         out = tmp_path / "models"
-        assert main(train_args(corpus, "mse-parallel", out, "--lambda", "3", "--lr-d", "0.5")) == 0
+        assert main(train_args(corpus, "mse-parallel", out)) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == (
             "method=mse-parallel lr_generator=0.001 batch_frames=128 epochs=2 seed=7 "
@@ -210,6 +254,24 @@ class TestTrain:
         )
         lines = (out / "losses.csv").read_text().splitlines()
         assert lines[0] == "epoch,disc,adv,mse,total"
+
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("mse-parallel", "--lambda", "3"),
+            ("mse-parallel", "--lr-d", "0.5"),
+            ("cyclegan", "--mse-weight", "0.5"),
+            ("gan-parallel", "--lambda", "3"),
+        ],
+    )
+    def test_flag_the_method_does_not_use_is_an_error(
+        self, tmp_path, capsys, method, flag, value
+    ):
+        """Rejected before any input is read: none of these files exist."""
+        out = tmp_path / "models"
+        assert main(train_args(tmp_path / "missing", method, out, flag, value)) == 1
+        assert capsys.readouterr().err == f"error: {flag} is not used by --method {method}\n"
+        assert not out.exists()
 
     def test_parallel_list_mismatch_is_an_error(self, corpus, tmp_path, capsys):
         args = train_args(corpus, "mse-parallel", tmp_path / "m")
@@ -421,6 +483,19 @@ class TestConvertLoadsOneNetwork:
         (model / filename).write_text("not a model\n")
         assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
         assert str(model / filename) in capsys.readouterr().err
+
+    def test_bad_f0_file_names_the_file(self, corpus, bundles, tmp_path, capsys):
+        f0 = tmp_path / "nan.f0.ftr"
+        f0.write_bytes((corpus / "src.f0.ftr").read_bytes())
+        with open(f0, "r+b") as fh:
+            fh.seek(16)  # the first frame, after the FTR1 header
+            fh.write(np.array([np.nan], dtype="<f4").tobytes())
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path)
+        argv[argv.index("--f0") + 1] = str(f0)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {f0}: feature data contains non-finite entries\n"
+        )
 
     def test_non_utf8_stats_error_names_the_file(self, corpus, bundles, tmp_path, capsys):
         stats = tmp_path / "src.stats"

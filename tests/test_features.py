@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -18,8 +19,6 @@ from cyclevc.errors import (
 )
 from cyclevc.features import (
     AUGMENTED_DIM,
-    DEFAULT_WINDOWS,
-    DeltaWindowSet,
     FeatureKind,
     FeatureSequence,
     HIGH_DIM,
@@ -144,9 +143,7 @@ class TestComputeDeltas:
     def test_edge_replication(self):
         """Boundary frames use the nearest real frame in place of t-1/t+1."""
         data = np.array([[1.0], [3.0], [4.0]])
-        aug = compute_deltas(
-            FeatureSequence(data), DEFAULT_WINDOWS
-        )
+        aug = compute_deltas(FeatureSequence(data))
         # frame 0: delta = -0.5*x[0] + 0.5*x[1] = 1.0 (x[-1] replicated to x[0])
         assert aug.data[0, 1] == pytest.approx(1.0)
         # frame 2: delta = -0.5*x[1] + 0.5*x[2] = 0.5
@@ -164,10 +161,6 @@ class TestComputeDeltas:
         rng = np.random.default_rng(frames)
         aug = compute_deltas(FeatureSequence(rng.normal(size=(frames, 3))))
         assert aug.frames == frames
-
-    def test_identity_window_required(self):
-        with pytest.raises(ValueError):
-            DeltaWindowSet(windows=(((-1, -0.5), (1, 0.5)),))
 
 
 class TestNormalization:
@@ -321,4 +314,22 @@ class TestFtrFormat:
         write_ftr(path, FeatureSequence(np.ones((4, 3))))
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
+            read_ftr(path)
+
+    @pytest.mark.parametrize(
+        "frames, dim, kind, body, error",
+        [
+            (2, 1, FeatureKind.F0, [100.0, np.nan], NonFiniteError),
+            (1, 3, FeatureKind.MCEP49, [1.0, 2.0, 3.0], DimensionMismatchError),
+            (4, 0, FeatureKind.GENERIC, [], DimensionMismatchError),
+        ],
+        ids=["nan-frame", "mcep49-width-3", "width-0"],
+    )
+    def test_content_error_names_the_file(self, tmp_path, frames, dim, kind, body, error):
+        """A well-formed file whose frames FeatureSequence rejects raises
+        that error's own type, prefixed with the path."""
+        path = tmp_path / "bad.ftr"
+        header = struct.pack("<4sIII", b"FTR1", frames, dim, kind.value)
+        path.write_bytes(header + np.array(body, dtype="<f4").tobytes())
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
             read_ftr(path)

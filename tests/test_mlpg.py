@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from cyclevc.errors import DimensionMismatchError
-from cyclevc.features import (
-    DEFAULT_WINDOWS,
-    DeltaWindowSet,
-    FeatureKind,
-    FeatureSequence,
-    compute_deltas,
-)
+from cyclevc.features import DELTA_WINDOWS, FeatureKind, FeatureSequence, compute_deltas
 from cyclevc.mlpg import GaussianTrajectory, mlpg_generate, postfilter
 
 
@@ -25,14 +19,12 @@ def dense_window_matrix(win, frames: int) -> np.ndarray:
     return mat
 
 
-def dense_mlpg(means: np.ndarray, variances: np.ndarray,
-               windows: DeltaWindowSet = DEFAULT_WINDOWS) -> np.ndarray:
+def dense_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Per-dimension weighted least squares by a dense general solve."""
     frames = means.shape[0]
-    n_win = windows.count
-    statics = means.shape[1] // n_win
+    statics = means.shape[1] // len(DELTA_WINDOWS)
     out = np.zeros((frames, statics))
-    mats = [dense_window_matrix(win, frames) for win in windows.windows]
+    mats = [dense_window_matrix(win, frames) for win in DELTA_WINDOWS]
     for s in range(statics):
         a = np.zeros((frames, frames))
         rhs = np.zeros(frames)
@@ -75,23 +67,6 @@ class TestMlpgGenerate:
             dense = dense_mlpg(means, variances)
             assert np.abs(banded - dense).max() <= 1e-8, f"trial {trial}"
 
-    def test_wide_asymmetric_windows_match_dense_solve(self):
-        """Offsets up to 3, one-sided kernels and a repeated offset: the
-        bands must hold every clamped and summed coefficient."""
-        windows = DeltaWindowSet(windows=(
-            ((0, 1.0),),
-            ((-2, -0.25), (-1, -0.5), (1, 0.5), (2, 0.25)),
-            ((0, -1.0), (3, 1.0), (3, 0.5)),
-        ))
-        rng = np.random.default_rng(1)
-        for frames in (1, 2, 3, 4, 5, 7, 12, 40):
-            means = rng.normal(size=(frames, 2 * 3))
-            variances = rng.uniform(0.1, 4.0, size=2 * 3)
-            traj = GaussianTrajectory(means=means, variances=variances, windows=windows)
-            banded = mlpg_generate(traj).data
-            dense = dense_mlpg(means, variances, windows)
-            assert np.abs(banded - dense).max() <= 1e-8, f"{frames} frames"
-
     def test_recovers_delta_expansion(self):
         """Means that truly came from a static sequence are recovered exactly."""
         rng = np.random.default_rng(1)
@@ -120,7 +95,7 @@ class TestMlpgGenerate:
         traj = GaussianTrajectory(means=means, variances=variances)
         solution = mlpg_generate(traj).data
 
-        mats = [dense_window_matrix(win, 8) for win in DEFAULT_WINDOWS.windows]
+        mats = [dense_window_matrix(win, 8) for win in DELTA_WINDOWS]
 
         def objective(c: np.ndarray) -> float:
             total = 0.0
