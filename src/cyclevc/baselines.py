@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .cyclegan import LOSS_FORMS, TrainConfig, discriminator_gradients, fit, generator_loss
+from .cyclegan import LOSS_FORMS, TrainConfig, adversarial_term, discriminator_gradients, fit
 from .features import FeatureSequence
 from .net import Gradients, Mlp, apply_update, backward, forward, init_optimizer
 
@@ -115,10 +115,8 @@ def gan_baseline_generator_objective(
     discriminator is treated as frozen.
     """
     pred, cache_g = forward(gen, x_batch)
-    d_fake, cache_d = forward(disc, pred)
-    adv, g_adv = generator_loss(d_fake, loss_form)
+    adv, g_through_d = adversarial_term(disc, pred, loss_form)
     mse = mse_loss(pred, y_batch)
-    _, g_through_d = backward(disc, cache_d, g_adv, param_grads=False)
     g_out = g_through_d + mse_weight * _mse_output_grad(pred, y_batch)
     grads, _ = backward(gen, cache_g, g_out)
     return adv, mse, grads

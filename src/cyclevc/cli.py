@@ -187,7 +187,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     write_ftr(args.out_f0, result.f0)
     write_ftr(args.out_ap, result.aperiodicity)
     print(
-        f"frames={result.frames} mcd_db={result.mcd_db:.4f} "
+        f"frames={result.frames} shift_db={result.shift_db:.4f} "
         f"seconds={result.seconds:.3f}"
     )
     return 0

@@ -8,9 +8,7 @@ their adversarial objectives. Each training step updates the
 discriminators first, then both generators jointly, on one mini-batch of
 randomly drawn frames per speaker (no alignment anywhere).
 
-Loss forms: "lsgan" (default) regresses raw discriminator outputs toward
-1 for real and 0 for fake; "log" squashes them through a sigmoid and uses
-the non-saturating log loss for the generators.
+Both adversarial loss forms, "lsgan" (default) and "log", are score_loss.
 """
 
 from __future__ import annotations
@@ -119,13 +117,6 @@ class LossReport:
     cycle: float
     total: float
 
-    def __post_init__(self) -> None:
-        vals = (self.adv_g, self.adv_f, self.disc_x, self.disc_y, self.cycle, self.total)
-        if not all(np.isfinite(v) for v in vals):
-            raise NonFiniteError(f"non-finite loss report: {vals}")
-        if self.cycle < 0:
-            raise ValueError("cycle loss cannot be negative")
-
 
 @dataclass
 class TrainerState:
@@ -161,42 +152,35 @@ def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
 # scalar to be minimized plus its gradient with respect to those outputs.
 # ---------------------------------------------------------------------------
 
-def _sigmoid(raw: np.ndarray) -> np.ndarray:
-    p = np.array(raw, dtype=np.float64)
+def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.ndarray]:
+    """The loss that pulls raw discriminator scores toward target (1 for
+    real frames, 0 for generated ones) and its gradient wrt the scores.
+
+    lsgan: mean (d - t)^2. log: the sigmoid cross-entropy, mean log(1 +
+    e^-d) toward 1 and mean log(1 + e^d) toward 0, exact and finite for
+    scores of any size, with gradient (sigmoid(d) - t) / n.
+    """
+    n = scores.shape[0]
+    if form == "lsgan":
+        diff = scores - target
+        return float(np.mean(diff**2)), 2.0 * diff / n
+    p = np.array(scores, dtype=np.float64)
     sigmoid_inplace(p)
-    return p
+    return float(np.mean(np.logaddexp(0.0, -scores if target else scores))), (p - target) / n
 
 
 def discriminator_loss(
     d_real: np.ndarray, d_fake: np.ndarray, form: str
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The discriminator's loss and its gradients wrt the real and fake scores.
-
-    lsgan: mean (D(real)-1)^2 + mean D(fake)^2. log: the negated classic
-    objective on sigmoid-squashed scores, -mean log D(real) - mean
-    log(1 - D(fake)), computed as log(1 + e^-d) and log(1 + e^d) so that
-    it stays exact and finite for scores of any size.
-    """
-    n_real, n_fake = d_real.shape[0], d_fake.shape[0]
-    if form == "lsgan":
-        loss = np.mean((d_real - 1.0) ** 2) + np.mean(d_fake**2)
-        return float(loss), 2.0 * (d_real - 1.0) / n_real, 2.0 * d_fake / n_fake
-    loss = np.mean(np.logaddexp(0.0, -d_real)) + np.mean(np.logaddexp(0.0, d_fake))
-    p_real, p_fake = _sigmoid(d_real), _sigmoid(d_fake)
-    return float(loss), -(1.0 - p_real) / n_real, p_fake / n_fake
+    """score_loss of the real scores toward 1 plus the fake ones toward 0."""
+    loss_real, g_real = score_loss(d_real, 1.0, form)
+    loss_fake, g_fake = score_loss(d_fake, 0.0, form)
+    return loss_real + loss_fake, g_real, g_fake
 
 
 def generator_loss(d_fake: np.ndarray, form: str) -> tuple[float, np.ndarray]:
-    """A generator's adversarial loss and its gradient wrt the fake scores.
-
-    lsgan: mean (D(fake)-1)^2. log: the non-saturating -mean log D(fake),
-    computed as mean log(1 + e^-d).
-    """
-    n = d_fake.shape[0]
-    if form == "lsgan":
-        return float(np.mean((d_fake - 1.0) ** 2)), 2.0 * (d_fake - 1.0) / n
-    loss = np.mean(np.logaddexp(0.0, -d_fake))
-    return float(loss), -(1.0 - _sigmoid(d_fake)) / n
+    """score_loss of the fake scores toward 1: for log, the non-saturating loss."""
+    return score_loss(d_fake, 1.0, form)
 
 
 def cycle_loss(
@@ -317,6 +301,15 @@ def discriminator_objective(
     return loss_x, loss_y, grads_dx, grads_dy
 
 
+def adversarial_term(disc: Mlp, fake: np.ndarray, loss_form: str) -> tuple[float, np.ndarray]:
+    """A generator's adversarial loss on its frames fake, scored by the
+    frozen disc (no parameter gradients), and its gradient wrt fake."""
+    d_fake, cache = forward(disc, fake)
+    adv, g_adv = generator_loss(d_fake, loss_form)
+    _, g_fake = backward(disc, cache, g_adv, param_grads=False)
+    return adv, g_fake
+
+
 def _cycle_direction(
     gen: Mlp,
     back: Mlp,
@@ -329,9 +322,7 @@ def _cycle_direction(
     by the frozen disc. Returns the adversarial loss, the reconstruction,
     and the parameter gradients for gen and for back."""
     fake, cache_gen = forward(gen, batch)
-    d_fake, cache_disc = forward(disc, fake)
-    adv, g_adv = generator_loss(d_fake, loss_form)
-    _, g_into_disc = backward(disc, cache_disc, g_adv, param_grads=False)
+    adv, g_into_disc = adversarial_term(disc, fake, loss_form)
     rec, cache_back = forward(back, fake)
     grads_back, g_into_back = backward(
         back, cache_back, cycle_weight * _l1_grad(rec, batch)
@@ -350,9 +341,8 @@ def generator_objective(
     """Generator-side objective and exact gradients for G and F.
 
     Both cycle directions contribute: X -> G -> F compared against x, and
-    Y -> F -> G compared against y. Adversarial terms flow through the
-    (frozen) discriminators back into the generators without computing
-    discriminator parameter gradients. The two directions run as two
+    Y -> F -> G compared against y, each generator's output scored by the
+    frozen discriminator (adversarial_term). The two directions run as two
     lanes (see _run_lanes); each network's gradient is the forward
     direction's plus the backward direction's.
     """
@@ -402,7 +392,8 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
     and calls step(nets, *indices) -> (nets, record) per batch, a record
     being a tuple of float losses. Returns the last nets and, per epoch,
     np.mean of the stacked records: the steps summed in order, or pairwise
-    for one-column records. A NonFiniteError from a step gets its 1-based
+    for one-column records. A non-finite record or epoch mean raises
+    NonFiniteError; one from a step or its record gets the step's 1-based
     position, "epoch E, step S".
     """
     if min(frame_counts) < 1:
@@ -415,11 +406,15 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
         for k, indices in enumerate(batches, 1):
             try:
                 nets, record = step(nets, *indices)
+                if not np.isfinite(record).all():
+                    raise NonFiniteError(f"non-finite losses: {record}")
             except NonFiniteError as exc:
                 exc.position = f"epoch {epoch}, step {k}"
                 raise
             records.append(record)
         history.append(tuple(np.mean(np.array(records), axis=0).tolist()))
+        if not np.isfinite(history[-1]).all():
+            raise NonFiniteError(f"non-finite mean losses of epoch {epoch}: {history[-1]}")
     return nets, history
 
 

@@ -12,8 +12,8 @@ class InsufficientDataError(ValueError):
 class NonFiniteError(ValueError):
     """A NaN or infinity showed up where the computation must stay finite.
 
-    Raised from a training step, it gets a ``position`` attribute, "epoch
-    E, step S" (1-based, cyclegan.fit); the message stays the step's own.
+    Raised in a training step or on its losses, it gets a ``position``,
+    "epoch E, step S" (1-based, cyclegan.fit); its message is unchanged.
     """
 
 

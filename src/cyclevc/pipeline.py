@@ -174,7 +174,7 @@ class ConversionResult:
     mcep: FeatureSequence
     f0: FeatureSequence
     aperiodicity: FeatureSequence
-    mcd_db: float
+    shift_db: float  # MCD from the source's lower statics to the converted ones
     frames: int
     seconds: float
 
@@ -229,12 +229,12 @@ def convert_utterance(
     stage("copy-aperiodicity")
     out_ap = FeatureSequence(aperiodicity.data, aperiodicity.kind)
 
-    mcd = mel_cepstral_distortion(lower, statics)
+    shift = mel_cepstral_distortion(lower, statics)
     return ConversionResult(
         mcep=merged,
         f0=out_f0,
         aperiodicity=out_ap,
-        mcd_db=mcd,
+        shift_db=shift,
         frames=mcep.frames,
         seconds=time.monotonic() - started,
     )
@@ -315,6 +315,11 @@ class MixtureSpec:
         return self.weights @ self.means
 
 
+def is_plain_file_name(name: str) -> bool:
+    """Not empty, . or .., and without /, \\ or NUL: a file right in its directory."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class SpeakerSpec:
     name: str
@@ -327,7 +332,7 @@ class SpeakerSpec:
 
     def __post_init__(self) -> None:
         # The name becomes the stem of the speaker's output files.
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+        if not is_plain_file_name(self.name):
             raise ValueError(f"speaker name {self.name!r} is not a plain file name")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
@@ -480,6 +485,8 @@ def read_manifest(model_dir) -> tuple[str, dict[str, Path]]:
                 raise FormatError(
                     f"{manifest}: line {line_no} repeats network {parts[1]}: {line!r}"
                 )
+            if not is_plain_file_name(parts[2]):
+                raise FormatError(f"{manifest}: line {line_no} names no plain file: {line!r}")
             paths[parts[1]] = model_dir / parts[2]
         else:
             raise FormatError(f"{manifest}: unparsable line {line_no}: {line!r}")

@@ -14,7 +14,7 @@ from cyclevc.baselines import (
     train_gan_baseline,
     train_mse_baseline,
 )
-from cyclevc.errors import DimensionMismatchError
+from cyclevc.errors import DimensionMismatchError, NonFiniteError
 from cyclevc.features import FeatureSequence
 from cyclevc.net import Mlp, forward, init_mlp, backward
 
@@ -181,3 +181,23 @@ class TestGanBaseline:
         assert all(np.array_equal(x, y) for x, y in zip(gen_a.weights, gen_b.weights))
         for row in hist_a:
             assert all(np.isfinite(v) for v in row.values())
+
+
+#: Each parallel trainer with its config type, by --method name.
+PARALLEL_TRAINERS = {
+    "mse-parallel": (train_mse_baseline, MseBaselineConfig),
+    "gan-parallel": (train_gan_baseline, GanBaselineConfig),
+}
+
+
+@pytest.mark.parametrize("method", PARALLEL_TRAINERS)
+def test_non_finite_losses_stop_training_at_their_step(method):
+    """At lr 1e153 the first Adam step throws the generator's outputs so
+    far that the second step's MSE overflows to inf; fit stops there. The
+    overflow warning is silenced so that the loss check is what stops it."""
+    trainer, config_type = PARALLEL_TRAINERS[method]
+    data = linear_task(np.random.default_rng(0), 64, dim=4)
+    config = config_type(lr_generator=1e153, hidden_dims=(4,), batch_frames=32, epochs=2)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite losses") as exc:
+        trainer(data, config)
+    assert exc.value.position == "epoch 1, step 2"

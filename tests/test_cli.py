@@ -165,8 +165,9 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize(
         "names",
-        [("a", "a"), ("", "b"), (".", "b"), ("..", "b"), ("../escape", "b"), ("a\\b", "c")],
-        ids=["repeated", "empty", "dot", "dot-dot", "parent-path", "backslash"],
+        [("a", "a"), ("", "b"), (".", "b"), ("..", "b"), ("../escape", "b"), ("a\\b", "c"),
+         ("a\0b", "c")],
+        ids=["repeated", "empty", "dot", "dot-dot", "parent-path", "backslash", "nul"],
     )
     def test_unsafe_speaker_names_write_nothing(self, tmp_path, capsys, names):
         spec = tmp_path / "spec.json"
@@ -308,6 +309,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: epoch 2, step 3: non-finite gradient in layer 1\n"
 
+    def test_overflowing_losses_stop_the_run(self, corpus, tmp_path, capsys):
+        """At --lr-g 1e153 a step's losses overflow to inf. The run exits 1,
+        names where, and writes no bundle. The overflow warning is silenced
+        so that the loss check is what stops the run."""
+        out = tmp_path / "m"
+        with np.errstate(over="ignore"):
+            args = train_args(corpus, "mse-parallel", out, "--lr-g", "1e153", "--batch", "32")
+            assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: epoch 1, step 2: non-finite losses: ")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
@@ -334,7 +346,7 @@ class TestConvertAndEval:
     def test_pass_through_integrity(self, corpus, trained, tmp_path, capsys):
         assert main(self.convert_args(corpus, trained, tmp_path)) == 0
         report = capsys.readouterr().out
-        assert "frames=160" in report and "mcd_db=" in report
+        assert "frames=160" in report and "shift_db=" in report
 
         src = read_ftr(corpus / "src.mcep.ftr")
         out = read_ftr(tmp_path / "out.mcep.ftr")

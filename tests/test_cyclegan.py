@@ -23,15 +23,17 @@ from cyclevc.cyclegan import (
     cycle_loss,
     discriminator_loss,
     discriminator_objective,
+    fit,
     generator_loss,
     generator_objective,
+    score_loss,
     train,
     train_step,
     TrainerState,
 )
-from cyclevc.errors import DimensionMismatchError, InsufficientDataError
+from cyclevc.errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from cyclevc.features import FeatureSequence
-from cyclevc.net import Mlp, forward
+from cyclevc.net import Mlp, forward, sigmoid_inplace
 
 
 def tiny_model(seed: int = 0, dim: int = 3) -> CycleGanModel:
@@ -101,6 +103,52 @@ def test_adversarial_loss_gradients_match_finite_differences(form):
     )
     for analytic, expected in checks:
         np.testing.assert_allclose(analytic, expected, rtol=1e-6, atol=1e-9)
+
+
+def reference_losses(d_real, d_fake, form):
+    """discriminator_loss and generator_loss as four formulas, one per form
+    and role, the way they were written before score_loss; kept as the
+    reference that score_loss must reproduce."""
+
+    def sigmoid(raw):
+        p = np.array(raw, dtype=np.float64)
+        sigmoid_inplace(p)
+        return p
+
+    n_real, n_fake = d_real.shape[0], d_fake.shape[0]
+    if form == "lsgan":
+        disc = float(np.mean((d_real - 1.0) ** 2) + np.mean(d_fake**2))
+        disc_grads = 2.0 * (d_real - 1.0) / n_real, 2.0 * d_fake / n_fake
+        gen = float(np.mean((d_fake - 1.0) ** 2)), 2.0 * (d_fake - 1.0) / n_fake
+    else:
+        disc = float(np.mean(np.logaddexp(0.0, -d_real)) + np.mean(np.logaddexp(0.0, d_fake)))
+        disc_grads = -(1.0 - sigmoid(d_real)) / n_real, sigmoid(d_fake) / n_fake
+        gen = float(np.mean(np.logaddexp(0.0, -d_fake))), -(1.0 - sigmoid(d_fake)) / n_fake
+    return (disc, *disc_grads), gen
+
+
+#: Saturated (+-40), overflowing (+-1e4), signed-zero and ordinary scores.
+EDGE_SCORES = [40.0, -40.0, 1e4, -1e4, -0.0, 0.0, 0.7, -2.5]
+
+
+@pytest.mark.parametrize("form", LOSS_FORMS)
+def test_score_loss_reproduces_the_reference_formulas(form):
+    """Bit for bit, on each edge score alone and on all of them at once,
+    except that a zero may change sign: where the sigmoid rounds to exactly
+    1, the reference's -(1 - p) is -0.0 and score_loss's p - 1 is +0.0.
+    Float equality ignores only that sign."""
+    scores = np.array(EDGE_SCORES).reshape(-1, 1)
+    for d_real in [*np.split(scores, len(scores)), scores]:
+        d_fake = d_real[::-1]
+        (disc, g_real, g_fake), (gen, g_gen) = reference_losses(d_real, d_fake, form)
+        real_loss, real_grad = score_loss(d_real, 1.0, form)
+        fake_loss, fake_grad = score_loss(d_fake, 0.0, form)
+        assert real_loss + fake_loss == disc
+        assert np.array_equal(real_grad, g_real) and np.array_equal(fake_grad, g_fake)
+        gen_loss, gen_grad = score_loss(d_fake, 1.0, form)
+        assert gen_loss == gen and np.array_equal(gen_grad, g_gen)
+        assert discriminator_loss(d_real, d_fake, form)[0] == disc
+        assert generator_loss(d_fake, form)[0] == gen
 
 
 class TestCycleLoss:
@@ -333,6 +381,16 @@ class TestTraining:
         data = FeatureSequence(np.zeros((4, 5)))
         with pytest.raises(DimensionMismatchError):
             train(model, data, data, config)
+
+    def test_an_overflowing_epoch_mean_is_an_error(self):
+        """Every step's losses are finite, but their sum overflows: fit
+        names the epoch, and no step, since no step is at fault."""
+        config = CycleGanConfig(batch_frames=1, epochs=1)
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match=r"^non-finite mean losses of epoch 1: \(inf,\)$"
+        ) as exc:
+            fit(lambda nets, idx: (nets, (1e308,)), None, config, 2)
+        assert not hasattr(exc.value, "position")
 
 
 _FAULTS_PER_STEP = textwrap.dedent("""

@@ -147,7 +147,7 @@ class TestConvertUtterance:
             lambda batch: batch, stats, stats, mcep, f0, ap, use_mlpg=False
         )
         np.testing.assert_allclose(result.mcep.data, mcep.data, atol=1e-10)
-        assert result.mcd_db < 1e-9
+        assert result.shift_db < 1e-9
 
     def test_identity_generator_with_mlpg_is_near_zero_distortion(self):
         """MLPG sees self-consistent deltas, so it reproduces the statics."""
@@ -157,7 +157,7 @@ class TestConvertUtterance:
         result = convert_utterance(
             lambda batch: batch, stats, stats, mcep, f0, ap, use_mlpg=True
         )
-        assert result.mcd_db < 0.5
+        assert result.shift_db < 0.5
 
     def test_pass_through_streams_are_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -400,9 +400,13 @@ class TestModelBundles:
           "line 4 repeats network G: 'network G other.mlp'"),
          (b"VCMODEL1\nmethod mse-parallel\nnetwork G g.mlp\n\nmethod cyclegan\n",
           "line 5 repeats the method: 'method cyclegan'"),
-         (b"VCMODEL1\nmethod mse-parallel\xff\nnetwork G g.mlp\n", "not UTF-8")],
+         (b"VCMODEL1\nmethod mse-parallel\xff\nnetwork G g.mlp\n", "not UTF-8"),
+         *((b"VCMODEL1\nmethod mse-parallel\nnetwork G " + name + b"\n",
+            "line 3 names no plain file: 'network G ")
+           for name in (b"../x.mlp", b"/abs/g.mlp", b"sub/g.mlp", b"..", b"g\0.mlp"))],
         ids=["magic", "unparsable-line", "missing-roles", "unknown-method",
-             "repeated-network", "repeated-method", "not-utf8"],
+             "repeated-network", "repeated-method", "not-utf8",
+             "parent-file", "absolute-file", "subdirectory-file", "dot-dot-file", "nul-file"],
     )
     def test_manifest_checks(self, tmp_path, text, cause):
         (tmp_path / "manifest.txt").write_bytes(text)
