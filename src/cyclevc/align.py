@@ -33,9 +33,6 @@ class AlignmentPath:
     pairs: tuple[tuple[int, int], ...]
     cost: float
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def validate(self, frames_a: int, frames_b: int) -> None:
         """Raise if the path is not a valid warp of (frames_a, frames_b)."""
         if not self.pairs:

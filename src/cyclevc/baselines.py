@@ -8,11 +8,12 @@ y) in the speakers' normalized feature spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .cyclegan import LOSS_FORMS, TrainConfig, adversarial_term, discriminator_gradients, fit
+from .cyclegan import TrainConfig, adversarial_term, discriminator_gradients, fit
 from .features import FeatureSequence
 from .net import Gradients, Mlp, apply_update, backward, forward, init_optimizer
 
@@ -54,16 +55,20 @@ class GanBaselineConfig(TrainConfig):
     lr_discriminator: float = 0.0001
     loss_form: str = "lsgan"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.mse_weight < 0:
-            raise ValueError("mse_weight must be >= 0")
-        if self.loss_form not in LOSS_FORMS:
-            raise ValueError(f"unknown loss_form {self.loss_form!r}")
+
+class MseLosses(NamedTuple):
+    """An mse-parallel step's (or epoch's mean) loss: its losses.csv column."""
+
+    mse: float
 
 
-#: The gan-parallel loss history's keys, in losses.csv column order.
-GAN_LOSS_COLUMNS = ("disc", "adv", "mse", "total")
+class GanLosses(NamedTuple):
+    """A gan-parallel step's (or epoch's mean) losses; total = adv + mse_weight * mse."""
+
+    disc: float
+    adv: float
+    mse: float
+    total: float
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -83,7 +88,7 @@ def _mse_output_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def train_mse_baseline(
     data: ParallelTrainSet, config: MseBaselineConfig = MseBaselineConfig()
-) -> tuple[Mlp, list[float]]:
+) -> tuple[Mlp, list[MseLosses]]:
     """Mini-batch Adam on plain MSE; returns the net and per-epoch mean MSE."""
     net = config.init_net(data.dim, data.dim, "G")
 
@@ -94,11 +99,11 @@ def train_mse_baseline(
         pred, cache = forward(net, xb)
         loss = mse_loss(pred, yb)
         grads, _ = backward(net, cache, _mse_output_grad(pred, yb))
-        return apply_update(net, grads, opt), (loss,)
+        return apply_update(net, grads, opt), MseLosses(loss)
 
     opt = init_optimizer(net, config.lr_generator)
     (net, _), history = fit(step, (net, opt), config, data.frames)
-    return net, [mse for (mse,) in history]
+    return net, history
 
 
 def gan_baseline_generator_objective(
@@ -124,7 +129,7 @@ def gan_baseline_generator_objective(
 
 def train_gan_baseline(
     data: ParallelTrainSet, config: GanBaselineConfig = GanBaselineConfig()
-) -> tuple[Mlp, Mlp, list[dict[str, float]]]:
+) -> tuple[Mlp, Mlp, list[GanLosses]]:
     """Adversarially trained regressor on aligned pairs.
 
     The discriminator sees y as real and G(x) as fake; the generator
@@ -150,10 +155,10 @@ def train_gan_baseline(
             gen, disc, xb, yb, config.mse_weight, config.loss_form
         )
         gen, opt_g = apply_update(gen, grads, opt_g)
-        losses = (disc_loss, adv, mse, adv + config.mse_weight * mse)
+        losses = GanLosses(disc_loss, adv, mse, adv + config.mse_weight * mse)
         return (gen, disc, opt_g, opt_d), losses
 
     opt_g = init_optimizer(gen, config.lr_generator)
     opt_d = init_optimizer(disc, config.lr_discriminator)
     (gen, disc, _, _), history = fit(step, (gen, disc, opt_g, opt_d), config, data.frames)
-    return gen, disc, [dict(zip(GAN_LOSS_COLUMNS, record)) for record in history]
+    return gen, disc, history

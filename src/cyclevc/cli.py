@@ -8,20 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .align import dtw_align
 from .baselines import (
-    GAN_LOSS_COLUMNS,
     GanBaselineConfig,
     MseBaselineConfig,
     train_gan_baseline,
     train_mse_baseline,
 )
-from .cyclegan import LOSS_FORMS, CycleGanConfig, LossReport, build_model, train
+from .cyclegan import LOSS_FORMS, CycleGanConfig, build_model, train
 from .errors import DimensionMismatchError, InsufficientDataError
 from .features import (
     AUGMENTED_DIM,
@@ -33,6 +32,7 @@ from .features import (
 )
 from .net import forward, load_mlp
 from .pipeline import (
+    BUNDLE_ROLES,
     SyntheticSpec,
     augment_lower,
     compute_speaker_stats,
@@ -42,6 +42,7 @@ from .pipeline import (
     mel_cepstral_distortion,
     prepare_parallel_frames,
     read_manifest,
+    require_mel_cepstra,
     save_model_bundle,
     save_speaker_stats,
     to_lower,
@@ -105,27 +106,16 @@ def _normalized_pool(paths, stats) -> FeatureSequence:
 
 def _train_cyclegan(config, x_data, y_data):
     model, history = train(build_model(AUGMENTED_DIM, config), x_data, y_data, config)
-    networks = {"G": model.g, "F": model.f, "D_X": model.d_x, "D_Y": model.d_y}
-    return networks, [f.name for f in fields(LossReport)], [astuple(r) for r in history]
-
-
-def _train_gan_parallel(config, pairs):
-    gen, disc, history = train_gan_baseline(pairs, config)
-    return {"G": gen, "D": disc}, GAN_LOSS_COLUMNS, [tuple(r.values()) for r in history]
-
-
-def _train_mse_parallel(config, pairs):
-    net, history = train_mse_baseline(pairs, config)
-    return {"G": net}, ["mse"], [(mse,) for mse in history]
+    return model.g, model.f, model.d_x, model.d_y, history
 
 
 #: Each method's config and trainer. A trainer takes the config and the
-#: training data and returns the networks by bundle role, the losses.csv
-#: columns and one row of losses per epoch.
+#: training data and returns the networks, in BUNDLE_ROLES order, and the
+#: history; it looks its training function up when called (a tracer may replace it).
 _METHODS = {
     "cyclegan": (CycleGanConfig, _train_cyclegan),
-    "gan-parallel": (GanBaselineConfig, _train_gan_parallel),
-    "mse-parallel": (MseBaselineConfig, _train_mse_parallel),
+    "gan-parallel": (GanBaselineConfig, lambda config, pairs: train_gan_baseline(pairs, config)),
+    "mse-parallel": (MseBaselineConfig, lambda config, pairs: train_mse_baseline(pairs, config)),
 }
 
 
@@ -150,10 +140,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         src_mceps = _read_many(args.src_mcep, FeatureKind.MCEP49)
         tgt_mceps = _read_many(args.tgt_mcep, FeatureKind.MCEP49)
         data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
-    networks, columns, rows = trainer(config, *data)
+    *networks, history = trainer(config, *data)
     out_dir = Path(args.out_dir)
-    save_model_bundle(out_dir, args.method, networks)
-    write_loss_csv(out_dir / "losses.csv", columns, rows)
+    save_model_bundle(out_dir, args.method, dict(zip(BUNDLE_ROLES[args.method], networks)))
+    write_loss_csv(out_dir / "losses.csv", history)
     print(f"models written to {out_dir}")
     return 0
 
@@ -218,8 +208,8 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    reference = read_ftr(args.reference)
-    converted = read_ftr(args.converted)
+    reference = require_mel_cepstra(read_ftr(args.reference), args.reference)
+    converted = require_mel_cepstra(read_ftr(args.converted), args.converted)
     mcd = mel_cepstral_distortion(reference, converted)
     print(
         f"mcd_db={mcd!r} frames_reference={reference.frames} "

@@ -13,9 +13,11 @@ Both adversarial loss forms, "lsgan" (default) and "log", are score_loss.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +78,16 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
 
     def __post_init__(self) -> None:
-        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name.startswith("lr_")):
-            raise ValueError("learning rates must be > 0")
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            rate, weight = name.startswith("lr_"), name.endswith("_weight")
+            if (rate or weight) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if rate and value <= 0:
+                raise ValueError("learning rates must be > 0")
+            if weight and value < 0:
+                raise ValueError(f"{name} must be >= 0")
+            if name == "loss_form" and value not in LOSS_FORMS:
+                raise ValueError(f"unknown loss_form {value!r}")
         if self.batch_frames < 1 or self.epochs < 1:
             raise ValueError("batch_frames and epochs must be >= 1")
 
@@ -92,17 +102,9 @@ class CycleGanConfig(TrainConfig):
     lr_discriminator: float = 0.0001
     loss_form: str = "lsgan"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.cycle_weight < 0:
-            raise ValueError("cycle_weight must be >= 0")
-        if self.loss_form not in LOSS_FORMS:
-            raise ValueError(f"unknown loss_form {self.loss_form!r}")
 
-
-@dataclass(frozen=True)
-class LossReport:
-    """Per-step (or per-epoch mean) loss terms.
+class LossReport(NamedTuple):
+    """Per-step (or per-epoch mean) loss terms: cyclegan's losses.csv columns.
 
     adv_g/adv_f are the generators' adversarial losses, disc_x/disc_y the
     discriminators' minimization losses, cycle the unweighted two-direction
@@ -390,9 +392,10 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
     """The epoch loop of every trainer, over datasets of the given frame
     counts. Each epoch draws epoch_batches from one seeded shuffle stream
     and calls step(nets, *indices) -> (nets, record) per batch, a record
-    being a tuple of float losses. Returns the last nets and, per epoch,
-    np.mean of the stacked records: the steps summed in order, or pairwise
-    for one-column records. A non-finite record or epoch mean raises
+    being a NamedTuple of float losses named as their losses.csv columns.
+    Returns the last nets and, per epoch, a record of the step's type: np.mean
+    of the stacked records, the steps summed in order, or pairwise for
+    one-column records. A non-finite record or epoch mean raises
     NonFiniteError; one from a step or its record gets the step's 1-based
     position, "epoch E, step S".
     """
@@ -412,7 +415,7 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
                 exc.position = f"epoch {epoch}, step {k}"
                 raise
             records.append(record)
-        history.append(tuple(np.mean(np.array(records), axis=0).tolist()))
+        history.append(type(record)._make(np.mean(np.array(records), axis=0).tolist()))
         if not np.isfinite(history[-1]).all():
             raise NonFiniteError(f"non-finite mean losses of epoch {epoch}: {history[-1]}")
     return nets, history
@@ -448,7 +451,7 @@ def train_step(
     )
     model = CycleGanModel(g=new_g, f=new_f, d_x=model.d_x, d_y=model.d_y)
 
-    report = replace(gen_report, disc_x=disc_x_loss, disc_y=disc_y_loss)
+    report = gen_report._replace(disc_x=disc_x_loss, disc_y=disc_y_loss)
     return model, TrainerState(opt_g=opt_g, opt_f=opt_f, opt_dx=opt_dx, opt_dy=opt_dy), report
 
 
@@ -482,10 +485,10 @@ def train(
         model, state, report = train_step(
             model, x_data.data[x_idx], y_data.data[y_idx], config, state
         )
-        return (model, state), astuple(report)
+        return (model, state), report
 
     with _lane_worker():
         (model, _), history = fit(
             step, (model, TrainerState.fresh(model, config)), config, x_data.frames, y_data.frames
         )
-    return model, [LossReport(*record) for record in history]
+    return model, history

@@ -135,8 +135,8 @@ def postfilter(seq: FeatureSequence, beta: float = 0.0) -> FeatureSequence:
 
     Coefficients 0 (energy) and 1 are left alone. beta = 0 is the identity.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     out = seq.data.copy()
     if seq.dim > 2:
         out[:, 2:] *= 1.0 + beta

@@ -49,6 +49,7 @@ from .net import Mlp, load_mlp, save_mlp
 from .seeding import derive_rng
 
 _MCD_CONST = 10.0 / np.log(10.0)
+_CEPSTRAL_KINDS = (FeatureKind.MCEP49, FeatureKind.MCEP_LOW25, FeatureKind.GENERIC)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,11 @@ def convert_utterance(
 
     generator maps a B x 75 normalized batch to a B x 75 normalized batch.
     Higher-order mel-cepstrum columns and the aperiodicity stream are
-    copied through bit-exactly.
+    copied through bit-exactly. F0 and aperiodicity must match mcep's frames.
     """
+    for name, stream in (("F0", f0), ("aperiodicity", aperiodicity)):
+        if stream.frames != mcep.frames:
+            raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
     stage = trace if trace is not None else (lambda _label: None)
     started = time.monotonic()
 
@@ -248,6 +252,13 @@ def to_lower(seq: FeatureSequence) -> FeatureSequence:
     return seq
 
 
+def require_mel_cepstra(seq: FeatureSequence, name: str) -> FeatureSequence:
+    """seq, if it can hold mel-cepstra: c0 and more, of a kind in _CEPSTRAL_KINDS."""
+    if seq.dim < 2 or seq.kind not in _CEPSTRAL_KINDS:
+        raise DimensionMismatchError(f"{name}: {seq.dim}-column {seq.kind.name}, not mel-cepstra")
+    return seq
+
+
 def mel_cepstral_distortion(
     reference: FeatureSequence, converted: FeatureSequence
 ) -> float:
@@ -256,10 +267,10 @@ def mel_cepstral_distortion(
     49-dim inputs are reduced to their lower 25 first. If the frame counts
     differ, the sequences are DTW-aligned and the distortion is averaged
     over the path. Frames so large that their distances overflow float64
-    raise NonFiniteError.
+    raise NonFiniteError. require_mel_cepstra checks both inputs first.
     """
-    ref = to_lower(reference)
-    conv = to_lower(converted)
+    ref = to_lower(require_mel_cepstra(reference, "reference"))
+    conv = to_lower(require_mel_cepstra(converted, "converted"))
     if ref.dim != conv.dim:
         raise DimensionMismatchError(f"dims differ: {ref.dim} vs {conv.dim}")
     if ref.frames < 1 or conv.frames < 1:
@@ -501,9 +512,9 @@ def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:
     return method, {role: load_mlp(path) for role, path in paths.items()}
 
 
-def write_loss_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Loss history CSV: epoch column plus full-precision loss columns."""
+def write_loss_csv(path, history: Sequence[tuple]) -> None:
+    """Loss history CSV: the epoch, then each loss record field at full precision."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["epoch", *header]) + "\n")
-        for epoch, row in enumerate(rows, 1):
+        fh.write(",".join(["epoch", *history[0]._fields]) + "\n")
+        for epoch, row in enumerate(history, 1):
             fh.write(",".join([str(epoch), *(repr(float(v)) for v in row)]) + "\n")

@@ -379,7 +379,7 @@ def test_criterion_6_parallel_baselines():
         data = ParallelTrainSet(x=FeatureSequence(x), y=FeatureSequence(x @ a.T + b))
         config = MseBaselineConfig(epochs=60, seed=4, hidden_dims=(128,), batch_frames=32)
         _, history = train_mse_baseline(data, config)
-        assert history[-1] < 1e-2, history[-1]
+        assert history[-1].mse < 1e-2, history[-1]
 
         gen = init_mlp((4, 8, 4), seed=10)
         disc = init_mlp((4, 6, 1), seed=11)

@@ -72,14 +72,14 @@ class TestMseBaseline:
         data = ParallelTrainSet(x=x, y=x)
         config = MseBaselineConfig(epochs=10, seed=3, hidden_dims=(16,), batch_frames=32)
         _, history = train_mse_baseline(data, config)
-        assert history[-1] < history[0]
+        assert history[-1].mse < history[0].mse
 
     def test_linear_task_reaches_threshold(self):
         rng = np.random.default_rng(2)
         data = linear_task(rng, frames=1000)
         config = MseBaselineConfig(epochs=60, seed=4, hidden_dims=(128,), batch_frames=32)
         _, history = train_mse_baseline(data, config)
-        assert history[-1] < 1e-2
+        assert history[-1].mse < 1e-2
 
     def test_epoch_average_mostly_monotone(self):
         """At the default learning rate, allow at most 2 up-ticks in 60 epochs."""
@@ -180,7 +180,7 @@ class TestGanBaseline:
         assert hist_a == hist_b
         assert all(np.array_equal(x, y) for x, y in zip(gen_a.weights, gen_b.weights))
         for row in hist_a:
-            assert all(np.isfinite(v) for v in row.values())
+            assert all(np.isfinite(v) for v in row)
 
 
 #: Each parallel trainer with its config type, by --method name.

@@ -274,6 +274,28 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {flag} is not used by --method {method}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "method, flag, value, field",
+        [
+            ("cyclegan", "--lambda", "nan", "cycle_weight"),
+            ("cyclegan", "--lambda", "inf", "cycle_weight"),
+            ("cyclegan", "--lr-g", "nan", "lr_generator"),
+            ("cyclegan", "--lr-d", "inf", "lr_discriminator"),
+            ("gan-parallel", "--mse-weight", "nan", "mse_weight"),
+        ],
+    )
+    def test_non_finite_setting_is_an_error(
+        self, tmp_path, capsys, method, flag, value, field
+    ):
+        """Refused before any input is read (none of these files exist),
+        rather than failing at the first step with a non-finite gradient."""
+        out = tmp_path / "models"
+        assert main(train_args(tmp_path / "missing", method, out, flag, value)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be finite, got {value}\n"
+        assert "method=" not in captured.out
+        assert not out.exists()
+
     def test_parallel_list_mismatch_is_an_error(self, corpus, tmp_path, capsys):
         args = train_args(corpus, "mse-parallel", tmp_path / "m")
         args[args.index("--tgt-mcep") + 1 :] = [
@@ -400,6 +422,29 @@ class TestConvertAndEval:
             "--out-ap", str(tmp_path / "o.ap.ftr"),
         ]
         assert main(args) == 0
+
+    def test_streams_of_other_lengths_are_an_error(self, corpus, trained, tmp_path, capsys):
+        """The tgt F0 and aperiodicity (140 frames) with the src mcep (160)."""
+        args = self.convert_args(corpus, trained, tmp_path)
+        for flag, path in (("--f0", "tgt.f0.ftr"), ("--ap", "tgt.ap.ftr")):
+            args[args.index(flag) + 1] = str(corpus / path)
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: F0 has 140 frames, mcep 160\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "stream, columns, kind", [("f0", 1, "F0"), ("ap", 5, "APERIODICITY")]
+    )
+    def test_eval_of_streams_that_are_not_mel_cepstra_is_an_error(
+        self, corpus, capsys, stream, columns, kind
+    ):
+        """Two F0 tracks would score 0 dB and two aperiodicity files a
+        plausible number; eval names the file instead."""
+        path = str(corpus / f"src.{stream}.ftr")
+        assert main(["eval", "--reference", path, "--converted", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {columns}-column {kind}, not mel-cepstra\n"
+        assert captured.out == ""
 
     def test_eval_identical_files(self, corpus, capsys):
         path = str(corpus / "src.mcep.ftr")

@@ -31,6 +31,7 @@ from cyclevc.cyclegan import (
     train_step,
     TrainerState,
 )
+from cyclevc.baselines import MseLosses
 from cyclevc.errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from cyclevc.features import FeatureSequence
 from cyclevc.net import Mlp, forward, sigmoid_inplace
@@ -387,9 +388,9 @@ class TestTraining:
         names the epoch, and no step, since no step is at fault."""
         config = CycleGanConfig(batch_frames=1, epochs=1)
         with np.errstate(over="ignore"), pytest.raises(
-            NonFiniteError, match=r"^non-finite mean losses of epoch 1: \(inf,\)$"
+            NonFiniteError, match=r"^non-finite mean losses of epoch 1: MseLosses\(mse=inf\)$"
         ) as exc:
-            fit(lambda nets, idx: (nets, (1e308,)), None, config, 2)
+            fit(lambda nets, idx: (nets, MseLosses(1e308)), None, config, 2)
         assert not hasattr(exc.value, "position")
 
 

@@ -16,8 +16,6 @@ terms agree to a few ulp, and both are held to 1e-12 relative.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -171,4 +169,4 @@ def test_train_step_matches_the_reference_engine(loss_form):
             for new, ref in zip((*net.weights, *net.biases), params[role]):
                 assert new.shape == ref.shape
                 assert _rel(new, ref) <= _TOL, f"step {t}, {role}"
-        np.testing.assert_allclose(dataclasses.astuple(report), ref_losses, rtol=_TOL, atol=0)
+        np.testing.assert_allclose(tuple(report), ref_losses, rtol=_TOL, atol=0)

@@ -1,25 +1,27 @@
 """The epoch loop all three trainers share (cyclegan.fit) and their shared
-config base: each method's per-epoch losses are the mean its own loop
-used to take, bit for bit.
+config base: each method's history is, per epoch, the mean of its steps'
+loss records, as a record of the step's own type.
 
 Every epoch here has 12 steps. From 8 steps on, np.mean over a 1-d array
 sums pairwise and so can differ in the last bit from adding the steps in
-order; each test checks that its data shows that difference in some epoch,
-so a swapped mean rule fails it.
+order. fit adds the steps in order for multi-column records and takes
+np.mean of one-column ones; the test checks that each trainer's data
+shows that difference in some epoch, so a swapped mean rule fails it.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, fields
+import math
 
 import numpy as np
 import pytest
 
 from cyclevc import baselines, cyclegan
 from cyclevc.baselines import (
-    GAN_LOSS_COLUMNS,
     GanBaselineConfig,
+    GanLosses,
     MseBaselineConfig,
+    MseLosses,
     ParallelTrainSet,
     train_gan_baseline,
     train_mse_baseline,
@@ -52,72 +54,100 @@ def assert_rules_differ_somewhere(columns: list[list[float]]) -> None:
     assert any(float(np.mean(col)) != sequential_mean(col) for col in columns)
 
 
-def spy(monkeypatch, module, name: str, seen: list, pick):
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        out = original(*args, **kwargs)
-        seen.append(pick(out))
-        return out
-
-    monkeypatch.setattr(module, name, wrapper)
-
-
-def test_cyclegan_mean_adds_the_steps_in_order(monkeypatch):
-    reports = []
-    spy(monkeypatch, cyclegan, "train_step", reports, lambda out: out[2])
+def run_cyclegan():
     config = CycleGanConfig(hidden_dims=(6,), batch_frames=BATCH, epochs=EPOCHS, seed=2)
-    _, history = train(build_model(DIM, config), frames(1), frames(2, 1.0), config)
-
-    names = [f.name for f in fields(LossReport)]
-    expected = [
-        LossReport(*(sequential_mean([getattr(r, n) for r in epoch]) for n in names))
-        for epoch in epochs_of(reports)
-    ]
-    assert history == expected
-    assert_rules_differ_somewhere(
-        [[getattr(r, n) for r in epoch] for epoch in epochs_of(reports) for n in names]
-    )
+    return train(build_model(DIM, config), frames(1), frames(2, 1.0), config)[-1]
 
 
-def test_gan_parallel_mean_adds_the_steps_in_order(monkeypatch):
-    disc, gen = [], []
-    spy(monkeypatch, baselines, "discriminator_gradients", disc, lambda out: out[0])
-    spy(monkeypatch, baselines, "gan_baseline_generator_objective", gen, lambda out: out[:2])
+def run_gan_parallel():
     config = GanBaselineConfig(
         mse_weight=0.7, hidden_dims=(6,), batch_frames=BATCH, epochs=EPOCHS, seed=3
     )
-    _, _, history = train_gan_baseline(ParallelTrainSet(frames(4), frames(5)), config)
-
-    rows = [(d, adv, mse, adv + 0.7 * mse) for d, (adv, mse) in zip(disc, gen)]
-    expected = [
-        dict(zip(GAN_LOSS_COLUMNS, (sequential_mean(col) for col in zip(*epoch))))
-        for epoch in epochs_of(rows)
-    ]
-    assert history == expected
-    assert_rules_differ_somewhere([list(col) for epoch in epochs_of(rows) for col in zip(*epoch)])
+    return train_gan_baseline(ParallelTrainSet(frames(4), frames(5)), config)[-1]
 
 
-def test_mse_parallel_mean_is_numpys(monkeypatch):
-    losses = []
-    spy(monkeypatch, baselines, "mse_loss", losses, lambda out: out)
+def run_mse_parallel():
     config = MseBaselineConfig(hidden_dims=(6,), batch_frames=BATCH, epochs=EPOCHS, seed=4)
-    _, history = train_mse_baseline(ParallelTrainSet(frames(6), frames(7)), config)
+    return train_mse_baseline(ParallelTrainSet(frames(6), frames(7)), config)[-1]
 
-    assert history == [float(np.mean(epoch)) for epoch in epochs_of(losses)]
-    assert_rules_differ_somewhere(epochs_of(losses))
+
+#: Each method: the module whose fit its trainer calls, its record type,
+#: and a short run that returns its history.
+TRAINERS = {
+    "cyclegan": (cyclegan, LossReport, run_cyclegan),
+    "gan-parallel": (baselines, GanLosses, run_gan_parallel),
+    "mse-parallel": (baselines, MseLosses, run_mse_parallel),
+}
+
+
+@pytest.mark.parametrize("method", TRAINERS)
+def test_history_is_the_mean_of_each_epochs_step_records(monkeypatch, method):
+    module, record_type, run = TRAINERS[method]
+    records = []
+    fit = module.fit
+
+    def recording_fit(step, *args):
+        def recorded_step(*step_args):
+            nets, record = step(*step_args)
+            records.append(record)
+            return nets, record
+
+        return fit(recorded_step, *args)
+
+    monkeypatch.setattr(module, "fit", recording_fit)
+    history = run()
+
+    epochs = epochs_of(records)
+    assert {type(r) for r in records} == {record_type}
+    if record_type is MseLosses:
+        expected = [MseLosses(float(np.mean([r.mse for r in epoch]))) for epoch in epochs]
+    else:
+        expected = [record_type(*map(sequential_mean, zip(*epoch))) for epoch in epochs]
+    assert history == expected
+    assert [type(h) for h in history] == [record_type] * EPOCHS
+    assert_rules_differ_somewhere([list(col) for epoch in epochs for col in zip(*epoch)])
+
+
+#: Every learning rate and loss weight, by config.
+RATES_AND_WEIGHTS = [
+    (CycleGanConfig, "lr_generator"),
+    (CycleGanConfig, "lr_discriminator"),
+    (CycleGanConfig, "cycle_weight"),
+    (GanBaselineConfig, "lr_generator"),
+    (GanBaselineConfig, "lr_discriminator"),
+    (GanBaselineConfig, "mse_weight"),
+    (MseBaselineConfig, "lr_generator"),
+]
 
 
 @pytest.mark.parametrize(
-    "config_type, field",
-    [
-        (CycleGanConfig, "lr_generator"),
-        (CycleGanConfig, "lr_discriminator"),
-        (GanBaselineConfig, "lr_generator"),
-        (GanBaselineConfig, "lr_discriminator"),
-        (MseBaselineConfig, "lr_generator"),
-    ],
+    "config_type, field", [case for case in RATES_AND_WEIGHTS if case[1].startswith("lr_")]
 )
 def test_every_learning_rate_must_be_positive(config_type, field):
     with pytest.raises(ValueError, match="learning rates must be > 0"):
         config_type(**{field: 0.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config_type, field", RATES_AND_WEIGHTS)
+def test_every_rate_and_weight_must_be_finite(config_type, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        config_type(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "config_type, field, message",
+    [
+        (CycleGanConfig, "cycle_weight", "cycle_weight must be >= 0"),
+        (GanBaselineConfig, "mse_weight", "mse_weight must be >= 0"),
+    ],
+)
+def test_negative_weights_are_refused(config_type, field, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config_type(**{field: -0.5})
+
+
+@pytest.mark.parametrize("config_type", [CycleGanConfig, GanBaselineConfig])
+def test_unknown_loss_form_is_refused(config_type):
+    with pytest.raises(ValueError, match=r"^unknown loss_form 'wgan'$"):
+        config_type(loss_form="wgan")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,9 @@ class TestPostfilter:
         np.testing.assert_allclose(twice.data, once.data, rtol=1e-12)
 
     def test_negative_beta_rejected(self):
+        """And a non-finite one, which would otherwise fail later with a
+        message that names neither the setting nor a file."""
         seq = FeatureSequence(np.zeros((2, 25)), FeatureKind.MCEP_LOW25)
-        with pytest.raises(ValueError):
-            postfilter(seq, -0.1)
+        for beta in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^beta must be finite and >= 0, got {beta}$"):
+                postfilter(seq, beta)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ class TestConvertUtterance:
             "transform-f0", "copy-aperiodicity",
         ]
 
+    @pytest.mark.parametrize(
+        "stream, frames", [("F0", 50), ("aperiodicity", 70)], ids=["short-f0", "long-ap"]
+    )
+    def test_streams_of_other_lengths_are_refused_before_any_stage(self, stream, frames):
+        rng = np.random.default_rng(9)
+        mcep, f0, ap = make_speaker(rng)
+        stats = self._stats_for(mcep, f0)
+        other = make_speaker(np.random.default_rng(10), frames=frames)
+        f0, ap = (other[1], ap) if stream == "F0" else (f0, other[2])
+        stages = []
+        with pytest.raises(
+            DimensionMismatchError, match=f"^{stream} has {frames} frames, mcep 60$"
+        ):
+            convert_utterance(lambda batch: batch, stats, stats, mcep, f0, ap, trace=stages.append)
+        assert stages == []
+
     def test_generator_shape_checked(self):
         rng = np.random.default_rng(9)
         mcep, f0, ap = make_speaker(rng)
@@ -246,6 +263,31 @@ class TestMelCepstralDistortion:
             FeatureSequence(b, FeatureKind.MCEP49),
         )
         assert val == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, dim",
+        [
+            (FeatureKind.F0, 1),
+            (FeatureKind.APERIODICITY, 5),
+            (FeatureKind.AUGMENTED75, 75),
+            (FeatureKind.MCEP_HIGH24, 24),
+            (FeatureKind.GENERIC, 1),
+        ],
+    )
+    def test_streams_that_are_not_mel_cepstra_are_refused(self, kind, dim):
+        """The same file on both sides would score 0 dB if it were let through."""
+        seq = FeatureSequence(np.ones((4, dim)), kind)
+        cepstra = FeatureSequence(np.ones((4, 25)), FeatureKind.MCEP_LOW25)
+        message = f"^{{}}: {dim}-column {kind.name}, not mel-cepstra$"
+        with pytest.raises(DimensionMismatchError, match=message.format("reference")):
+            mel_cepstral_distortion(seq, seq)
+        with pytest.raises(DimensionMismatchError, match=message.format("converted")):
+            mel_cepstral_distortion(cepstra, seq)
+
+    def test_generic_streams_are_accepted(self):
+        a = FeatureSequence(np.zeros((3, 2)))
+        b = FeatureSequence(np.array([[0.0, 1.0]] * 3))
+        assert mel_cepstral_distortion(a, b) == pytest.approx(_MCD_CONST * math.sqrt(2.0))
 
     def test_unequal_lengths_are_aligned(self):
         rng = np.random.default_rng(13)
@@ -415,7 +457,8 @@ class TestModelBundles:
 
     def test_loss_csv_format(self, tmp_path):
         path = tmp_path / "losses.csv"
-        write_loss_csv(path, ["alpha", "beta"], [(1.5, 2.0), (0.25, 0.125)])
+        losses = namedtuple("Losses", "alpha beta")
+        write_loss_csv(path, [losses(1.5, 2.0), losses(0.25, 0.125)])
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,alpha,beta"
         assert lines[1] == "1,1.5,2.0"
