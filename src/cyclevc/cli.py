@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -60,19 +61,31 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def _read_expected(path, kind: FeatureKind) -> FeatureSequence:
+    """The sequence in path as kind: a file of that kind, or a GENERIC one
+    of a width the kind allows, relabeled."""
     seq = read_ftr(path)
     if seq.kind is kind:
         return seq
+    if seq.kind is not FeatureKind.GENERIC:
+        raise DimensionMismatchError(f"{path}: holds {seq.kind.name}, expected {kind.name}")
     if kind.fixed_dim is not None and seq.dim != kind.fixed_dim:
         raise DimensionMismatchError(
-            f"{path}: expected {kind.name} ({kind.fixed_dim} dims), "
-            f"got {seq.kind.name} with {seq.dim}"
+            f"{path}: expected {kind.name} ({kind.fixed_dim} dims), got GENERIC with {seq.dim}"
         )
     return FeatureSequence(seq.data, kind)
 
 
 def _read_many(paths, kind: FeatureKind) -> list[FeatureSequence]:
     return [_read_expected(p, kind) for p in paths]
+
+
+@contextmanager
+def _naming(*paths):
+    """Puts the paths in front of a DimensionMismatchError the body raises."""
+    try:
+        yield
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(f"{', '.join(map(str, paths))}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +199,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     a = read_ftr(args.a)
     b = read_ftr(args.b)
-    path = dtw_align(to_lower(a), to_lower(b))
+    with _naming(args.a, args.b):
+        path = dtw_align(to_lower(a), to_lower(b))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("i,j\n")
         for i, j in path.pairs:
@@ -210,7 +224,8 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     reference = require_mel_cepstra(read_ftr(args.reference), args.reference)
     converted = require_mel_cepstra(read_ftr(args.converted), args.converted)
-    mcd = mel_cepstral_distortion(reference, converted)
+    with _naming(args.reference, args.converted):
+        mcd = mel_cepstral_distortion(reference, converted)
     print(
         f"mcd_db={mcd!r} frames_reference={reference.frames} "
         f"frames_converted={converted.frames}"

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import net
 from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from .features import FeatureSequence
 from .net import (
@@ -29,7 +30,6 @@ from .net import (
     OptimizerState,
     apply_update,
     backward,
-    blas_threads_per_lane,
     forward,
     init_mlp,
     init_optimizer,
@@ -224,28 +224,42 @@ _LANE_CALLS = (forward, backward, apply_update)
 
 @contextmanager
 def _lane_worker():
-    """For the body, split the loaded OpenBLAS's threads between two lanes
-    (net.blas_threads_per_lane) and run second lanes on one worker thread.
-    Where that split is not worth it, or a function in _LANE_CALLS has been
-    replaced, leave BLAS alone and the lanes inline."""
+    """For the body, run second lanes on one worker thread, with each
+    OpenBLAS that net._openblas_thread_controls finds on half its thread
+    count, so that the two lanes use the cores one lane used before.
+
+    The lanes run inline, and BLAS is left alone, where a function in
+    _LANE_CALLS has been replaced, no control was found or a count is below
+    two: lanes on a BLAS that still spawns its full thread count
+    oversubscribe the cores and run slower than one lane, and on one BLAS
+    thread two lanes only add thread handoffs. The worker stops before the
+    previous counts come back, also on an exception. The counts are
+    process-wide, so bodies that overlap in several threads restore them in
+    the order they exit.
+    """
     own = globals()
     if any(own[fn.__name__] is not fn for fn in _LANE_CALLS):
+        yield
+        return
+    controls = net._openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    if not controls or min(previous) < 2:
         yield
         return
     # Imported here: concurrent.futures costs about 4 ms to import, and
     # only training uses it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with blas_threads_per_lane() as split:
-        if not split:
-            yield
-            return
+    for (_, set_), count in zip(controls, previous):
+        set_(count // 2)
+    try:
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cyclevc-lane") as pool:
             _lanes.pool = pool
-            try:
-                yield
-            finally:
-                _lanes.pool = None
+            yield
+    finally:
+        _lanes.pool = None
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def _run_lanes(first, second):
@@ -468,12 +482,8 @@ def train(
     speaker Y purely positionally (the data is nonparallel, nothing is
     aligned). Returns the trained model and one mean LossReport per epoch.
 
-    For the run, the loaded OpenBLAS's threads are split between two lanes
-    and each step's second lane runs on one worker thread that the run
-    owns. A BLAS without a thread control or on one thread
-    (net.blas_threads_per_lane), and wrapped network functions
-    (_LANE_CALLS), run the lanes inline. The results are the same bytes
-    either way.
+    Each step's second lane runs on a worker thread the run owns, or
+    inline (see _lane_worker); the results are the same bytes either way.
     """
     if x_data.dim != model.feature_dim or y_data.dim != model.feature_dim:
         raise DimensionMismatchError(

@@ -130,13 +130,18 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     return FeatureSequence(out, kind)
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless postfilter accepts beta: finite and >= 0."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+
+
 def postfilter(seq: FeatureSequence, beta: float = 0.0) -> FeatureSequence:
     """Simplified cepstral emphasis: scale coefficients 2.. by (1 + beta).
 
     Coefficients 0 (energy) and 1 are left alone. beta = 0 is the identity.
     """
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    check_beta(beta)
     out = seq.data.copy()
     if seq.dim > 2:
         out[:, 2:] *= 1.0 + beta

@@ -22,7 +22,6 @@ returned state shares them with the state passed in.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -160,13 +159,6 @@ class Gradients:
         return self._vector
 
 
-@dataclass(frozen=True)
-class ForwardCache:
-    """Per-layer post-activations from one forward call (index 0 = input)."""
-
-    activations: tuple[np.ndarray, ...]
-
-
 #: Adam's moment decay rates and denominator guard (Kingma & Ba).
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
@@ -227,9 +219,9 @@ def sigmoid_inplace(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
-def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run a B x d_in batch through the net; also return the activation
-    cache that backward needs."""
+def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Run a B x d_in batch through the net; also return the cache that
+    backward needs, each layer's post-activations (index 0 = input)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.d_in:
         raise DimensionMismatchError(
@@ -243,11 +235,11 @@ def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         if layer != last:
             sigmoid_inplace(a)
         acts.append(a)
-    return acts[-1], ForwardCache(activations=tuple(acts))
+    return acts[-1], tuple(acts)
 
 
 def backward(
-    net: Mlp, cache: ForwardCache, output_gradient: np.ndarray, param_grads: bool = True
+    net: Mlp, cache: tuple[np.ndarray, ...], output_gradient: np.ndarray, param_grads: bool = True
 ) -> tuple[Gradients | None, np.ndarray]:
     """Exact backprop given d(loss)/d(output).
 
@@ -257,21 +249,21 @@ def backward(
     through, the parameter gradients are not computed and None is returned
     in their place.
     """
-    if len(cache.activations) != net.n_layers + 1:
+    if len(cache) != net.n_layers + 1:
         raise DimensionMismatchError(
-            f"cache holds {len(cache.activations) - 1} layers, net has {net.n_layers}"
+            f"cache holds {len(cache) - 1} layers, net has {net.n_layers}"
         )
-    for layer, a in enumerate(cache.activations):
+    for layer, a in enumerate(cache):
         if a.shape[1] != net.layer_dims[layer]:
             raise DimensionMismatchError(
                 f"cache activation {layer} has width {a.shape[1]}, "
                 f"net expects {net.layer_dims[layer]}"
             )
     g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != cache.activations[-1].shape:
+    if g.shape != cache[-1].shape:
         raise DimensionMismatchError(
             f"output_gradient shape {g.shape} does not match "
-            f"output shape {cache.activations[-1].shape}"
+            f"output shape {cache[-1].shape}"
         )
     grads = Gradients._wrap(np.empty_like(net.params), net) if param_grads else None
     last = net.n_layers - 1
@@ -279,11 +271,11 @@ def backward(
         if layer != last:
             # Hidden layers need sigmoid' = a(1-a); g came from the matmul
             # below, so it can be scaled in place.
-            a_out = cache.activations[layer + 1]
+            a_out = cache[layer + 1]
             g *= a_out
             g *= 1.0 - a_out
         if grads is not None:
-            np.matmul(g.T, cache.activations[layer], out=grads.weights[layer])
+            np.matmul(g.T, cache[layer], out=grads.weights[layer])
             np.sum(g, axis=0, out=grads.biases[layer])
         g = g @ net.weights[layer]
     return grads, g
@@ -405,34 +397,6 @@ def _openblas_thread_controls() -> list[tuple]:
             controls.append((get, set_))
             break
     return controls
-
-
-@contextlib.contextmanager
-def blas_threads_per_lane():
-    """Run the body with each OpenBLAS that _openblas_thread_controls finds
-    on half its thread count, so that two lanes calling it at once use the
-    cores one lane used before; yields whether two lanes are worth running.
-
-    They are when a control was found and every count was at least two.
-    Lanes on a BLAS that still spawns its full thread count oversubscribe
-    the cores and run slower than one lane, and on one BLAS thread two
-    lanes only add thread handoffs, so otherwise this yields False and
-    leaves the counts alone. The previous counts come back on exit, also
-    on an exception. The counts are process-wide, so bodies that overlap
-    in several threads restore them in the order they exit.
-    """
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    if not controls or min(previous) < 2:
-        yield False
-        return
-    for (_, set_), count in zip(controls, previous):
-        set_(count // 2)
-    try:
-        yield True
-    finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
 
 
 # ---------------------------------------------------------------------------

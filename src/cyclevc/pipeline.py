@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -44,7 +44,7 @@ from .features import (
     split_mcep,
     transform_f0,
 )
-from .mlpg import GaussianTrajectory, mlpg_generate, postfilter
+from .mlpg import GaussianTrajectory, check_beta, mlpg_generate, postfilter
 from .net import Mlp, load_mlp, save_mlp
 from .seeding import derive_rng
 
@@ -195,11 +195,13 @@ def convert_utterance(
 
     generator maps a B x 75 normalized batch to a B x 75 normalized batch.
     Higher-order mel-cepstrum columns and the aperiodicity stream are
-    copied through bit-exactly. F0 and aperiodicity must match mcep's frames.
+    copied through bit-exactly. F0 and aperiodicity must match mcep's frames,
+    and postfilter must accept postfilter_beta, before the first stage.
     """
     for name, stream in (("F0", f0), ("aperiodicity", aperiodicity)):
         if stream.frames != mcep.frames:
             raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
+    check_beta(postfilter_beta)
     stage = trace if trace is not None else (lambda _label: None)
     started = time.monotonic()
 
@@ -355,6 +357,15 @@ class SpeakerSpec:
             raise ValueError("high_band_std must be >= 0")
 
 
+def _only_known_keys(path, obj, spec_type, where: str) -> None:
+    """Raise FormatError if obj is a JSON object with a key that names no
+    field of spec_type; other values are left to the spec's own parse."""
+    names = {f.name for f in fields(spec_type)}
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in names:
+            raise FormatError(f"{path}: unknown key {key!r} in {where}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     seed: int
@@ -374,6 +385,10 @@ class SyntheticSpec:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON") from exc
         try:
+            _only_known_keys(path, doc, SyntheticSpec, "the spec")
+            for k, spk in enumerate(doc["speakers"]):
+                _only_known_keys(path, spk, SpeakerSpec, f"speakers[{k}]")
+                _only_known_keys(path, spk["mixture"], MixtureSpec, f"speakers[{k}].mixture")
             speakers = tuple(
                 SpeakerSpec(
                     name=spk["name"],
@@ -395,6 +410,8 @@ class SyntheticSpec:
                 speakers=speakers,
                 aperiodicity_dim=int(doc.get("aperiodicity_dim", 5)),
             )
+        except FormatError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed synthetic spec: {exc}") from exc
 

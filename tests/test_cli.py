@@ -18,7 +18,7 @@ from cyclevc.baselines import GanBaselineConfig, MseBaselineConfig
 from cyclevc.cli import build_parser, main
 from cyclevc.cyclegan import CycleGanConfig
 from cyclevc.errors import NonFiniteError
-from cyclevc.features import read_ftr, split_mcep, write_ftr
+from cyclevc.features import FeatureSequence, read_ftr, split_mcep, write_ftr
 from cyclevc.net import forward
 from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
 
@@ -162,6 +162,19 @@ class TestGenSynthetic:
         spec.write_text("{")
         assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_an_unknown_spec_key_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][1]["voiced_fration"] = doc["speakers"][1].pop("voiced_fraction")
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {spec}: unknown key 'voiced_fration' in speakers[1]\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "names",
@@ -432,6 +445,64 @@ class TestConvertAndEval:
         assert capsys.readouterr().err == "error: F0 has 140 frames, mcep 160\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("beta", ["nan", "-0.1"])
+    def test_a_bad_postfilter_beta_runs_no_stage(self, corpus, trained, tmp_path, capsys, beta):
+        args = self.convert_args(corpus, trained, tmp_path, "--trace", "--postfilter-beta", beta)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: beta must be finite and >= 0, got {float(beta)}\n"
+        assert "stage:" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_of_another_kind_is_an_error(self, corpus, trained, tmp_path, capsys):
+        """APERIODICITY fixes no width, so a 49-column mel-cepstrum passes
+        every width check; its kind tag refuses it."""
+        args = self.convert_args(corpus, trained, tmp_path)
+        path = str(corpus / "src.mcep.ftr")
+        args[args.index("--ap") + 1] = path
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {path}: holds MCEP49, expected APERIODICITY\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_generic_file_is_read_as_the_kind_its_flag_names(
+        self, corpus, trained, tmp_path, capsys
+    ):
+        """A 49-column GENERIC file converts as the MCEP49 one with the same
+        frames; a 5-column one is refused by width, and named."""
+        generic = tmp_path / "generic.ftr"
+        write_ftr(generic, FeatureSequence(read_ftr(corpus / "src.mcep.ftr").data))
+        outputs = {}
+        for name, mcep in (("tagged", corpus / "src.mcep.ftr"), ("generic", generic)):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            args = self.convert_args(corpus, trained, out_dir)
+            args[args.index("--mcep") + 1] = str(mcep)
+            assert main(args) == 0
+            outputs[name] = [p.read_bytes() for p in sorted(out_dir.iterdir())]
+        assert outputs["generic"] == outputs["tagged"] and len(outputs["tagged"]) == 3
+
+        narrow = tmp_path / "narrow.ftr"
+        write_ftr(narrow, FeatureSequence(read_ftr(corpus / "src.ap.ftr").data))
+        out_dir = tmp_path / "narrow"
+        out_dir.mkdir()
+        args = self.convert_args(corpus, trained, out_dir)
+        args[args.index("--mcep") + 1] = str(narrow)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {narrow}: expected MCEP49 (49 dims), got GENERIC with 5\n"
+        )
+        assert list(out_dir.iterdir()) == []
+
+    def test_eval_of_streams_of_other_widths_names_both_files(self, corpus, tmp_path, capsys):
+        reference = str(corpus / "src.mcep.ftr")
+        converted = tmp_path / "g5.ftr"
+        write_ftr(converted, FeatureSequence(read_ftr(corpus / "src.ap.ftr").data))
+        assert main(["eval", "--reference", reference, "--converted", str(converted)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reference}, {converted}: dims differ: 25 vs 5\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "stream, columns, kind", [("f0", 1, "F0"), ("ap", 5, "APERIODICITY")]
     )
@@ -610,6 +681,15 @@ class TestAlign:
         assert first == (0, 0)
         assert last == (159, 139)
         assert "cost=" in capsys.readouterr().out
+
+    def test_streams_of_other_widths_name_both_files(self, corpus, tmp_path, capsys):
+        a, b = str(corpus / "src.mcep.ftr"), str(corpus / "src.ap.ftr")
+        out = tmp_path / "path.csv"
+        assert main(["align", "--a", a, "--b", b, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {a}, {b}: dims differ: 25 vs 5\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_mixed_widths_align_on_the_path_eval_uses(self, corpus, tmp_path, capsys):
         """A 49-dim file against a 25-dim one aligns on the lower 25, as

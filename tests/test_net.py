@@ -113,7 +113,7 @@ class TestForward:
             biases=(np.zeros(4), np.zeros(2)),
         )
         out, cache = forward(net, np.array([[1.0, -2.0, 0.5]]))
-        np.testing.assert_array_equal(cache.activations[1], 0.5)
+        np.testing.assert_array_equal(cache[1], 0.5)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_batch_rows_independent(self):
@@ -145,7 +145,7 @@ class TestForward:
             warnings.simplefilter("error")
             _, cache = forward(identity, batch)
             out, _ = forward(net, wide)
-        np.testing.assert_array_equal(cache.activations[1], [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(cache[1], [[1, 0], [0, 1], [1, 0]])
         assert np.isfinite(out).all()
 
 

@@ -209,6 +209,19 @@ class TestConvertUtterance:
             convert_utterance(lambda batch: batch, stats, stats, mcep, f0, ap, trace=stages.append)
         assert stages == []
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.1])
+    def test_a_bad_postfilter_beta_is_refused_before_any_stage(self, beta):
+        rng = np.random.default_rng(9)
+        mcep, f0, ap = make_speaker(rng)
+        stats = self._stats_for(mcep, f0)
+        stages = []
+        with pytest.raises(ValueError, match=rf"^beta must be finite and >= 0, got {beta}$"):
+            convert_utterance(
+                lambda batch: batch, stats, stats, mcep, f0, ap,
+                postfilter_beta=beta, trace=stages.append,
+            )
+        assert stages == []
+
     def test_generator_shape_checked(self):
         rng = np.random.default_rng(9)
         mcep, f0, ap = make_speaker(rng)
@@ -379,10 +392,33 @@ class TestSyntheticData:
         assert data["x"]["ap"].dim == 4
 
     def test_bad_spec_rejected(self, tmp_path):
+        """A missing key, and a key at any level that names no setting: a
+        misspelled optional key would otherwise leave its default in use."""
         path = tmp_path / "bad.json"
         path.write_text("{\"seed\": 1}")
         with pytest.raises(FormatError):
             SyntheticSpec.from_json(path)
+
+        def doc():
+            mixture = {"weights": [1.0], "means": [[0.0] * 25], "stds": [[1.0] * 25]}
+            speaker = {"name": "x", "frames": 10, "mixture": mixture,
+                       "logf0_mean": 5.0, "logf0_std": 0.1}
+            return {"seed": 1, "speakers": [speaker]}, speaker, mixture
+
+        top, speaker, mixture = doc()
+        path.write_text(json.dumps(top))
+        SyntheticSpec.from_json(path)
+        for level, where, key in [
+            (0, "the spec", "aperiodicty_dim"),
+            (1, "speakers[0]", "voiced_fration"),
+            (2, "speakers[0].mixture", "weight"),
+        ]:
+            parts = doc()
+            parts[level][key] = 0.5
+            path.write_text(json.dumps(parts[0]))
+            with pytest.raises(FormatError) as caught:
+                SyntheticSpec.from_json(path)
+            assert str(caught.value) == f"{path}: unknown key {key!r} in {where}"
 
     def test_mixture_weights_validated(self):
         with pytest.raises(ValueError):
