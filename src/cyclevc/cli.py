@@ -81,11 +81,12 @@ def _read_many(paths, kind: FeatureKind) -> list[FeatureSequence]:
 
 @contextmanager
 def _naming(*paths):
-    """Puts the paths in front of a DimensionMismatchError the body raises."""
+    """Puts the paths in front of a DimensionMismatchError or an
+    InsufficientDataError the body raises, keeping its type."""
     try:
         yield
-    except DimensionMismatchError as exc:
-        raise DimensionMismatchError(f"{', '.join(map(str, paths))}: {exc}") from exc
+    except (DimensionMismatchError, InsufficientDataError) as exc:
+        raise type(exc)(f"{', '.join(map(str, paths))}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +94,18 @@ def _naming(*paths):
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if len(args.mcep) != len(args.f0):
+        raise DimensionMismatchError(
+            f"{', '.join(map(str, [*args.mcep, *args.f0]))}: "
+            f"{len(args.mcep)} mcep files, {len(args.f0)} F0 files"
+        )
     mceps = _read_many(args.mcep, FeatureKind.MCEP49)
     f0s = _read_many(args.f0, FeatureKind.F0)
+    for mcep_path, f0_path, mcep, f0 in zip(args.mcep, args.f0, mceps, f0s):
+        if f0.frames != mcep.frames:
+            raise DimensionMismatchError(
+                f"{mcep_path}, {f0_path}: F0 has {f0.frames} frames, mcep {mcep.frames}"
+            )
     try:
         stats = compute_speaker_stats(mceps, f0s)
     except InsufficientDataError as exc:
@@ -246,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="fit per-speaker normalization and F0 stats")
     p.add_argument("--mcep", nargs="+", required=True, help="49-dim mcep FTR files")
-    p.add_argument("--f0", nargs="+", required=True, help="F0 FTR files")
+    p.add_argument(
+        "--f0", nargs="+", required=True, help="F0 FTR files, one per --mcep file, in its order"
+    )
     p.add_argument("--out", required=True, help="output stats file")
     p.set_defaults(func=cmd_stats)
 

@@ -81,6 +81,44 @@ def _window_rows(win, frames: int) -> np.ndarray:
     return rows
 
 
+def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
+    """sum_w W_w^T W_w / var_w for every static dimension, in
+    solveh_banded's upper storage: (S, bandwidth + 1, frames).
+
+    A column at least 2K frames from either end (K = _MAX_OFFSET) sums the
+    same products in the same order wherever it is, since none of its rows
+    clamps an offset. So the sums run over a template of at most 4K + 1
+    frames: its first and last 2K columns are the edges of any longer
+    sequence and its middle column is the interior, bit for bit.
+    """
+    k = _MAX_OFFSET
+    edge = 2 * k
+    n = min(frames, 2 * edge + 1)
+    s = precisions.shape[0] // len(DELTA_WINDOWS)
+    bandwidth = min(edge, n - 1)
+    ab = np.zeros((s, bandwidth + 1, n))
+    for w, win in enumerate(DELTA_WINDOWS):
+        p = precisions[w * s : (w + 1) * s, None]
+        rows = _window_rows(win, n)
+        # Row r of W adds W[r,i] W[r,j] to entry (i, j) of W^T W, stored for
+        # i <= j at ab[bandwidth - (j - i), j]. With i = r+d1 and j = r+d2,
+        # rows lo..hi-1 are those where both columns exist.
+        for d1 in range(-k, k + 1):
+            lo = max(0, -d1)
+            for d2 in range(d1, min(k, d1 + bandwidth) + 1):
+                hi = max(lo, n - max(d2, 0))
+                ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
+                    rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
+                )
+    if n == frames:
+        return ab
+    band = np.empty((s, bandwidth + 1, frames))
+    band[:, :, :edge] = ab[:, :, :edge]
+    band[:, :, edge : frames - edge] = ab[:, :, edge : edge + 1]
+    band[:, :, frames - edge :] = ab[:, :, edge + 1 :]
+    return band
+
+
 def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     """Solve for the smooth static trajectory under all stream constraints.
 
@@ -97,26 +135,17 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
         raise ValueError("static-stream variances must be finite (identity window must bind)")
 
     k = _MAX_OFFSET
-    bandwidth = min(2 * k, t - 1)
-    ab = np.zeros((s, bandwidth + 1, t))  # solveh_banded's upper storage
+    ab = _normal_band(precisions, t)
     rhs = np.zeros((s, t))
     for w, win in enumerate(DELTA_WINDOWS):
         p = precisions[w * s : (w + 1) * s, None]
         rows = _window_rows(win, t)
         mu = traj.means[:, w * s : (w + 1) * s].T * p
-        # Row r of W adds W[r,i] W[r,j] to entry (i, j) of W^T W, stored for
-        # i <= j at ab[bandwidth - (j - i), j], and W[r,i] mu[r] to rhs[i].
-        # With i = r+d1 and j = r+d2, rows lo..hi-1 are those where both
-        # columns exist.
+        # Row r of W adds W[r,i] mu[r] to rhs[i], i = r+d1.
         for d1 in range(-k, k + 1):
             lo = max(0, -d1)
             hi = max(lo, t - max(d1, 0))
             rhs[:, lo + d1 : hi + d1] += rows[lo:hi, d1 + k] * mu[:, lo:hi]
-            for d2 in range(d1, min(k, d1 + bandwidth) + 1):
-                hi = max(lo, t - max(d2, 0))
-                ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
-                    rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
-                )
 
     # Imported here: scipy.linalg costs about 0.2 s to import, and training
     # and the statistics commands never smooth a trajectory.

@@ -45,7 +45,7 @@ from .features import (
     transform_f0,
 )
 from .mlpg import GaussianTrajectory, check_beta, mlpg_generate, postfilter
-from .net import Mlp, load_mlp, save_mlp
+from .net import Mlp, keep_heap_top, load_mlp, save_mlp
 from .seeding import derive_rng
 
 _MCD_CONST = 10.0 / np.log(10.0)
@@ -197,11 +197,14 @@ def convert_utterance(
     Higher-order mel-cepstrum columns and the aperiodicity stream are
     copied through bit-exactly. F0 and aperiodicity must match mcep's frames,
     and postfilter must accept postfilter_beta, before the first stage.
+    Also sets the heap pad (net.keep_heap_top), so each utterance reuses the
+    heap the one before it freed.
     """
     for name, stream in (("F0", f0), ("aperiodicity", aperiodicity)):
         if stream.frames != mcep.frames:
             raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
     check_beta(postfilter_beta)
+    keep_heap_top()
     stage = trace if trace is not None else (lambda _label: None)
     started = time.monotonic()
 

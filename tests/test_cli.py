@@ -18,7 +18,7 @@ from cyclevc.baselines import GanBaselineConfig, MseBaselineConfig
 from cyclevc.cli import build_parser, main
 from cyclevc.cyclegan import CycleGanConfig
 from cyclevc.errors import NonFiniteError
-from cyclevc.features import FeatureSequence, read_ftr, split_mcep, write_ftr
+from cyclevc.features import FeatureKind, FeatureSequence, read_ftr, split_mcep, write_ftr
 from cyclevc.net import forward
 from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
 
@@ -211,6 +211,28 @@ class TestStats:
         assert code == 1
         err = capsys.readouterr().err
         assert "silent.f0.ftr" in err
+
+    def test_unequal_file_lists_write_nothing(self, corpus, tmp_path, capsys):
+        mceps = [str(corpus / "src.mcep.ftr"), str(corpus / "tgt.mcep.ftr")]
+        f0 = str(corpus / "src.f0.ftr")
+        out = tmp_path / "out.stats"
+        assert main(["stats", "--mcep", *mceps, "--f0", f0, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {mceps[0]}, {mceps[1]}, {f0}: 2 mcep files, 1 F0 files\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_pair_of_other_lengths_writes_nothing(self, corpus, tmp_path, capsys):
+        """The src mcep (160 frames) with the tgt F0 (140), then a matching
+        pair: the first pair is refused and named."""
+        mceps = [str(corpus / "src.mcep.ftr"), str(corpus / "tgt.mcep.ftr")]
+        f0s = [str(corpus / "tgt.f0.ftr"), str(corpus / "tgt.f0.ftr")]
+        out = tmp_path / "out.stats"
+        assert main(["stats", "--mcep", *mceps, "--f0", *f0s, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {mceps[0]}, {f0s[0]}: F0 has 140 frames, mcep 160\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         code = main([
@@ -503,6 +525,15 @@ class TestConvertAndEval:
         assert captured.err == f"error: {reference}, {converted}: dims differ: 25 vs 5\n"
         assert captured.out == ""
 
+    def test_eval_of_an_empty_sequence_names_both_files(self, corpus, tmp_path, capsys):
+        reference = str(corpus / "src.mcep.ftr")
+        empty = tmp_path / "empty.ftr"
+        write_ftr(empty, FeatureSequence(np.zeros((0, 25)), FeatureKind.MCEP_LOW25))
+        assert main(["eval", "--reference", reference, "--converted", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reference}, {empty}: cannot evaluate empty sequences\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "stream, columns, kind", [("f0", 1, "F0"), ("ap", 5, "APERIODICITY")]
     )
@@ -688,6 +719,19 @@ class TestAlign:
         assert main(["align", "--a", a, "--b", b, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {a}, {b}: dims differ: 25 vs 5\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_an_empty_sequence_names_both_files(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty.ftr"
+        write_ftr(empty, FeatureSequence(np.zeros((0, 25))))
+        b = str(corpus / "src.mcep.ftr")
+        out = tmp_path / "path.csv"
+        assert main(["align", "--a", str(empty), "--b", b, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {empty}, {b}: both sequences need at least one frame\n"
+        )
         assert captured.out == ""
         assert not out.exists()
 

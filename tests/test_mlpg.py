@@ -9,7 +9,7 @@ import pytest
 
 from cyclevc.errors import DimensionMismatchError
 from cyclevc.features import DELTA_WINDOWS, FeatureKind, FeatureSequence, compute_deltas
-from cyclevc.mlpg import GaussianTrajectory, mlpg_generate, postfilter
+from cyclevc.mlpg import _MAX_OFFSET, GaussianTrajectory, _window_rows, mlpg_generate, postfilter
 
 
 def dense_window_matrix(win, frames: int) -> np.ndarray:
@@ -37,6 +37,37 @@ def dense_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
             a += precision * (mat.T @ mat)
             rhs += precision * (mat.T @ means[:, w * statics + s])
         out[:, s] = np.linalg.solve(a, rhs)
+    return out
+
+
+def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """The banded solve with the band summed over all T frames, as
+    mlpg_generate did before it summed a short template."""
+    from scipy.linalg import solveh_banded
+
+    t = means.shape[0]
+    s = means.shape[1] // len(DELTA_WINDOWS)
+    precisions = 1.0 / variances
+    k = _MAX_OFFSET
+    bandwidth = min(2 * k, t - 1)
+    ab = np.zeros((s, bandwidth + 1, t))
+    rhs = np.zeros((s, t))
+    for w, win in enumerate(DELTA_WINDOWS):
+        p = precisions[w * s : (w + 1) * s, None]
+        rows = _window_rows(win, t)
+        mu = means[:, w * s : (w + 1) * s].T * p
+        for d1 in range(-k, k + 1):
+            lo = max(0, -d1)
+            hi = max(lo, t - max(d1, 0))
+            rhs[:, lo + d1 : hi + d1] += rows[lo:hi, d1 + k] * mu[:, lo:hi]
+            for d2 in range(d1, min(k, d1 + bandwidth) + 1):
+                hi = max(lo, t - max(d2, 0))
+                ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
+                    rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
+                )
+    out = np.empty((t, s))
+    for dim in range(s):
+        out[:, dim] = solveh_banded(ab[dim], rhs[dim], lower=False)
     return out
 
 
@@ -68,6 +99,17 @@ class TestMlpgGenerate:
             banded = mlpg_generate(traj).data
             dense = dense_mlpg(means, variances)
             assert np.abs(banded - dense).max() <= 1e-8, f"trial {trial}"
+
+    def test_bit_identical_to_the_full_length_band(self):
+        """The template band gives the bytes of the band summed over every
+        frame: short sequences, the 4K + 1 template itself, and long ones."""
+        rng = np.random.default_rng(8)
+        for frames in [*range(1, 41), 1000]:
+            means = rng.normal(size=(frames, 75))
+            variances = rng.uniform(0.1, 4.0, size=75)
+            variances[30] = np.inf
+            out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
+            assert out.tobytes() == full_band_mlpg(means, variances).tobytes(), f"T={frames}"
 
     def test_recovers_delta_expansion(self):
         """Means that truly came from a static sequence are recovered exactly."""

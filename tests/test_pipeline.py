@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclevc
 from cyclevc.errors import DimensionMismatchError, FormatError, InsufficientDataError
 from cyclevc.features import (
     FeatureKind,
@@ -230,6 +237,47 @@ class TestConvertUtterance:
             convert_utterance(
                 lambda batch: batch[:, :10], stats, stats, mcep, f0, ap
             )
+
+
+_FAULTS_PER_CONVERSION = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from cyclevc.features import FeatureKind, FeatureSequence
+    from cyclevc.net import forward, init_mlp
+    from cyclevc.pipeline import compute_speaker_stats, convert_utterance
+
+    rng = np.random.default_rng(0)
+    mcep = FeatureSequence(rng.normal(size=(1000, 49)), FeatureKind.MCEP49)
+    f0 = FeatureSequence(np.full((1000, 1), 150.0), FeatureKind.F0)
+    ap = FeatureSequence(rng.random((1000, 5)), FeatureKind.APERIODICITY)
+    stats = compute_speaker_stats([mcep], [f0])
+    net = init_mlp((75, 128, 256, 256, 128, 75), seed=3)
+    marks = []
+    for _ in range(5):
+        marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        convert_utterance(lambda batch: forward(net, batch)[0], stats, stats, mcep, f0, ap)
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    # The first two calls import scipy.linalg and grow the heap.
+    print((marks[-1] - marks[2]) / (len(marks) - 3))
+""")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap pad is a glibc mallopt setting",
+)
+def test_conversion_does_not_refault_the_heap_each_utterance():
+    """convert_utterance at the default generator and T=1000, in a fresh
+    interpreter so nothing has set the heap pad: once warm, a conversion
+    reuses the heap instead of faulting its pages in again (1,000-2,000
+    faults per call without the pad)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(cyclevc.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CONVERSION],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert float(run.stdout) < 200
 
 
 class TestMelCepstralDistortion:
