@@ -62,8 +62,10 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 def _read_expected(path, kind: FeatureKind) -> FeatureSequence:
     """The sequence in path as kind: a file of that kind, or a GENERIC one
-    of a width the kind allows, relabeled."""
+    of a width the kind allows, relabeled. A file with no frame is refused."""
     seq = read_ftr(path)
+    if seq.frames < 1:
+        raise InsufficientDataError(f"{path}: holds no frames")
     if seq.kind is kind:
         return seq
     if seq.kind is not FeatureKind.GENERIC:
@@ -94,23 +96,17 @@ def _naming(*paths):
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if len(args.mcep) != len(args.f0):
-        raise DimensionMismatchError(
-            f"{', '.join(map(str, [*args.mcep, *args.f0]))}: "
-            f"{len(args.mcep)} mcep files, {len(args.f0)} F0 files"
-        )
+    with _naming(*args.mcep, *args.f0):
+        if len(args.mcep) != len(args.f0):
+            raise DimensionMismatchError(f"{len(args.mcep)} mcep files, {len(args.f0)} F0 files")
     mceps = _read_many(args.mcep, FeatureKind.MCEP49)
     f0s = _read_many(args.f0, FeatureKind.F0)
     for mcep_path, f0_path, mcep, f0 in zip(args.mcep, args.f0, mceps, f0s):
-        if f0.frames != mcep.frames:
-            raise DimensionMismatchError(
-                f"{mcep_path}, {f0_path}: F0 has {f0.frames} frames, mcep {mcep.frames}"
-            )
-    try:
+        with _naming(mcep_path, f0_path):
+            if f0.frames != mcep.frames:
+                raise DimensionMismatchError(f"F0 has {f0.frames} frames, mcep {mcep.frames}")
+    with _naming(*args.mcep, *args.f0):
         stats = compute_speaker_stats(mceps, f0s)
-    except InsufficientDataError as exc:
-        names = ", ".join(str(p) for p in args.f0)
-        raise InsufficientDataError(f"{exc} (F0 files: {names})") from exc
     save_speaker_stats(args.out, stats)
     print(
         f"stats written to {args.out}: "
@@ -225,10 +221,10 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, streams in generate_dataset(spec).items():
-        for stream, suffix in (("mcep", "mcep"), ("f0", "f0"), ("ap", "ap")):
-            path = out_dir / f"{name}.{suffix}.ftr"
-            write_ftr(path, streams[stream])
-            print(f"wrote {path} ({streams[stream].frames} frames)")
+        for stream, seq in streams.items():
+            path = out_dir / f"{name}.{stream}.ftr"
+            write_ftr(path, seq)
+            print(f"wrote {path} ({seq.frames} frames)")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +31,7 @@ from .errors import (
     utf8_text,
 )
 from .features import (
+    AUGMENTED_DIM,
     FeatureKind,
     FeatureSequence,
     LOW_DIM,
@@ -63,6 +65,12 @@ class SpeakerStats:
     norm: NormStats
     logf0: LogF0Stats
 
+    def __post_init__(self) -> None:
+        if self.norm.dim != AUGMENTED_DIM:
+            raise DimensionMismatchError(
+                f"normalization stats have {self.norm.dim} dims, expected {AUGMENTED_DIM}"
+            )
+
 
 def augment_lower(mcep: FeatureSequence) -> FeatureSequence:
     """49-dim mel-cepstrum -> 75-dim lower-order static+delta features."""
@@ -87,6 +95,7 @@ def compute_speaker_stats(
 
 
 _STATS_MAGIC = "VCSTATS1"
+_STATS_KEYS = ("norm_mean", "norm_std", "logf0_mean", "logf0_std", "logf0_voiced_count")
 
 
 def save_speaker_stats(path, stats: SpeakerStats) -> None:
@@ -109,6 +118,8 @@ def load_speaker_stats(path) -> SpeakerStats:
     for line_no, line in enumerate(lines[1:], 2):
         if line.strip():
             key, _, value = line.partition(" ")
+            if key not in _STATS_KEYS:
+                raise FormatError(f"{path}: line {line_no} has unknown key {key!r}: {line!r}")
             if key in fields:
                 raise FormatError(f"{path}: line {line_no} repeats {key}: {line!r}")
             fields[key] = value
@@ -125,7 +136,7 @@ def load_speaker_stats(path) -> SpeakerStats:
             ),
         )
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed stats file") from exc
+        raise FormatError(f"{path}: malformed stats file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +322,15 @@ class MixtureSpec:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         means = np.asarray(self.means, dtype=np.float64)
         stds = np.asarray(self.stds, dtype=np.float64)
-        k = weights.shape[0]
-        if k < 1:
-            raise ValueError("mixture needs at least one component")
-        if means.shape != (k, LOW_DIM) or stds.shape != (k, LOW_DIM):
+        if means.shape != (len(weights), LOW_DIM) or stds.shape != means.shape:
             raise DimensionMismatchError(
-                f"means/stds must be {k} x {LOW_DIM}, got {means.shape}/{stds.shape}"
+                f"means/stds must be {len(weights)} x {LOW_DIM}, got {means.shape}/{stds.shape}"
             )
-        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-6:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if (stds <= 0).any():
-            raise ValueError("component stds must be positive")
+        # Stated so that a NaN fails them; an empty mixture sums to 0.
+        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-6):
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
+        if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds > 0).all()):
+            raise ValueError("component means must be finite, and stds finite and positive")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
@@ -334,6 +343,19 @@ class MixtureSpec:
 def is_plain_file_name(name: str) -> bool:
     """Not empty, . or .., and without /, \\ or NUL: a file right in its directory."""
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+def _check_numbers(spec, *positive: str) -> None:
+    """Raise ValueError unless each int field of spec holds an integer (not a bool),
+    each float field a finite real number, and each field named in positive is >= 1."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not (isinstance(value, Real) and np.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if f.name in positive and value < 1:
+            raise ValueError(f"{f.name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -350,8 +372,7 @@ class SpeakerSpec:
         # The name becomes the stem of the speaker's output files.
         if not is_plain_file_name(self.name):
             raise ValueError(f"speaker name {self.name!r} is not a plain file name")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        _check_numbers(self, "frames")
         if self.logf0_std <= 0:
             raise ValueError("logf0_std must be > 0")
         if not 0.0 <= self.voiced_fraction <= 1.0:
@@ -360,13 +381,14 @@ class SpeakerSpec:
             raise ValueError("high_band_std must be >= 0")
 
 
-def _only_known_keys(path, obj, spec_type, where: str) -> None:
-    """Raise FormatError if obj is a JSON object with a key that names no
-    field of spec_type; other values are left to the spec's own parse."""
+def _from_object(path, spec_type, obj, where: str, **nested):
+    """spec_type from the JSON object obj, nested replacing obj's entries,
+    after refusing a key that names no field (its default would stay in use)."""
     names = {f.name for f in fields(spec_type)}
     for key in obj if isinstance(obj, dict) else ():
         if key not in names:
             raise FormatError(f"{path}: unknown key {key!r} in {where}")
+    return spec_type(**{**obj, **nested})
 
 
 @dataclass(frozen=True)
@@ -376,6 +398,7 @@ class SyntheticSpec:
     aperiodicity_dim: int = 5
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "aperiodicity_dim")
         names = [spk.name for spk in self.speakers]
         for name in names:
             if names.count(name) > 1:
@@ -385,34 +408,12 @@ class SyntheticSpec:
     def from_json(path) -> "SyntheticSpec":
         try:
             doc = json.loads(utf8_text(path, Path(path).read_bytes()))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON") from exc
-        try:
-            _only_known_keys(path, doc, SyntheticSpec, "the spec")
-            for k, spk in enumerate(doc["speakers"]):
-                _only_known_keys(path, spk, SpeakerSpec, f"speakers[{k}]")
-                _only_known_keys(path, spk["mixture"], MixtureSpec, f"speakers[{k}].mixture")
             speakers = tuple(
-                SpeakerSpec(
-                    name=spk["name"],
-                    frames=int(spk["frames"]),
-                    mixture=MixtureSpec(
-                        weights=spk["mixture"]["weights"],
-                        means=spk["mixture"]["means"],
-                        stds=spk["mixture"]["stds"],
-                    ),
-                    logf0_mean=float(spk["logf0_mean"]),
-                    logf0_std=float(spk["logf0_std"]),
-                    voiced_fraction=float(spk.get("voiced_fraction", 0.85)),
-                    high_band_std=float(spk.get("high_band_std", 0.05)),
-                )
-                for spk in doc["speakers"]
+                _from_object(path, SpeakerSpec, spk, f"speakers[{k}]", mixture=_from_object(
+                    path, MixtureSpec, spk["mixture"], f"speakers[{k}].mixture"))
+                for k, spk in enumerate(doc["speakers"])
             )
-            return SyntheticSpec(
-                seed=int(doc["seed"]),
-                speakers=speakers,
-                aperiodicity_dim=int(doc.get("aperiodicity_dim", 5)),
-            )
+            return _from_object(path, SyntheticSpec, doc, "the spec", speakers=speakers)
         except FormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

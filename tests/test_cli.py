@@ -176,6 +176,21 @@ class TestGenSynthetic:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_a_bad_value_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][1]["logf0_std"] = float("nan")
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {spec}: malformed synthetic spec: logf0_std must be a finite number, got nan\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "names",
         [("a", "a"), ("", "b"), (".", "b"), ("..", "b"), ("../escape", "b"), ("a\\b", "c"),
@@ -196,7 +211,33 @@ class TestGenSynthetic:
         assert list(tmp_path.rglob("*.ftr")) == []
 
 
+def write_empty(path, kind=FeatureKind.MCEP49):
+    """An FTR file of kind that holds no frame."""
+    write_ftr(path, FeatureSequence(np.zeros((0, kind.fixed_dim or 5)), kind))
+    return str(path)
+
+
 class TestStats:
+    def test_an_empty_mcep_file_is_named(self, tmp_path, capsys):
+        mcep = write_empty(tmp_path / "e.mcep.ftr")
+        f0 = write_empty(tmp_path / "e.f0.ftr", FeatureKind.F0)
+        out = tmp_path / "out.stats"
+        assert main(["stats", "--mcep", mcep, "--f0", f0, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {mcep}: holds no frames\n"
+        assert not out.exists()
+
+    def test_a_one_frame_pair_names_both_files(self, corpus, tmp_path, capsys):
+        mcep, f0 = str(tmp_path / "one.mcep.ftr"), str(tmp_path / "one.f0.ftr")
+        first = read_ftr(corpus / "src.mcep.ftr").data[:1]
+        write_ftr(mcep, FeatureSequence(first, FeatureKind.MCEP49))
+        write_ftr(f0, FeatureSequence(np.full((1, 1), 150.0), FeatureKind.F0))
+        out = tmp_path / "out.stats"
+        assert main(["stats", "--mcep", mcep, "--f0", f0, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {mcep}, {f0}: need at least 2 frames to fit normalization stats, got 1\n"
+        )
+        assert not out.exists()
+
     def test_all_unvoiced_names_the_file(self, corpus, tmp_path, capsys):
         from cyclevc.features import FeatureKind, FeatureSequence, write_ftr
 
@@ -330,6 +371,15 @@ class TestTrain:
         assert captured.err == f"error: {field} must be finite, got {value}\n"
         assert "method=" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["cyclegan", "mse-parallel"])
+    def test_an_empty_source_file_is_named(self, corpus, tmp_path, capsys, method):
+        args = train_args(corpus, method, tmp_path / "m")
+        empty = write_empty(tmp_path / "e.mcep.ftr")
+        args[args.index("--src-mcep") + 1] = empty
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {empty}: holds no frames\n"
+        assert not (tmp_path / "m").exists()
 
     def test_parallel_list_mismatch_is_an_error(self, corpus, tmp_path, capsys):
         args = train_args(corpus, "mse-parallel", tmp_path / "m")
@@ -475,6 +525,14 @@ class TestConvertAndEval:
         assert captured.err == f"error: beta must be finite and >= 0, got {float(beta)}\n"
         assert "stage:" not in captured.out
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_mcep_file_is_named(self, corpus, trained, tmp_path, capsys):
+        args = self.convert_args(corpus, trained, tmp_path / "out")
+        empty = write_empty(tmp_path / "e.mcep.ftr")
+        args[args.index("--mcep") + 1] = empty
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {empty}: holds no frames\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "e.mcep.ftr"]
 
     def test_a_file_of_another_kind_is_an_error(self, corpus, trained, tmp_path, capsys):
         """APERIODICITY fixes no width, so a 49-column mel-cepstrum passes
@@ -655,6 +713,29 @@ class TestConvertLoadsOneNetwork:
         assert capsys.readouterr().err == (
             f"error: {f0}: feature data contains non-finite entries\n"
         )
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda text: text + "logf0_man 5.0\n", "line 7 has unknown key 'logf0_man'"),
+            (
+                lambda text: "\n".join(
+                    " ".join(line.split()[:11]) if line.startswith("norm_") else line
+                    for line in text.splitlines()
+                ),
+                "malformed stats file: normalization stats have 10 dims, expected 75",
+            ),
+        ],
+        ids=["unknown-key", "ten-dims"],
+    )
+    def test_a_bad_stats_file_is_named(self, corpus, bundles, tmp_path, capsys, edit, cause):
+        stats = tmp_path / "src.stats"
+        stats.write_text(edit((corpus / "src.stats").read_text()))
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
+        argv[argv.index("--src-stats") + 1] = str(stats)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {stats}: {cause}")
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_stats_error_names_the_file(self, corpus, bundles, tmp_path, capsys):
         stats = tmp_path / "src.stats"

@@ -113,6 +113,34 @@ class TestSpeakerStats:
         with pytest.raises(FormatError, match=rf"speaker\.stats: line {line_no} repeats logf0_mean"):
             load_speaker_stats(path)
 
+    def test_unknown_key_names_the_file_line_and_key(self, tmp_path):
+        """A misspelled key would otherwise be ignored."""
+        rng = np.random.default_rng(2)
+        mcep, f0, _ = make_speaker(rng)
+        path = tmp_path / "speaker.stats"
+        save_speaker_stats(path, compute_speaker_stats([mcep], [f0]))
+        text = path.read_text()
+        path.write_text(text + "logf0_man 5.0\n")
+        line_no = len(text.splitlines()) + 1
+        with pytest.raises(FormatError) as caught:
+            load_speaker_stats(path)
+        assert str(caught.value) == (
+            f"{path}: line {line_no} has unknown key 'logf0_man': 'logf0_man 5.0'"
+        )
+
+    def test_normalization_stats_of_another_width_name_the_file(self, tmp_path):
+        """Ten values each: the stats of no 75-dim augmented frame."""
+        path = tmp_path / "speaker.stats"
+        path.write_text(
+            "VCSTATS1\nnorm_mean" + " 0.0" * 10 + "\nnorm_std" + " 1.0" * 10
+            + "\nlogf0_mean 5.0\nlogf0_std 0.2\nlogf0_voiced_count 10\n"
+        )
+        with pytest.raises(FormatError) as caught:
+            load_speaker_stats(path)
+        assert str(caught.value) == (
+            f"{path}: malformed stats file: normalization stats have 10 dims, expected 75"
+        )
+
     def test_non_utf8_file_error_names_the_file(self, tmp_path):
         rng = np.random.default_rng(2)
         mcep, f0, _ = make_speaker(rng)
@@ -439,6 +467,14 @@ class TestSyntheticData:
         data = generate_dataset(spec)
         assert data["x"]["ap"].dim == 4
 
+    @staticmethod
+    def _doc_parts():
+        """A one-speaker spec document, its speaker and its mixture."""
+        mixture = {"weights": [1.0], "means": [[0.0] * 25], "stds": [[1.0] * 25]}
+        speaker = {"name": "x", "frames": 10, "mixture": mixture,
+                   "logf0_mean": 5.0, "logf0_std": 0.1}
+        return {"seed": 1, "speakers": [speaker]}, speaker, mixture
+
     def test_bad_spec_rejected(self, tmp_path):
         """A missing key, and a key at any level that names no setting: a
         misspelled optional key would otherwise leave its default in use."""
@@ -447,12 +483,7 @@ class TestSyntheticData:
         with pytest.raises(FormatError):
             SyntheticSpec.from_json(path)
 
-        def doc():
-            mixture = {"weights": [1.0], "means": [[0.0] * 25], "stds": [[1.0] * 25]}
-            speaker = {"name": "x", "frames": 10, "mixture": mixture,
-                       "logf0_mean": 5.0, "logf0_std": 0.1}
-            return {"seed": 1, "speakers": [speaker]}, speaker, mixture
-
+        doc = self._doc_parts
         top, speaker, mixture = doc()
         path.write_text(json.dumps(top))
         SyntheticSpec.from_json(path)
@@ -467,6 +498,41 @@ class TestSyntheticData:
             with pytest.raises(FormatError) as caught:
                 SyntheticSpec.from_json(path)
             assert str(caught.value) == f"{path}: unknown key {key!r} in {where}"
+
+    @pytest.mark.parametrize(
+        "level, key, value",
+        [
+            (1, "logf0_mean", math.nan),
+            (1, "logf0_std", math.inf),
+            (1, "high_band_std", math.nan),
+            (2, "weights", [math.nan]),
+            (2, "means", [[math.nan] + [0.0] * 24]),
+            (2, "stds", [[1.0] * 24 + [math.nan]]),
+            (0, "aperiodicity_dim", 0),
+            (0, "aperiodicity_dim", -2),
+            (1, "frames", 50.7),
+            (1, "frames", "300"),
+            (0, "seed", 1.5),
+            (0, "seed", True),
+        ],
+    )
+    def test_bad_value_is_a_format_error_naming_the_file(self, tmp_path, level, key, value):
+        """Refused by the spec types before any frame is drawn. json writes
+        NaN and Infinity as the literals its reader accepts."""
+        parts = self._doc_parts()
+        parts[level][key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(parts[0]))
+        with pytest.raises(FormatError) as caught:
+            SyntheticSpec.from_json(path)
+        assert str(caught.value).startswith(f"{path}: malformed synthetic spec: ")
+        assert key in str(caught.value)
+
+    def test_speaker_spec_refuses_a_non_finite_setting(self):
+        mixture = MixtureSpec(weights=[1.0], means=np.zeros((1, 25)), stds=np.ones((1, 25)))
+        with pytest.raises(ValueError, match="logf0_std must be a finite number, got nan"):
+            SpeakerSpec(name="a", frames=10, mixture=mixture, logf0_mean=5.0,
+                        logf0_std=math.nan)
 
     def test_mixture_weights_validated(self):
         with pytest.raises(ValueError):
