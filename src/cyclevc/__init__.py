@@ -22,9 +22,6 @@ from .cyclegan import (
     LOSS_FORMS,
     LossReport,
     build_model,
-    cycle_loss,
-    discriminator_loss,
-    generator_loss,
     train,
 )
 from .errors import (

@@ -71,19 +71,17 @@ class GanLosses(NamedTuple):
     total: float
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over all entries of the squared difference."""
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over all entries of the squared difference, and its gradient
+    wrt pred."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionMismatchError(
             f"pred shape {pred.shape} does not match target {target.shape}"
         )
-    return float(np.mean((pred - target) ** 2))
-
-
-def _mse_output_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return 2.0 * (pred - target) / pred.size
+    diff = pred - target
+    return float(np.mean(diff**2)), 2.0 * diff / pred.size
 
 
 def train_mse_baseline(
@@ -97,8 +95,8 @@ def train_mse_baseline(
         xb = data.x.data[idx]
         yb = data.y.data[idx]
         pred, cache = forward(net, xb)
-        loss = mse_loss(pred, yb)
-        grads, _ = backward(net, cache, _mse_output_grad(pred, yb))
+        loss, g_mse = mse_loss(pred, yb)
+        grads, _ = backward(net, cache, g_mse)
         return apply_update(net, grads, opt), MseLosses(loss)
 
     opt = init_optimizer(net, config.lr_generator)
@@ -121,8 +119,8 @@ def gan_baseline_generator_objective(
     """
     pred, cache_g = forward(gen, x_batch)
     adv, g_through_d = adversarial_term(disc, pred, loss_form)
-    mse = mse_loss(pred, y_batch)
-    g_out = g_through_d + mse_weight * _mse_output_grad(pred, y_batch)
+    mse, g_mse = mse_loss(pred, y_batch)
+    g_out = g_through_d + mse_weight * g_mse
     grads, _ = backward(gen, cache_g, g_out)
     return adv, mse, grads
 

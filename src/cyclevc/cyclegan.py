@@ -150,8 +150,8 @@ def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
 
 
 # ---------------------------------------------------------------------------
-# Losses. Each takes raw (linear) discriminator outputs and returns the
-# scalar to be minimized plus its gradient with respect to those outputs.
+# Losses. Each returns the scalar to be minimized and its gradient with
+# respect to its first argument.
 # ---------------------------------------------------------------------------
 
 def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.ndarray]:
@@ -171,41 +171,14 @@ def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.
     return float(np.mean(np.logaddexp(0.0, -scores if target else scores))), (p - target) / n
 
 
-def discriminator_loss(
-    d_real: np.ndarray, d_fake: np.ndarray, form: str
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """score_loss of the real scores toward 1 plus the fake ones toward 0."""
-    loss_real, g_real = score_loss(d_real, 1.0, form)
-    loss_fake, g_fake = score_loss(d_fake, 0.0, form)
-    return loss_real + loss_fake, g_real, g_fake
-
-
-def generator_loss(d_fake: np.ndarray, form: str) -> tuple[float, np.ndarray]:
-    """score_loss of the fake scores toward 1: for log, the non-saturating loss."""
-    return score_loss(d_fake, 1.0, form)
-
-
-def cycle_loss(
-    x_batch: np.ndarray,
-    fgx_batch: np.ndarray,
-    y_batch: np.ndarray,
-    gfy_batch: np.ndarray,
-) -> float:
-    """Two-direction cycle-consistency loss.
-
-    Per-frame L1 distance between each input and its round-trip
-    reconstruction, averaged over each batch, the two directions summed.
-    """
-    if x_batch.shape != fgx_batch.shape or y_batch.shape != gfy_batch.shape:
+def l1_loss(rec: np.ndarray, ref: np.ndarray) -> tuple[float, np.ndarray]:
+    """The cycle-consistency loss of one direction, the per-frame L1
+    distance between a round-trip reconstruction and its input averaged
+    over the batch, and its gradient wrt rec; sign(0) taken as 0."""
+    if rec.shape != ref.shape:
         raise DimensionMismatchError("reconstruction batches must match their inputs")
-    fwd = np.mean(np.sum(np.abs(fgx_batch - x_batch), axis=1))
-    bwd = np.mean(np.sum(np.abs(gfy_batch - y_batch), axis=1))
-    return float(fwd + bwd)
-
-
-def _l1_grad(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """d(mean-over-batch per-frame L1)/d(rec); sign(0) taken as 0."""
-    return np.sign(rec - ref) / rec.shape[0]
+    diff = rec - ref
+    return float(np.mean(np.sum(np.abs(diff), axis=1))), np.sign(diff) / rec.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +263,11 @@ def discriminator_gradients(
     parameter gradients; the generated frames are constants here."""
     d_real, cache_r = forward(disc, real)
     d_fake, cache_f = forward(disc, fake)
-    loss, g_real, g_fake = discriminator_loss(d_real, d_fake, loss_form)
+    loss_real, g_real = score_loss(d_real, 1.0, loss_form)
+    loss_fake, g_fake = score_loss(d_fake, 0.0, loss_form)
     grads_r, _ = backward(disc, cache_r, g_real)
     grads_f, _ = backward(disc, cache_f, g_fake)
-    return loss, grads_r + grads_f
+    return loss_real + loss_fake, grads_r + grads_f
 
 
 def discriminator_objective(
@@ -319,9 +293,10 @@ def discriminator_objective(
 
 def adversarial_term(disc: Mlp, fake: np.ndarray, loss_form: str) -> tuple[float, np.ndarray]:
     """A generator's adversarial loss on its frames fake, scored by the
-    frozen disc (no parameter gradients), and its gradient wrt fake."""
+    frozen disc (no parameter gradients), and its gradient wrt fake: the
+    scores pulled toward 1, for log the non-saturating loss."""
     d_fake, cache = forward(disc, fake)
-    adv, g_adv = generator_loss(d_fake, loss_form)
+    adv, g_adv = score_loss(d_fake, 1.0, loss_form)
     _, g_fake = backward(disc, cache, g_adv, param_grads=False)
     return adv, g_fake
 
@@ -333,18 +308,17 @@ def _cycle_direction(
     batch: np.ndarray,
     cycle_weight: float,
     loss_form: str,
-) -> tuple[float, np.ndarray, Gradients, Gradients]:
+) -> tuple[float, float, Gradients, Gradients]:
     """One cycle direction, batch -> gen -> back, with gen's output scored
-    by the frozen disc. Returns the adversarial loss, the reconstruction,
+    by the frozen disc. Returns the adversarial loss, the L1 cycle loss,
     and the parameter gradients for gen and for back."""
     fake, cache_gen = forward(gen, batch)
     adv, g_into_disc = adversarial_term(disc, fake, loss_form)
     rec, cache_back = forward(back, fake)
-    grads_back, g_into_back = backward(
-        back, cache_back, cycle_weight * _l1_grad(rec, batch)
-    )
+    cycle, g_cycle = l1_loss(rec, batch)
+    grads_back, g_into_back = backward(back, cache_back, cycle_weight * g_cycle)
     grads_gen, _ = backward(gen, cache_gen, g_into_disc + g_into_back)
-    return adv, rec, grads_gen, grads_back
+    return adv, cycle, grads_gen, grads_back
 
 
 def generator_objective(
@@ -366,9 +340,9 @@ def generator_objective(
         lambda: _cycle_direction(model.g, model.f, model.d_y, x_batch, cycle_weight, loss_form),
         lambda: _cycle_direction(model.f, model.g, model.d_x, y_batch, cycle_weight, loss_form),
     )
-    adv_g, rec_x, grads_g_fwd, grads_f_fwd = xyx
-    adv_f, rec_y, grads_f_bwd, grads_g_bwd = yxy
-    cycle = cycle_loss(x_batch, rec_x, y_batch, rec_y)
+    adv_g, cycle_x, grads_g_fwd, grads_f_fwd = xyx
+    adv_f, cycle_y, grads_f_bwd, grads_g_bwd = yxy
+    cycle = cycle_x + cycle_y
     report = LossReport(
         adv_g=adv_g,
         adv_f=adv_f,

@@ -304,7 +304,8 @@ def read_ftr(path) -> FeatureSequence:
             f"{path}: expected {expected} bytes for {frames}x{dim} frames, got {len(raw)}"
         )
     body = np.frombuffer(raw, dtype="<f4", offset=_FTR_HEADER.size)
-    data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
+    with np.errstate(invalid="ignore"):  # a signaling NaN: FeatureSequence names it
+        data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
     try:
         return FeatureSequence(data, kind)
     except ValueError as exc:  # the content error's own type, naming the file

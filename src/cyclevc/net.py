@@ -374,8 +374,10 @@ _OPENBLAS_SETTERS = (
 
 
 def _openblas_thread_controls() -> list[tuple]:
-    """A (get, set) pair of thread-count functions for each OpenBLAS loaded
-    in this process, found by name among the objects mapped into it. Where
+    """A (get, set) pair of thread-count functions for each OpenBLAS mapped
+    into this process that exports one of _OPENBLAS_SETTERS. scipy's 32-bit
+    build exports scipy_openblas_set_num_threads, which is not among them,
+    so it is left alone; training's GEMMs run on numpy's build. Where
     /proc/self/maps does not exist (outside Linux) there are none."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:

@@ -13,6 +13,8 @@ untouched higher-order columns, transform F0, copy aperiodicity.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import time
 from dataclasses import dataclass, fields
 from numbers import Real
@@ -319,25 +321,43 @@ class MixtureSpec:
     stds: np.ndarray    # K x 25
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real_array(f.name, getattr(self, f.name)))
+        object.__setattr__(self, "weights", self.weights.reshape(-1))
+        weights, means, stds = self.weights, self.means, self.stds
         if means.shape != (len(weights), LOW_DIM) or stds.shape != means.shape:
             raise DimensionMismatchError(
                 f"means/stds must be {len(weights)} x {LOW_DIM}, got {means.shape}/{stds.shape}"
             )
-        # Stated so that a NaN fails them; an empty mixture sums to 0.
+        # An empty mixture sums to 0.
         if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-6):
-            raise ValueError("weights must be finite, nonnegative and sum to 1")
-        if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds > 0).all()):
-            raise ValueError("component means must be finite, and stds finite and positive")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
+            raise ValueError("weights must be nonnegative and sum to 1")
+        if not (stds > 0).all():
+            raise ValueError("stds must be positive")
 
     @property
     def overall_mean(self) -> np.ndarray:
         return self.weights @ self.means
+
+
+def _finite_real(value) -> bool:
+    """Whether value is a real number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value, nested lists or a numpy array of a real dtype, as a float64
+    array; ValueError naming name unless each entry is _finite_real."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        value = value.tolist()
+    items = np.array(value, dtype=object)
+    for item in items.flat:
+        if not _finite_real(item):
+            raise ValueError(f"{name} must hold finite numbers, got {reprlib.repr(item)}")
+    return items.astype(np.float64)
 
 
 def is_plain_file_name(name: str) -> bool:
@@ -347,13 +367,13 @@ def is_plain_file_name(name: str) -> bool:
 
 def _check_numbers(spec, *positive: str) -> None:
     """Raise ValueError unless each int field of spec holds an integer (not a bool),
-    each float field a finite real number, and each field named in positive is >= 1."""
+    each float field a _finite_real number, and each field named in positive is >= 1."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if f.type == "int" and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not (isinstance(value, Real) and np.isfinite(value)):
-            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type == "float" and not _finite_real(value):
+            raise ValueError(f"{f.name} must be a finite number, got {reprlib.repr(value)}")
         if f.name in positive and value < 1:
             raise ValueError(f"{f.name} must be >= 1, got {value}")
 
@@ -473,7 +493,8 @@ BUNDLE_ROLES = {
 
 
 def save_model_bundle(model_dir, method: str, networks: dict[str, Mlp]) -> None:
-    """Write one model file per network plus a manifest naming the roles."""
+    """Write one model file per network plus a manifest naming the roles,
+    after removing any old manifest: a failed save leaves no bundle to load."""
     roles = BUNDLE_ROLES.get(method)
     if roles is None:
         raise ValueError(f"unknown method {method!r}")
@@ -481,6 +502,7 @@ def save_model_bundle(model_dir, method: str, networks: dict[str, Mlp]) -> None:
         raise ValueError(f"method {method} needs networks {roles}, got {tuple(networks)}")
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
+    (model_dir / _MANIFEST_NAME).unlink(missing_ok=True)
     lines = [_MANIFEST_MAGIC, f"method {method}"]
     for role in roles:
         filename = f"{role.lower()}.mlp"

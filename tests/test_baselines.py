@@ -45,24 +45,37 @@ class TestParallelTrainSet:
 class TestMseLoss:
     def test_zero_for_equal(self):
         a = np.ones((3, 4))
-        assert mse_loss(a, a.copy()) == 0.0
+        assert mse_loss(a, a.copy())[0] == 0.0
 
     def test_hand_example(self):
         pred = np.array([[0.0, 0.0]])
         target = np.array([[3.0, 4.0]])
-        assert mse_loss(pred, target) == pytest.approx(12.5)
+        assert mse_loss(pred, target)[0] == pytest.approx(12.5)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)
         pred = rng.normal(size=(4, 3))
         target = rng.normal(size=(4, 3))
-        base = mse_loss(pred, target)
-        scaled = mse_loss(target + 3.0 * (pred - target), target)
+        base = mse_loss(pred, target)[0]
+        scaled = mse_loss(target + 3.0 * (pred - target), target)[0]
         assert scaled == pytest.approx(9.0 * base)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(1)
+        pred, target = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        _, grad = mse_loss(pred, target)
+        step = 1e-6
+        numeric = np.zeros_like(pred)
+        for idx in np.ndindex(*pred.shape):
+            plus, minus = pred.copy(), pred.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            numeric[idx] = (mse_loss(plus, target)[0] - mse_loss(minus, target)[0]) / (2 * step)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestMseBaseline:

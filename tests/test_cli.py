@@ -163,6 +163,21 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_an_integer_too_large_for_a_float_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][0]["mixture"]["weights"][0] = 10**400
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {spec}: malformed synthetic spec: weights must hold finite numbers, got 1000"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_an_unknown_spec_key_writes_nothing(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         write_spec(spec)
@@ -591,6 +606,26 @@ class TestConvertAndEval:
         captured = capsys.readouterr()
         assert captured.err == f"error: {reference}, {empty}: cannot evaluate empty sequences\n"
         assert captured.out == ""
+
+    def test_eval_of_a_signaling_nan_prints_only_the_error(self, corpus, tmp_path):
+        """In a fresh interpreter with Python's default warning filters,
+        where a numpy RuntimeWarning would print on stderr."""
+        reference = str(corpus / "src.mcep.ftr")
+        converted = tmp_path / "snan.ftr"
+        body = np.zeros((2, 25), dtype="<u4")
+        body[1, 3] = 0x7FA00000
+        write_ftr(converted, FeatureSequence(np.zeros((2, 25)), FeatureKind.MCEP_LOW25))
+        converted.write_bytes(converted.read_bytes()[:16] + body.tobytes())
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cyclevc.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from cyclevc.cli import main; sys.exit(main())",
+             "eval", "--reference", reference, "--converted", str(converted)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"error: {converted}: feature data contains non-finite entries\n"
+        assert run.stdout == ""
 
     @pytest.mark.parametrize(
         "stream, columns, kind", [("f0", 1, "F0"), ("ap", 5, "APERIODICITY")]

@@ -20,12 +20,10 @@ from cyclevc.cyclegan import (
     CycleGanModel,
     LOSS_FORMS,
     build_model,
-    cycle_loss,
-    discriminator_loss,
     discriminator_objective,
     fit,
-    generator_loss,
     generator_objective,
+    l1_loss,
     score_loss,
     train,
     train_step,
@@ -70,8 +68,10 @@ def test_adversarial_loss_values(form, d_real, d_fake, disc, gen, tol):
     d_real, d_fake = np.array(d_real), np.array(d_fake)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        disc_loss, g_real, g_fake = discriminator_loss(d_real, d_fake, form)
-        gen_loss, g_gen = generator_loss(d_fake, form)
+        real_loss, g_real = score_loss(d_real, 1.0, form)
+        fake_loss, g_fake = score_loss(d_fake, 0.0, form)
+        gen_loss, g_gen = score_loss(d_fake, 1.0, form)
+    disc_loss = real_loss + fake_loss
     assert disc_loss == pytest.approx(disc, rel=1e-12, abs=tol)
     assert gen_loss == pytest.approx(gen, rel=1e-12, abs=tol)
     assert g_real.shape == d_real.shape and g_fake.shape == g_gen.shape == d_fake.shape
@@ -85,8 +85,9 @@ def test_adversarial_loss_gradients_match_finite_differences(form):
     saturated = np.array([[40.0], [-40.0]])
     d_real = np.concatenate([rng.normal(size=(5, 1)), saturated])
     d_fake = np.concatenate([rng.normal(size=(4, 1)), saturated])
-    _, g_real, g_fake = discriminator_loss(d_real, d_fake, form)
-    _, g_gen = generator_loss(d_fake, form)
+    _, g_real = score_loss(d_real, 1.0, form)
+    _, g_fake = score_loss(d_fake, 0.0, form)
+    _, g_gen = score_loss(d_fake, 1.0, form)
 
     def numeric(loss, x, step=1e-6):
         out = np.zeros_like(x)
@@ -98,18 +99,18 @@ def test_adversarial_loss_gradients_match_finite_differences(form):
         return out
 
     checks = (
-        (g_real, numeric(lambda r: discriminator_loss(r, d_fake, form)[0], d_real)),
-        (g_fake, numeric(lambda f: discriminator_loss(d_real, f, form)[0], d_fake)),
-        (g_gen, numeric(lambda f: generator_loss(f, form)[0], d_fake)),
+        (g_real, numeric(lambda r: score_loss(r, 1.0, form)[0], d_real)),
+        (g_fake, numeric(lambda f: score_loss(f, 0.0, form)[0], d_fake)),
+        (g_gen, numeric(lambda f: score_loss(f, 1.0, form)[0], d_fake)),
     )
     for analytic, expected in checks:
         np.testing.assert_allclose(analytic, expected, rtol=1e-6, atol=1e-9)
 
 
 def reference_losses(d_real, d_fake, form):
-    """discriminator_loss and generator_loss as four formulas, one per form
-    and role, the way they were written before score_loss; kept as the
-    reference that score_loss must reproduce."""
+    """The discriminator's and the generator's adversarial losses as four
+    formulas, one per form and role, the way they were written before
+    score_loss; kept as the reference that score_loss must reproduce."""
 
     def sigmoid(raw):
         p = np.array(raw, dtype=np.float64)
@@ -148,34 +149,53 @@ def test_score_loss_reproduces_the_reference_formulas(form):
         assert np.array_equal(real_grad, g_real) and np.array_equal(fake_grad, g_fake)
         gen_loss, gen_grad = score_loss(d_fake, 1.0, form)
         assert gen_loss == gen and np.array_equal(gen_grad, g_gen)
-        assert discriminator_loss(d_real, d_fake, form)[0] == disc
-        assert generator_loss(d_fake, form)[0] == gen
 
 
 class TestCycleLoss:
+    """l1_loss, one cycle direction's loss and its gradient."""
+
     def test_perfect_reconstruction(self):
         x = np.ones((4, 3))
-        y = np.zeros((2, 3))
-        assert cycle_loss(x, x.copy(), y, y.copy()) == 0.0
+        assert l1_loss(x.copy(), x)[0] == 0.0
 
     def test_hand_example(self):
         x = np.array([[1.0, 2.0]])
         fgx = np.array([[0.0, 4.0]])
-        y = np.array([[0.0, 0.0]])
-        assert cycle_loss(x, fgx, y, y.copy()) == pytest.approx(3.0)
+        assert l1_loss(fgx, x)[0] == pytest.approx(3.0)
 
     def test_symmetric_in_direction_roles(self):
+        """generator_objective's cycle is the X->Y->X loss plus the Y->X->Y
+        one, bit for bit."""
         rng = np.random.default_rng(0)
-        x, fgx = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-        y, gfy = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert cycle_loss(x, fgx, y, gfy) == pytest.approx(cycle_loss(y, gfy, x, fgx))
+        model = tiny_model(seed=4)
+        x, y = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        report, _, _ = generator_objective(model, x, y, 10.0, "lsgan")
+        fgx = forward(model.f, forward(model.g, x)[0])[0]
+        gfy = forward(model.g, forward(model.f, y)[0])[0]
+        assert report.cycle == l1_loss(fgx, x)[0] + l1_loss(gfy, y)[0]
 
     def test_non_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x, fgx = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-            y, gfy = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-            assert cycle_loss(x, fgx, y, gfy) >= 0.0
+            assert l1_loss(fgx, x)[0] >= 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="reconstruction batches must match"):
+            l1_loss(np.zeros((4, 3)), np.zeros((3, 3)))
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(2)
+        x, fgx = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        _, grad = l1_loss(fgx, x)
+        step = 1e-6
+        numeric = np.zeros_like(fgx)
+        for idx in np.ndindex(*fgx.shape):
+            plus, minus = fgx.copy(), fgx.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            numeric[idx] = (l1_loss(plus, x)[0] - l1_loss(minus, x)[0]) / (2 * step)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestFullObjective:
@@ -281,11 +301,11 @@ class TestDiscriminatorObjective:
         loss_x, loss_y, _, _ = discriminator_objective(model, x, y, "lsgan")
         d_real_x = forward(model.d_x, x)[0].ravel()
         d_fake_x = forward(model.d_x, forward(model.f, y)[0])[0].ravel()
-        expected_x, _, _ = discriminator_loss(d_real_x, d_fake_x, "lsgan")
+        expected_x = score_loss(d_real_x, 1.0, "lsgan")[0] + score_loss(d_fake_x, 0.0, "lsgan")[0]
         assert loss_x == pytest.approx(expected_x, rel=1e-12)
         d_real_y = forward(model.d_y, y)[0].ravel()
         d_fake_y = forward(model.d_y, forward(model.g, x)[0])[0].ravel()
-        expected_y, _, _ = discriminator_loss(d_real_y, d_fake_y, "lsgan")
+        expected_y = score_loss(d_real_y, 1.0, "lsgan")[0] + score_loss(d_fake_y, 0.0, "lsgan")[0]
         assert loss_y == pytest.approx(expected_y, rel=1e-12)
 
     @pytest.mark.parametrize("loss_form", LOSS_FORMS)

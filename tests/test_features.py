@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ class TestFtrFormat:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             read_ftr(path)
+
+    def test_a_signaling_nan_is_a_non_finite_error_without_a_warning(self, tmp_path):
+        """Casting a float32 signaling NaN to float64 raises numpy's invalid
+        flag; only the typed error may reach the caller."""
+        path = tmp_path / "snan.ftr"
+        header = struct.pack("<4sIII", b"FTR1", 2, 1, FeatureKind.GENERIC.value)
+        path.write_bytes(header + np.array([0, 0x7FA00000], dtype="<u4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(str(path))}: "):
+                read_ftr(path)
 
     @pytest.mark.parametrize(
         "frames, dim, kind, body, error",

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import cyclevc
+from cyclevc import pipeline
 from cyclevc.errors import DimensionMismatchError, FormatError, InsufficientDataError
 from cyclevc.features import (
     FeatureKind,
@@ -24,7 +25,7 @@ from cyclevc.features import (
     NormStats,
     split_mcep,
 )
-from cyclevc.net import init_mlp
+from cyclevc.net import init_mlp, save_mlp
 from cyclevc.pipeline import (
     MixtureSpec,
     SpeakerSpec,
@@ -528,6 +529,29 @@ class TestSyntheticData:
         assert str(caught.value).startswith(f"{path}: malformed synthetic spec: ")
         assert key in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "level, key, value, message",
+        [
+            (2, "weights", [10**400], "weights must hold finite numbers, got 1000"),
+            (1, "logf0_mean", 10**400, "logf0_mean must be a finite number, got 1000"),
+            (2, "weights", ["1.0"], "weights must hold finite numbers, got '1.0'"),
+            (2, "stds", [[True] + [1.0] * 24], "stds must hold finite numbers, got True"),
+        ],
+        ids=["integer-too-large-in-mixture", "integer-too-large-in-setting",
+             "string-in-mixture", "bool-in-mixture"],
+    )
+    def test_a_spec_number_must_be_a_finite_real(self, tmp_path, level, key, value, message):
+        """JSON integers too large for a float, strings and booleans are
+        refused with the field named, where they used to overflow
+        uncaught, give numpy's message or load as numbers."""
+        parts = self._doc_parts()
+        parts[level][key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(parts[0]))
+        with pytest.raises(FormatError) as caught:
+            SyntheticSpec.from_json(path)
+        assert str(caught.value).startswith(f"{path}: malformed synthetic spec: {message}")
+
     def test_speaker_spec_refuses_a_non_finite_setting(self):
         mixture = MixtureSpec(weights=[1.0], means=np.zeros((1, 25)), stds=np.ones((1, 25)))
         with pytest.raises(ValueError, match="logf0_std must be a finite number, got nan"):
@@ -604,6 +628,28 @@ class TestModelBundles:
         (tmp_path / "manifest.txt").write_bytes(text)
         with pytest.raises(FormatError, match=f"manifest.txt: {cause}"):
             read_manifest(tmp_path)
+
+    def test_a_failed_overwrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """A save that fails after its first network must not leave the old
+        manifest naming a mix of the new G and the old F, D_X and D_Y."""
+        old = {role: init_mlp((3, 2, 3 if role in "GF" else 1), seed=k)
+               for k, role in enumerate(("G", "F", "D_X", "D_Y"))}
+        save_model_bundle(tmp_path, "cyclegan", old)
+        new = {role: init_mlp(net.layer_dims, seed=10 + k)
+               for k, (role, net) in enumerate(old.items())}
+        saved = []
+
+        def failing_save(path, net):
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            save_mlp(path, net)
+
+        monkeypatch.setattr(pipeline, "save_mlp", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_model_bundle(tmp_path, "cyclegan", new)
+        with pytest.raises(FormatError, match="missing model manifest"):
+            load_model_bundle(tmp_path)
 
     def test_loss_csv_format(self, tmp_path):
         path = tmp_path / "losses.csv"
