@@ -169,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    # Only the generator that converts is parsed: G maps x to y, and a
+    # Only the generator that converts is loaded: G maps x to y, and a
     # cyclegan's F maps y to x. The parallel methods train G alone.
     method, paths = read_manifest(args.model_dir)
     if args.direction == "yx" and method != "cyclegan":
@@ -217,10 +217,10 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec.from_json(args.spec)
+    dataset = generate_dataset(SyntheticSpec.from_json(args.spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, streams in generate_dataset(spec).items():
+    for name, streams in dataset.items():
         for stream, seq in streams.items():
             path = out_dir / f"{name}.{stream}.ftr"
             write_ftr(path, seq)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net
-from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
+from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError, check_integer
 from .features import FeatureSequence
 from .net import (
     Gradients,
@@ -88,8 +88,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
             if name == "loss_form" and value not in LOSS_FORMS:
                 raise ValueError(f"unknown loss_form {value!r}")
-        if self.batch_frames < 1 or self.epochs < 1:
-            raise ValueError("batch_frames and epochs must be >= 1")
+        check_integer("batch_frames", self.batch_frames, 1)
+        check_integer("epochs", self.epochs, 1)
+        check_integer("seed", self.seed)
+        for layer, width in enumerate(self.hidden_dims):
+            check_integer(f"hidden_dims[{layer}]", width, 1)
 
     def init_net(self, d_in: int, d_out: int, role: str) -> Mlp:
         """A fresh d_in -> hidden_dims -> d_out network, seeded by its role."""

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import reprlib
 
 
 class DimensionMismatchError(ValueError):
@@ -30,3 +32,14 @@ def utf8_text(path, data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError naming name unless value is an integer, not a bool,
+    that fits in a signed 64-bit integer and is at least minimum, if given."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {reprlib.repr(value)}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} must fit in a signed 64-bit integer, got {reprlib.repr(value)}")

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, NonFiniteError, utf8_text
+from .errors import DimensionMismatchError, FormatError, NonFiniteError, check_integer, utf8_text
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -193,11 +191,12 @@ def init_optimizer(net: Mlp, learning_rate: float = 0.001) -> OptimizerState:
 def init_mlp(layer_dims, seed: int) -> Mlp:
     """Seeded Glorot-uniform weights (plus/minus sqrt(6/(fan_in+fan_out))),
     zero biases. The same seed always produces bit-identical parameters."""
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(layer_dims)
+    for layer, width in enumerate(dims):
+        check_integer(f"layer_dims[{layer}]", width, 1)
+    dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise ValueError(f"need at least 2 layer widths, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"layer widths must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -406,27 +405,35 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: versioned text document, full-precision decimals, plus a
-# binary image of the same parameters that stands in for the text's parse
+# Persistence: a binary image that load_mlp reads, plus an MLP1 text copy
 # ---------------------------------------------------------------------------
 #
-# The MLP1 text is the one format. Beside it, save_mlp writes ``<path>.f8``:
-# the SHA-256 of the text's bytes, then ``Mlp.params`` as raw little-endian
-# float64 in the flat layout. load_mlp takes the parameters from the image
-# only when it holds exactly that digest and the header's parameter count;
-# otherwise (no image, a stale, short or long one, an edited text) it parses
-# the text. Loads never write an image; deleting one only costs load time.
+# save_mlp(path) writes the network twice. ``<path>.f8`` is the model: four
+# header lines (the image magic, the layer widths, the two activations),
+# then ``Mlp.params`` as raw little-endian float64 in the flat layout. It
+# goes to a temporary file that replaces the old image only once whole.
+# ``path`` then gets the MLP1 text: the same header under its own magic and
+# every value as a full-precision decimal, for programs that read text.
+# load_mlp opens the image alone; an edited text changes nothing it loads.
 
-_MODEL_MAGIC = "MLP1"
+_TEXT_MAGIC = "MLP1"
+_IMAGE_MAGIC = "MLPF8"
 #: The one layer layout the engine implements, named in every file's header.
 _ACTIVATIONS = {"hidden_activation": "sigmoid", "output_activation": "linear"}
 _IMAGE_SUFFIX = ".f8"
-_DIGEST_BYTES = hashlib.sha256().digest_size
 _IMAGE_DTYPE = np.dtype("<f8")
 
 
 def _image_path(path) -> str:
     return os.fspath(path) + _IMAGE_SUFFIX
+
+
+def _header(magic: str, net: Mlp) -> list[str]:
+    return [
+        magic,
+        "layer_dims " + " ".join(str(d) for d in net.layer_dims),
+        *(f"{key} {value}" for key, value in _ACTIVATIONS.items()),
+    ]
 
 
 def _format_row(values: list[float]) -> str:
@@ -437,13 +444,20 @@ def _format_row(values: list[float]) -> str:
 
 
 def save_mlp(path, net: Mlp) -> None:
-    """Write a text document that reloads to bit-identical parameters, then
-    its binary image."""
-    lines = [
-        _MODEL_MAGIC,
-        "layer_dims " + " ".join(str(d) for d in net.layer_dims),
-        *(f"{key} {value}" for key, value in _ACTIVATIONS.items()),
-    ]
+    """Write the binary image that load_mlp reads, then the MLP1 text. A
+    failed image write leaves the old image and text in place."""
+    image = _image_path(path)
+    partial = f"{image}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write("".join(f"{line}\n" for line in _header(_IMAGE_MAGIC, net)).encode("utf-8"))
+            fh.write(net.params.astype(_IMAGE_DTYPE, copy=False).tobytes())
+        os.replace(partial, image)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+    lines = _header(_TEXT_MAGIC, net)
     for layer in range(net.n_layers):
         w = net.weights[layer]
         lines.append(f"weight {layer} {w.shape[0]} {w.shape[1]}")
@@ -451,120 +465,51 @@ def save_mlp(path, net: Mlp) -> None:
         b = net.biases[layer]
         lines.append(f"bias {layer} {b.shape[0]}")
         lines.append(_format_row(b.tolist()))
-    text = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(text)
-    with open(_image_path(path), "wb") as fh:
-        fh.write(hashlib.sha256(text).digest())
-        fh.write(net.params.astype(_IMAGE_DTYPE, copy=False).tobytes())
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _head(path, data: bytes, n: int) -> list[str]:
-    """The first n lines of the UTF-8 text in ``data``, as str.splitlines()
-    gives them, decoding only those lines.
-
-    A line feed always ends a line, and no other character's UTF-8 bytes
-    contain one, so the bytes up to the n-th line feed decode and split
-    into the same first lines as the whole text.
-    """
+def _head(path, data: bytes, n: int) -> tuple[list[str], int]:
+    """The first n lines of ``data``, decoded as UTF-8 without their line
+    feeds, and the offset of the byte after the n-th line feed."""
     end = 0
     for _ in range(n):
         end = data.find(b"\n", end) + 1
         if not end:
-            end = len(data)
-            break
-    return utf8_text(path, data[:end]).splitlines()[:n]
-
-
-def _image_params(path, text: bytes, size: int) -> np.ndarray | None:
-    """The ``size`` parameters in path's image, or None unless the image is
-    exactly the digest of ``text`` followed by that many float64 values."""
-    want = _DIGEST_BYTES + _IMAGE_DTYPE.itemsize * size
-    try:
-        with open(_image_path(path), "rb") as fh:
-            if os.fstat(fh.fileno()).st_size != want:
-                return None
-            image = fh.read()
-    except OSError:
-        return None
-    if len(image) != want or image[:_DIGEST_BYTES] != hashlib.sha256(text).digest():
-        return None
-    return np.frombuffer(image, dtype=_IMAGE_DTYPE, offset=_DIGEST_BYTES)
-
-
-def _parse_block(path, lines: list[str], shape: tuple[int, ...], what: str, line_no: int):
-    """One weight or bias block as an array of ``shape``.
-
-    numpy's text reader converts each token with the same C routine as
-    float(), so the values are bit-identical to a float() per token.
-    Blank rows are skipped by the reader, so a blank row shows up as a
-    short block.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=len(shape))
-    except (ValueError, UserWarning) as exc:
-        raise FormatError(f"{path}: {what} at line {line_no}: {exc}") from exc
-    if values.shape != shape:
-        raise FormatError(
-            f"{path}: {what} at line {line_no} holds {values.shape} values, expected {shape}"
-        )
-    return values
-
-
-def _parse_body(path, lines: list[str], dims: tuple[int, ...]):
-    """The weight and bias blocks after the four header lines."""
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    pos = 4
-    for layer in range(len(dims) - 1):
-        tag, idx, rows, cols = lines[pos].split()
-        if tag != "weight" or int(idx) != layer:
-            raise FormatError(f"{path}: expected 'weight {layer}' at line {pos + 1}")
-        rows, cols = int(rows), int(cols)
-        block = lines[pos + 1 : pos + 1 + rows]
-        weights.append(_parse_block(path, block, (rows, cols), f"weight {layer}", pos + 2))
-        pos += 1 + rows
-        tag, idx, n = lines[pos].split()
-        if tag != "bias" or int(idx) != layer:
-            raise FormatError(f"{path}: expected 'bias {layer}' at line {pos + 1}")
-        biases.append(
-            _parse_block(path, lines[pos + 1 : pos + 2], (int(n),), f"bias {layer}", pos + 2)
-        )
-        pos += 2
-    return weights, biases
+            raise FormatError(f"{path}: malformed model header")
+    return utf8_text(path, data[:end]).split("\n")[:n], end
 
 
 def load_mlp(path) -> Mlp:
-    """Read a save_mlp document, from its image when that is verified; any
-    defect raises FormatError naming path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = _head(path, data, 4)
-    if not header or header[0] != _MODEL_MAGIC:
-        raise FormatError(f"{path}: not a {_MODEL_MAGIC} model file")
+    """The network save_mlp wrote for path, read from its image alone; any
+    defect raises FormatError naming the image."""
+    image = _image_path(path)
     try:
-        fields = dict(line.split(" ", 1) for line in header[1:4])
+        with open(image, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise FormatError(f"{image}: missing model image; save or train it again") from None
+    if not data.startswith(_IMAGE_MAGIC.encode() + b"\n"):
+        raise FormatError(f"{image}: not a {_IMAGE_MAGIC} model image")
+    header, start = _head(image, data, 4)
+    try:
+        fields = dict(line.split(" ", 1) for line in header[1:])
         dims = tuple(int(d) for d in fields["layer_dims"].split())
         activations = {key: fields[key] for key in _ACTIVATIONS}
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed model header") from exc
+        raise FormatError(f"{image}: malformed model header") from exc
     if activations != _ACTIVATIONS:
         raise FormatError(
-            f"{path}: unsupported activations {activations}, expected {_ACTIVATIONS}"
+            f"{image}: unsupported activations {activations}, expected {_ACTIVATIONS}"
         )
 
     weight_shapes, bias_shapes = _shapes(dims)
-    size = sum(math.prod(shape) for shape in weight_shapes + bias_shapes)
+    want = _IMAGE_DTYPE.itemsize * sum(math.prod(shape) for shape in weight_shapes + bias_shapes)
+    if len(data) - start != want:
+        raise FormatError(f"{image}: holds {len(data) - start} parameter bytes, expected {want}")
     try:
-        params = _image_params(path, data, size)
-        if params is not None:
-            weights, biases = _views(params, weight_shapes, bias_shapes)
-        else:
-            weights, biases = _parse_body(path, utf8_text(path, data).splitlines(), dims)
-        return Mlp(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
-    except FormatError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed model body: {exc}") from exc
+        params = np.frombuffer(data, dtype=_IMAGE_DTYPE, offset=start)
+        weights, biases = _views(params, weight_shapes, bias_shapes)
+        return Mlp(layer_dims=dims, weights=weights, biases=biases)
+    except ValueError as exc:
+        raise FormatError(f"{image}: {exc}") from exc

@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     NonFiniteError,
+    check_integer,
     utf8_text,
 )
 from .features import (
@@ -366,16 +367,14 @@ def is_plain_file_name(name: str) -> bool:
 
 
 def _check_numbers(spec, *positive: str) -> None:
-    """Raise ValueError unless each int field of spec holds an integer (not a bool),
-    each float field a _finite_real number, and each field named in positive is >= 1."""
+    """Raise ValueError unless each int field of spec passes check_integer, at
+    least 1 if named in positive, and each float field is a _finite_real number."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "int":
+            check_integer(f.name, value, 1 if f.name in positive else None)
         if f.type == "float" and not _finite_real(value):
             raise ValueError(f"{f.name} must be a finite number, got {reprlib.repr(value)}")
-        if f.name in positive and value < 1:
-            raise ValueError(f"{f.name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

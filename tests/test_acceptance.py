@@ -32,6 +32,7 @@ from cyclevc.cyclegan import (
     generator_objective,
     train,
 )
+from cyclevc.errors import FormatError
 from cyclevc.features import (
     FeatureKind,
     FeatureSequence,
@@ -471,9 +472,8 @@ def test_criterion_8_round_trips(tmp_path):
         assert back.kind is seq.kind
         assert np.array_equal(back.data, seq.data)
 
-        # Network persistence is decimal text: exact for doubles. It holds
-        # through the binary image saved beside the text and, with the
-        # image deleted, through the text parse.
+        # Network persistence is exact for doubles through the binary image,
+        # the one file a load reads; with the image deleted, the load fails.
         base = init_mlp((5, 8, 3), seed=31)
         net = Mlp(
             layer_dims=base.layer_dims,
@@ -481,11 +481,12 @@ def test_criterion_8_round_trips(tmp_path):
             biases=tuple(b + 1.0 / 3.0 for b in base.biases),
         )
         save_mlp(tmp_path / "net.mlp", net)
-        through_image = load_mlp(tmp_path / "net.mlp")
+        loaded = load_mlp(tmp_path / "net.mlp")
+        assert all(np.array_equal(w, v) for w, v in zip(loaded.weights, net.weights))
+        assert all(np.array_equal(w, v) for w, v in zip(loaded.biases, net.biases))
         (tmp_path / "net.mlp.f8").unlink()
-        for loaded in (through_image, load_mlp(tmp_path / "net.mlp")):
-            assert all(np.array_equal(w, v) for w, v in zip(loaded.weights, net.weights))
-            assert all(np.array_equal(w, v) for w, v in zip(loaded.biases, net.biases))
+        with pytest.raises(FormatError, match="net.mlp.f8"):
+            load_mlp(tmp_path / "net.mlp")
 
         # split/merge reassembles the exact 49-dim array.
         mcep = FeatureSequence(rng.normal(size=(12, 49)), FeatureKind.MCEP49)

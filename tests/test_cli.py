@@ -178,6 +178,25 @@ class TestGenSynthetic:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", [10**400, 2**63], ids=["10**400", "2**63"])
+    @pytest.mark.parametrize("field", ["frames", "aperiodicity_dim"])
+    def test_an_integer_beyond_64_bits_writes_nothing(self, tmp_path, capsys, field, value):
+        """frames used to overflow uncaught, and aperiodicity_dim gave
+        numpy's message naming neither file nor field; both made --out-dir."""
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        (doc["speakers"][0] if field == "frames" else doc)[field] = value
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {spec}: malformed synthetic spec: {field} must fit in a signed 64-bit integer"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_an_unknown_spec_key_writes_nothing(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         write_spec(spec)
@@ -704,6 +723,19 @@ def whole_bundle_convert(corpus, model_dir, out_dir, direction):
         write_ftr(out_dir / name, seq)
 
 
+def text_params(path) -> np.ndarray:
+    """The values of an MLP1 text, one float() per token, in the flat
+    layout: every weight block, then every bias, in layer order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    blocks, pos = {"weight": [], "bias": []}, 4
+    while pos < len(lines):
+        tag, _, rows = lines[pos].split()[:3]
+        rows = int(rows) if tag == "weight" else 1
+        blocks[tag] += [float(v) for row in lines[pos + 1 : pos + 1 + rows] for v in row.split()]
+        pos += 1 + rows
+    return np.array(blocks["weight"] + blocks["bias"])
+
+
 class TestConvertLoadsOneNetwork:
     @pytest.mark.parametrize(
         "method, direction",
@@ -719,7 +751,7 @@ class TestConvertLoadsOneNetwork:
     def test_corrupt_discriminator_does_not_block_conversion(self, corpus, bundles, tmp_path):
         model = tmp_path / "model"
         shutil.copytree(bundles["cyclegan"], model)
-        (model / "d_x.mlp").write_text("not a model\n")
+        (model / "d_x.mlp.f8").write_text("not a model\n")
         whole_bundle_convert(corpus, bundles["cyclegan"], tmp_path / "ref", "xy")
         (tmp_path / "cli").mkdir()
         assert main(convert_argv(corpus, model, tmp_path / "cli")) == 0
@@ -732,9 +764,9 @@ class TestConvertLoadsOneNetwork:
     ):
         model = tmp_path / "model"
         shutil.copytree(bundles["cyclegan"], model)
-        (model / filename).write_text("not a model\n")
+        (model / f"{filename}.f8").write_text("not a model\n")
         assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
-        assert str(model / filename) in capsys.readouterr().err
+        assert str(model / f"{filename}.f8") in capsys.readouterr().err
 
     def test_bad_f0_file_names_the_file(self, corpus, bundles, tmp_path, capsys):
         f0 = tmp_path / "nan.f0.ftr"
@@ -781,32 +813,24 @@ class TestConvertLoadsOneNetwork:
         assert f"{stats}: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["cyclegan", "gan-parallel", "mse-parallel"])
-    def test_images_load_the_parameters_the_text_holds(
-        self, bundles, tmp_path, monkeypatch, method
-    ):
-        text_only = tmp_path / "model"
-        shutil.copytree(bundles[method], text_only)
-        images = sorted(text_only.glob("*.mlp.f8"))
-        assert [p.name for p in images] == sorted(f"{p.name}.f8" for p in text_only.glob("*.mlp"))
-        for path in images:
-            path.unlink()
-        parsed = []
-        parse = cyclevc.net._parse_block
-        monkeypatch.setattr(cyclevc.net, "_parse_block", lambda *a: parsed.append(a[0]) or parse(*a))
-        _, through_images = load_model_bundle(bundles[method])
-        assert parsed == []
-        _, through_text = load_model_bundle(text_only)
-        assert {Path(p).name for p in parsed} == {p.name[:-3] for p in images}
-        assert through_images.keys() == through_text.keys()
-        for role, net in through_images.items():
-            assert net.params.tobytes() == through_text[role].params.tobytes()
+    def test_images_load_the_parameters_the_text_holds(self, bundles, method):
+        """Each network loads from its image with the values its MLP1 text
+        holds, parsed with one float() per token."""
+        images = sorted(bundles[method].glob("*.mlp.f8"))
+        texts = sorted(bundles[method].glob("*.mlp"))
+        assert [p.name for p in images] == [f"{p.name}.f8" for p in texts]
+        _, networks = load_model_bundle(bundles[method])
+        assert sorted(f"{role.lower()}.mlp" for role in networks) == [p.name for p in texts]
+        for role, net in networks.items():
+            want = text_params(bundles[method] / f"{role.lower()}.mlp")
+            assert net.params.tobytes() == want.tobytes()
 
     def test_reverse_direction_on_parallel_bundle_reads_no_network(
         self, corpus, bundles, tmp_path, capsys
     ):
         model = tmp_path / "model"
         shutil.copytree(bundles["gan-parallel"], model)
-        for path in model.glob("*.mlp"):
+        for path in model.glob("*.mlp.f8"):
             path.unlink()
         assert main(convert_argv(corpus, model, tmp_path, "yx")) == 1
         assert "one-way mapping" in capsys.readouterr().err

@@ -151,3 +151,31 @@ def test_negative_weights_are_refused(config_type, field, message):
 def test_unknown_loss_form_is_refused(config_type):
     with pytest.raises(ValueError, match=r"^unknown loss_form 'wgan'$"):
         config_type(loss_form="wgan")
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"hidden_dims": (4.9,)}, "hidden_dims[0] must be an integer, got 4.9"),
+        ({"hidden_dims": (True,)}, "hidden_dims[0] must be an integer, got True"),
+        ({"hidden_dims": (8, 0)}, "hidden_dims[1] must be >= 1, got 0"),
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"batch_frames": 2.5}, "batch_frames must be an integer, got 2.5"),
+        ({"batch_frames": 0}, "batch_frames must be >= 1, got 0"),
+        ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+        ({"seed": 2**63}, "seed must fit in a signed 64-bit integer, got 9223372036854775808"),
+    ],
+    ids=[
+        "fractional-width", "bool-width", "zero-width", "fractional-epochs", "bool-epochs",
+        "fractional-batch", "zero-batch", "fractional-seed", "seed-beyond-int64",
+    ],
+)
+@pytest.mark.parametrize("config_type", [CycleGanConfig, GanBaselineConfig, MseBaselineConfig])
+def test_every_integer_setting_is_checked(config_type, settings, message):
+    """Before this check a fractional width trained int() of it, a bool
+    width trained width 1, and fractional epochs or batch sizes failed in
+    range() after the networks were built."""
+    with pytest.raises(ValueError) as caught:
+        config_type(**settings)
+    assert str(caught.value) == message

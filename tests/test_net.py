@@ -94,6 +94,21 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp((4,), seed=0)
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((4, 4.9, 2), "layer_dims[1] must be an integer, got 4.9"),
+            ((4, True, 2), "layer_dims[1] must be an integer, got True"),
+            ((4, 0, 2), "layer_dims[1] must be >= 1, got 0"),
+        ],
+        ids=["fraction", "bool", "zero"],
+    )
+    def test_widths_must_be_positive_integers(self, dims, message):
+        """A width used to go through int(), so 4.9 built width 4 and True width 1."""
+        with pytest.raises(ValueError) as caught:
+            init_mlp(dims, seed=0)
+        assert str(caught.value) == message
+
 
 class TestForward:
     def test_single_layer_dot_product(self):
@@ -326,46 +341,35 @@ class TestPersistence:
         assert all(np.array_equal(x, y) for x, y in zip(back.biases, trained.biases))
 
     def test_rejects_garbage(self, tmp_path):
-        # Saved first, so a valid image of the old text stays beside it.
+        # Saved first, so the MLP1 text stays beside the garbage image.
         path = tmp_path / "garbage.mlp"
         save_mlp(path, init_mlp((4, 9, 2), seed=21))
-        path.write_text("not a model\n")
-        with pytest.raises(FormatError, match="garbage.mlp: not a MLP1"):
+        (tmp_path / "garbage.mlp.f8").write_text("not a model\n")
+        with pytest.raises(FormatError, match="garbage.mlp.f8: not a MLPF8"):
             load_mlp(path)
 
     @pytest.mark.parametrize(
         "old, new, cause",
         [
-            ("hidden_activation sigmoid", "hidden_activation tanh", "activations"),
-            ("bias 0 3\n0.0 0.0 0.0", "bias 0 3\n0.0 0.0", "bias 0"),
-            ("weight 0 3 2\n0.5", "weight 0 3 2\nnan", "not finite"),
-            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 0.5 0.5", "weight 0"),
-            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5", "weight 0"),
-            ("weight 1 1 3\n0.25 0.25 0.25", "weight 1 1 3\n0.25 0.25 0.25 0.25", "weight 1"),
-            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 0.5 # a comment", "weight 0"),
-            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n\n0.5 0.5", "weight 0"),
-            ("weight 0 3 2\n0.5 0.5", "weight 0 3 2\n0.5 half", "weight 0"),
-            ("bias 0 3", "bias 0 4", "bias 0"),
+            (b"hidden_activation sigmoid", b"hidden_activation tanh", "activations"),
+            (np.float64(0.5).tobytes(), np.float64(np.nan).tobytes(), "not finite"),
+            (b"layer_dims 2 3 1", b"layer_dims 2 4 1", "holds 104 parameter bytes, expected 136"),
         ],
-        ids=[
-            "activation", "bias-length", "nan-weight", "extra-value", "missing-value",
-            "extra-value-in-one-row-block", "comment", "blank-row", "not-a-number",
-            "count-not-in-header",
-        ],
+        ids=["activation", "nan-weight", "count-not-in-header"],
     )
     def test_malformed_file_error_names_the_file(self, tmp_path, old, new, cause):
-        """Each edit leaves the saved image beside the text stale."""
+        """Each edit goes into the saved image, the one file load_mlp reads."""
         net = Mlp(
             layer_dims=(2, 3, 1),
             weights=(np.full((3, 2), 0.5), np.full((1, 3), 0.25)),
             biases=(np.zeros(3), np.zeros(1)),
         )
-        path = tmp_path / "bad.mlp"
+        path, image = tmp_path / "bad.mlp", tmp_path / "bad.mlp.f8"
         save_mlp(path, net)
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-        with pytest.raises(FormatError, match=f"bad.mlp.*{cause}"):
+        data = image.read_bytes()
+        assert old in data
+        image.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(FormatError, match=f"bad.mlp.f8: .*{cause}"):
             load_mlp(path)
 
 
@@ -441,20 +445,6 @@ class TestTextFormat:
             assert load_mlp(path).params.tobytes() == reference_params(path).tobytes()
 
 
-def parse_spy(monkeypatch) -> list:
-    """Record each call of the text block parser; the list stays empty while
-    loads come from the binary image."""
-    calls = []
-    parse = net_module._parse_block
-
-    def spy(*args, **kwargs):
-        calls.append(args[3])
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(net_module, "_parse_block", spy)
-    return calls
-
-
 def pi_net(seed: int = 21) -> Mlp:
     base = init_mlp((4, 9, 2), seed=seed)
     return Mlp(
@@ -465,52 +455,76 @@ def pi_net(seed: int = 21) -> Mlp:
 
 
 class TestBinaryImage:
-    def test_image_is_text_digest_then_little_endian_params(self, tmp_path):
-        net = pi_net()
-        path = tmp_path / "net.mlp"
-        save_mlp(path, net)
-        image = (tmp_path / "net.mlp.f8").read_bytes()
-        assert image[:32] == hashlib.sha256(path.read_bytes()).digest()
-        assert image[32:] == net.params.astype("<f8").tobytes()
-
-    def test_verified_image_replaces_the_parse(self, tmp_path, monkeypatch):
+    def test_image_is_header_then_little_endian_params(self, tmp_path):
         net = pi_net()
         save_mlp(tmp_path / "net.mlp", net)
-        calls = parse_spy(monkeypatch)
+        header = b"MLPF8\nlayer_dims 4 9 2\nhidden_activation sigmoid\noutput_activation linear\n"
+        image = (tmp_path / "net.mlp.f8").read_bytes()
+        assert image[: len(header)] == header
+        assert image[len(header) :] == net.params.astype("<f8").tobytes()
+
+    def test_the_image_alone_loads(self, tmp_path):
+        net = pi_net()
+        save_mlp(tmp_path / "net.mlp", net)
+        (tmp_path / "net.mlp").unlink()
         loaded = load_mlp(tmp_path / "net.mlp")
-        assert calls == []
         assert loaded.params.tobytes() == net.params.tobytes()
         assert loaded.params.flags.writeable is False
 
-    @pytest.mark.parametrize("damage", ["missing", "stale", "truncated", "over-long"])
-    def test_unverified_image_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
-        path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
-        save_mlp(path, pi_net())
-        want = pi_net()
-        if damage == "missing":
-            image.unlink()
-        elif damage == "stale":
-            # Same architecture, other values: the image is the right size
-            # but holds the digest of the text it was saved with.
-            want = pi_net(seed=22)
-            save_mlp(tmp_path / "other.mlp", want)
-            path.write_bytes((tmp_path / "other.mlp").read_bytes())
-        elif damage == "truncated":
-            image.write_bytes(image.read_bytes()[:-8])
-        else:
-            image.write_bytes(image.read_bytes() + bytes(8))
-        before = image.read_bytes() if image.exists() else None
-        calls = parse_spy(monkeypatch)
-        assert load_mlp(path).params.tobytes() == want.params.tobytes()
-        assert calls == ["weight 0", "bias 0", "weight 1", "bias 1"]
-        assert (image.read_bytes() if image.exists() else None) == before
-
-    @pytest.mark.parametrize("line", [1, 6], ids=["header", "body"])
-    def test_non_utf8_file_error_names_the_file(self, tmp_path, line):
+    def test_an_edited_text_does_not_change_what_loads(self, tmp_path):
         path = tmp_path / "net.mlp"
         save_mlp(path, pi_net())
-        lines = path.read_bytes().split(b"\n")
-        lines[line] += b"\xff"
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(FormatError, match="net.mlp.*not UTF-8"):
+        save_mlp(tmp_path / "other.mlp", pi_net(seed=22))
+        path.write_bytes((tmp_path / "other.mlp").read_bytes())
+        assert load_mlp(path).params.tobytes() == pi_net().params.tobytes()
+
+    @pytest.mark.parametrize(
+        "damage, cause",
+        [
+            ("missing", "missing model image; save or train it again"),
+            ("truncated", "holds 512 parameter bytes, expected 520"),
+            ("over-long", "holds 528 parameter bytes, expected 520"),
+            ("digest-first", "not a MLPF8 model image"),
+        ],
+        ids=["missing", "truncated", "over-long", "digest-first"],
+    )
+    def test_a_damaged_image_is_a_format_error(self, tmp_path, damage, cause):
+        """digest-first is the layout of images saved beside an MLP1 text
+        that load_mlp used to parse: a SHA-256 of the text, then the params."""
+        path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
+        save_mlp(path, pi_net())
+        if damage == "missing":
+            image.unlink()
+        elif damage == "truncated":
+            image.write_bytes(image.read_bytes()[:-8])
+        elif damage == "over-long":
+            image.write_bytes(image.read_bytes() + bytes(8))
+        else:
+            image.write_bytes(hashlib.sha256(path.read_bytes()).digest() + pi_net().params.tobytes())
+        with pytest.raises(FormatError, match=f"net.mlp.f8: {cause}"):
+            load_mlp(path)
+
+    def test_a_failed_image_write_keeps_the_previous_net(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.mlp"
+        save_mlp(path, pi_net())
+        text = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(net_module.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_mlp(path, pi_net(seed=22))
+        monkeypatch.undo()
+        assert load_mlp(path).params.tobytes() == pi_net().params.tobytes()
+        assert path.read_bytes() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.mlp", "net.mlp.f8"]
+
+    def test_non_utf8_file_error_names_the_file(self, tmp_path):
+        path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
+        save_mlp(path, pi_net())
+        lines = image.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        image.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="net.mlp.f8.*not UTF-8"):
             load_mlp(path)

@@ -599,11 +599,11 @@ class TestModelBundles:
         save_model_bundle(tmp_path, "gan-parallel", {
             "G": init_mlp((75, 8, 75), seed=0), "D": init_mlp((75, 8, 1), seed=1),
         })
-        (tmp_path / "d.mlp").write_text("not a model\n")
+        (tmp_path / "d.mlp.f8").write_text("not a model\n")
         assert read_manifest(tmp_path) == (
             "gan-parallel", {"G": tmp_path / "g.mlp", "D": tmp_path / "d.mlp"}
         )
-        with pytest.raises(FormatError, match="d.mlp"):
+        with pytest.raises(FormatError, match="d.mlp.f8"):
             load_model_bundle(tmp_path)
 
     @pytest.mark.parametrize(
