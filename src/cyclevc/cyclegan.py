@@ -13,7 +13,7 @@ Both adversarial loss forms, "lsgan" (default) and "log", are score_loss.
 
 from __future__ import annotations
 
-import math
+import reprlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -22,7 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net
-from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError, check_integer
+from .errors import (
+    DimensionMismatchError,
+    InsufficientDataError,
+    NonFiniteError,
+    check_integer,
+    finite_real,
+)
 from .features import FeatureSequence
 from .net import (
     Gradients,
@@ -80,8 +86,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
             rate, weight = name.startswith("lr_"), name.endswith("_weight")
-            if (rate or weight) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if (rate or weight) and not finite_real(value):
+                raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
             if rate and value <= 0:
                 raise ValueError("learning rates must be > 0")
             if weight and value < 0:

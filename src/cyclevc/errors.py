@@ -1,6 +1,8 @@
 """Exception types and input checks shared across the package."""
 
+import math
 import reprlib
+from numbers import Real
 
 
 class DimensionMismatchError(ValueError):
@@ -32,6 +34,14 @@ def utf8_text(path, data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def finite_real(value) -> bool:
+    """Whether value is a real number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_integer(name: str, value, minimum: int | None = None) -> None:

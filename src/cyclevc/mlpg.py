@@ -14,11 +14,12 @@ straight from the windows' row entries, without forming any T x T matrix.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, finite_real
 from .features import DELTA_WINDOWS, FeatureKind, FeatureSequence, LOW_DIM
 
 #: Largest frame offset of any delta kernel: the half-width of every band.
@@ -161,8 +162,8 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
 
 def check_beta(beta: float) -> None:
     """Raise ValueError unless postfilter accepts beta: finite and >= 0."""
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not (finite_real(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {reprlib.repr(beta)}")
 
 
 def postfilter(seq: FeatureSequence, beta: float = 0.0) -> FeatureSequence:

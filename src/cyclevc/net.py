@@ -31,7 +31,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, NonFiniteError, check_integer, utf8_text
+from .errors import (
+    DimensionMismatchError,
+    FormatError,
+    NonFiniteError,
+    check_integer,
+    finite_real,
+    utf8_text,
+)
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -175,7 +182,7 @@ class OptimizerState:
     step_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
+        if not (finite_real(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning rate must be > 0")
         if self.step_count < 0:
             raise ValueError("step_count must be >= 0")

@@ -13,11 +13,9 @@ untouched higher-order columns, transform F0, copy aperiodicity.
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 import time
 from dataclasses import dataclass, fields
-from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     NonFiniteError,
     check_integer,
+    finite_real,
     utf8_text,
 )
 from .features import (
@@ -341,22 +340,14 @@ class MixtureSpec:
         return self.weights @ self.means
 
 
-def _finite_real(value) -> bool:
-    """Whether value is a real number, not a bool, that converts to a finite float."""
-    try:
-        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _real_array(name: str, value) -> np.ndarray:
     """value, nested lists or a numpy array of a real dtype, as a float64
-    array; ValueError naming name unless each entry is _finite_real."""
+    array; ValueError naming name unless each entry is finite_real."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         value = value.tolist()
     items = np.array(value, dtype=object)
     for item in items.flat:
-        if not _finite_real(item):
+        if not finite_real(item):
             raise ValueError(f"{name} must hold finite numbers, got {reprlib.repr(item)}")
     return items.astype(np.float64)
 
@@ -368,12 +359,12 @@ def is_plain_file_name(name: str) -> bool:
 
 def _check_numbers(spec, *positive: str) -> None:
     """Raise ValueError unless each int field of spec passes check_integer, at
-    least 1 if named in positive, and each float field is a _finite_real number."""
+    least 1 if named in positive, and each float field is a finite_real number."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if f.type == "int":
             check_integer(f.name, value, 1 if f.name in positive else None)
-        if f.type == "float" and not _finite_real(value):
+        if f.type == "float" and not finite_real(value):
             raise ValueError(f"{f.name} must be a finite number, got {reprlib.repr(value)}")
 
 
@@ -480,7 +471,7 @@ def generate_dataset(spec: SyntheticSpec) -> dict[str, dict[str, FeatureSequence
 # Model bundle + loss history persistence
 # ---------------------------------------------------------------------------
 
-_MANIFEST_MAGIC = "VCMODEL1"
+_MANIFEST_MAGIC = "VCMODEL2"
 _MANIFEST_NAME = "manifest.txt"
 
 #: Network roles persisted per training method.
@@ -491,61 +482,40 @@ BUNDLE_ROLES = {
 }
 
 
+def _network_paths(model_dir, method: str) -> dict[str, Path]:
+    """The model file of each network role of method in model_dir: <role>.mlp."""
+    return {role: Path(model_dir) / f"{role.lower()}.mlp" for role in BUNDLE_ROLES[method]}
+
+
 def save_model_bundle(model_dir, method: str, networks: dict[str, Mlp]) -> None:
-    """Write one model file per network plus a manifest naming the roles,
+    """Write one model file per network role, then a manifest stating the method,
     after removing any old manifest: a failed save leaves no bundle to load."""
     roles = BUNDLE_ROLES.get(method)
     if roles is None:
         raise ValueError(f"unknown method {method!r}")
     if set(networks) != set(roles):
         raise ValueError(f"method {method} needs networks {roles}, got {tuple(networks)}")
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    (model_dir / _MANIFEST_NAME).unlink(missing_ok=True)
-    lines = [_MANIFEST_MAGIC, f"method {method}"]
-    for role in roles:
-        filename = f"{role.lower()}.mlp"
-        save_mlp(model_dir / filename, networks[role])
-        lines.append(f"network {role} {filename}")
-    (model_dir / _MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = Path(model_dir) / _MANIFEST_NAME
+    manifest.parent.mkdir(parents=True, exist_ok=True)
+    manifest.unlink(missing_ok=True)
+    for role, path in _network_paths(model_dir, method).items():
+        save_mlp(path, networks[role])
+    manifest.write_text(f"{_MANIFEST_MAGIC}\nmethod {method}\n", encoding="utf-8")
 
 
 def read_manifest(model_dir) -> tuple[str, dict[str, Path]]:
-    """A bundle's method and the model file of each of its network roles.
-
-    Checks the manifest only: its magic, its lines, and that it names
-    exactly the roles of its method. No network file is opened.
-    """
-    model_dir = Path(model_dir)
-    manifest = model_dir / _MANIFEST_NAME
+    """A bundle's method and the model file of each of its network roles, from
+    the manifest alone: its magic line and one method line. No network file is opened."""
+    manifest = Path(model_dir) / _MANIFEST_NAME
     if not manifest.exists():
         raise FormatError(f"{manifest}: missing model manifest")
     lines = utf8_text(manifest, manifest.read_bytes()).splitlines()
-    if not lines or lines[0] != _MANIFEST_MAGIC:
+    if len(lines) != 2 or lines[0] != _MANIFEST_MAGIC or not lines[1].startswith("method "):
         raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
-    method = None
-    paths: dict[str, Path] = {}
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "method" and len(parts) == 2:
-            if method is not None:
-                raise FormatError(f"{manifest}: line {line_no} repeats the method: {line!r}")
-            method = parts[1]
-        elif parts[0] == "network" and len(parts) == 3:
-            if parts[1] in paths:
-                raise FormatError(
-                    f"{manifest}: line {line_no} repeats network {parts[1]}: {line!r}"
-                )
-            if not is_plain_file_name(parts[2]):
-                raise FormatError(f"{manifest}: line {line_no} names no plain file: {line!r}")
-            paths[parts[1]] = model_dir / parts[2]
-        else:
-            raise FormatError(f"{manifest}: unparsable line {line_no}: {line!r}")
-    if method is None or set(paths) != set(BUNDLE_ROLES.get(method, ())):
-        raise FormatError(f"{manifest}: incomplete manifest for method {method!r}")
-    return method, paths
+    method = lines[1].removeprefix("method ")
+    if method not in BUNDLE_ROLES:
+        raise FormatError(f"{manifest}: unknown method {method!r}")
+    return method, _network_paths(model_dir, method)
 
 
 def load_model_bundle(model_dir) -> tuple[str, dict[str, Mlp]]:

@@ -327,9 +327,9 @@ class TestTrain:
             "method=cyclegan lr_generator=0.001 batch_frames=128 epochs=2 seed=7 "
             "hidden_dims=(8,) cycle_weight=10.0 lr_discriminator=0.0001 loss_form='lsgan'"
         )
-        manifest = (out / "manifest.txt").read_text()
-        for role in ("G", "F", "D_X", "D_Y"):
-            assert f"network {role} " in manifest
+        assert (out / "manifest.txt").read_text() == "VCMODEL2\nmethod cyclegan\n"
+        for role in ("g", "f", "d_x", "d_y"):
+            assert (out / f"{role}.mlp").is_file() and (out / f"{role}.mlp.f8").is_file()
         header = (out / "losses.csv").read_text().splitlines()[0]
         assert header == "epoch,adv_g,adv_f,disc_x,disc_y,cycle,total"
 
@@ -767,6 +767,19 @@ class TestConvertLoadsOneNetwork:
         (model / f"{filename}.f8").write_text("not a model\n")
         assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
         assert str(model / f"{filename}.f8") in capsys.readouterr().err
+
+    def test_an_old_manifest_is_one_error_line(self, corpus, bundles, tmp_path, capsys):
+        """A bundle whose manifest still names its files must be trained again."""
+        model = tmp_path / "model"
+        shutil.copytree(bundles["cyclegan"], model)
+        (model / "manifest.txt").write_text("VCMODEL1\nmethod cyclegan\n" + "".join(
+            f"network {role} {role.lower()}.mlp\n" for role in ("G", "F", "D_X", "D_Y")
+        ))
+        assert main(convert_argv(corpus, model, tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model / 'manifest.txt'}: not a VCMODEL2 manifest\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_bad_f0_file_names_the_file(self, corpus, bundles, tmp_path, capsys):
         f0 = tmp_path / "nan.f0.ftr"

@@ -12,6 +12,7 @@ shows that difference in some epoch, so a swapped mean rule fails it.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,10 +129,22 @@ def test_every_learning_rate_must_be_positive(config_type, field):
         config_type(**{field: 0.0})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
 @pytest.mark.parametrize("config_type, field", RATES_AND_WEIGHTS)
 def test_every_rate_and_weight_must_be_finite(config_type, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        config_type(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [("0.1", "'0.1'"), (10**400, "100000000000000000...0000000000000000000")],
+    ids=["string", "too-large-for-a-float"],
+)
+@pytest.mark.parametrize("config_type, field", RATES_AND_WEIGHTS)
+def test_every_rate_and_weight_must_be_a_real_number(config_type, field, value, shown):
+    """Refused with the field's name, not a bare TypeError or OverflowError."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {re.escape(shown)}$"):
         config_type(**{field: value})
 
 

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cyclevc.errors import DimensionMismatchError
 from cyclevc.features import DELTA_WINDOWS, FeatureKind, FeatureSequence, compute_deltas
-from cyclevc.mlpg import _MAX_OFFSET, GaussianTrajectory, _window_rows, mlpg_generate, postfilter
+from cyclevc.mlpg import (
+    _MAX_OFFSET,
+    GaussianTrajectory,
+    _window_rows,
+    check_beta,
+    mlpg_generate,
+    postfilter,
+)
 
 
 def dense_window_matrix(win, frames: int) -> np.ndarray:
@@ -210,3 +218,14 @@ class TestPostfilter:
         for beta in (-0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^beta must be finite and >= 0, got {beta}$"):
                 postfilter(seq, beta)
+
+    @pytest.mark.parametrize(
+        "beta, shown",
+        [("0.5", "'0.5'"), (10**400, "100000000000000000...0000000000000000000")],
+        ids=["string", "too-large-for-a-float"],
+    )
+    def test_beta_must_be_a_real_number(self, beta, shown):
+        """Refused with the setting's name, not numpy's TypeError."""
+        message = f"^beta must be finite and >= 0, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            check_beta(beta)

@@ -293,6 +293,14 @@ class TestApplyUpdate:
         with pytest.raises(ValueError):
             net.weights[0][0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "rate", [np.nan, np.inf, True, "0.1", 10**400],
+        ids=["nan", "inf", "bool", "string", "too-large-for-a-float"],
+    )
+    def test_learning_rate_must_be_a_finite_real(self, rate):
+        with pytest.raises(ValueError, match="^learning rate must be > 0$"):
+            init_optimizer(self._scalar_net(), rate)
+
     def test_optimizer_moments_are_separate_buffers(self):
         net = init_mlp((3, 5, 2), seed=19)
         opt = init_optimizer(net)
