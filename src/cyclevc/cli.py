@@ -7,6 +7,7 @@ randomness flows from the single --seed value.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -244,7 +245,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cyclevc parser, built once per process: parsing leaves it as it
+    was, and the commands only read the setting_flags it puts in args."""
     parser = argparse.ArgumentParser(
         prog="cyclevc",
         description="Nonparallel voice conversion over mel-cepstral features.",

@@ -151,6 +151,10 @@ DELTA_WINDOWS = (
     ((-1, 1.0), (0, -2.0), (1, 1.0)),
 )
 
+#: Largest frame offset of any delta kernel: the edge padding of
+#: compute_deltas and the half-width of every MLPG band.
+_MAX_OFFSET = max(abs(off) for win in DELTA_WINDOWS for off, _ in win)
+
 
 def split_mcep(seq: FeatureSequence) -> tuple[FeatureSequence, FeatureSequence]:
     """Split a 49-dim mel-cepstrum into lower 25 and higher 24 columns."""
@@ -191,15 +195,17 @@ def compute_deltas(seq: FeatureSequence) -> FeatureSequence:
     """
     if seq.frames < 1:
         raise InsufficientDataError("compute_deltas needs at least one frame")
-    t = seq.frames
-    idx = np.arange(t)
-    blocks = []
-    for win in DELTA_WINDOWS:
-        block = np.zeros_like(seq.data)
+    data = seq.data
+    t, d = data.shape
+    k = _MAX_OFFSET
+    # The edge frames repeated k times on each side: frame i + offset,
+    # clamped to the sequence, is row k + i + offset here.
+    padded = np.concatenate((data[:1].repeat(k, axis=0), data, data[-1:].repeat(k, axis=0)))
+    out = np.zeros((t, len(DELTA_WINDOWS) * d))
+    for w, win in enumerate(DELTA_WINDOWS):
+        block = out[:, w * d : (w + 1) * d]
         for offset, coef in win:
-            block += coef * seq.data[np.clip(idx + offset, 0, t - 1)]
-        blocks.append(block)
-    out = np.concatenate(blocks, axis=1)
+            block += coef * padded[k + offset : k + offset + t]
     kind = (
         FeatureKind.AUGMENTED75
         if seq.kind is FeatureKind.MCEP_LOW25

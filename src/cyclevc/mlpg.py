@@ -20,10 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, finite_real
-from .features import DELTA_WINDOWS, FeatureKind, FeatureSequence, LOW_DIM
-
-#: Largest frame offset of any delta kernel: the half-width of every band.
-_MAX_OFFSET = max(abs(off) for win in DELTA_WINDOWS for off, _ in win)
+from .features import _MAX_OFFSET, DELTA_WINDOWS, FeatureKind, FeatureSequence, LOW_DIM
 
 
 @dataclass(frozen=True)
@@ -73,13 +70,20 @@ def _window_rows(win, frames: int) -> np.ndarray:
 
     Edge replication clamps out-of-range offsets onto the edge frame, and
     offsets that land on the same column get their coefficients summed,
-    exactly as in the delta computation.
+    exactly as in the delta computation. Only the first and last K rows
+    clamp an offset, so the rows are built over at most 2K + 1 frames and
+    the middle one stands for every interior row.
     """
-    rows = np.zeros((frames, 2 * _MAX_OFFSET + 1))
-    t = np.arange(frames)
+    k = _MAX_OFFSET
+    n = min(frames, 2 * k + 1)
+    rows = np.zeros((n, 2 * k + 1))
+    t = np.arange(n)
     for offset, coef in win:
-        rows[t, np.clip(t + offset, 0, frames - 1) - t + _MAX_OFFSET] += coef
-    return rows
+        rows[t, np.clip(t + offset, 0, n - 1) - t + k] += coef
+    if n == frames:
+        return rows
+    interior = rows[k : k + 1].repeat(frames - 2 * k, axis=0)
+    return np.concatenate((rows[:k], interior, rows[k + 1 :]))
 
 
 def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
@@ -113,7 +117,9 @@ def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
                 )
     if n == frames:
         return ab
-    band = np.empty((s, bandwidth + 1, frames))
+    # Each dimension's band in Fortran order, as LAPACK takes it, so the
+    # solves use it without a copy.
+    band = np.empty((s, frames, bandwidth + 1)).transpose(0, 2, 1)
     band[:, :, :edge] = ab[:, :, :edge]
     band[:, :, edge : frames - edge] = ab[:, :, edge : edge + 1]
     band[:, :, frames - edge :] = ab[:, :, edge + 1 :]
@@ -137,24 +143,37 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
 
     k = _MAX_OFFSET
     ab = _normal_band(precisions, t)
-    rhs = np.zeros((s, t))
+    rhs = np.zeros((t, s))
     for w, win in enumerate(DELTA_WINDOWS):
-        p = precisions[w * s : (w + 1) * s, None]
         rows = _window_rows(win, t)
-        mu = traj.means[:, w * s : (w + 1) * s].T * p
+        mu = traj.means[:, w * s : (w + 1) * s] * precisions[w * s : (w + 1) * s]
         # Row r of W adds W[r,i] mu[r] to rhs[i], i = r+d1.
         for d1 in range(-k, k + 1):
             lo = max(0, -d1)
             hi = max(lo, t - max(d1, 0))
-            rhs[:, lo + d1 : hi + d1] += rows[lo:hi, d1 + k] * mu[:, lo:hi]
+            rhs[lo + d1 : hi + d1] += rows[lo:hi, d1 + k, None] * mu[lo:hi]
+    rhs = np.ascontiguousarray(rhs.T)  # one row per dimension, as the solves take it
 
     # Imported here: scipy.linalg costs about 0.2 s to import, and training
     # and the statistics commands never smooth a trajectory.
-    from scipy.linalg import solveh_banded
+    from scipy.linalg import LinAlgError, get_lapack_funcs
 
+    # What solveh_banded(ab[dim], rhs[dim], lower=False) does for each
+    # dimension, with its checks made once over all of them: a 2-row band
+    # goes to ptsv, any other to pbsv. ab and rhs are ours to overwrite.
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if ab.shape[1] == 2:
+        (ptsv,) = get_lapack_funcs(("ptsv",), (ab, rhs))
+        solve = lambda band, b: ptsv(band[1], band[0, 1:], b, 1, 1, 1)[2:]
+    else:
+        (pbsv,) = get_lapack_funcs(("pbsv",), (ab, rhs))
+        solve = lambda band, b: pbsv(band, b, lower=0, overwrite_ab=1, overwrite_b=1)[1:]
     out = np.empty((t, s))
     for dim in range(s):
-        out[:, dim] = solveh_banded(ab[dim], rhs[dim], lower=False)
+        out[:, dim], info = solve(ab[dim], rhs[dim])
+        if info > 0:
+            raise LinAlgError(f"{info}th leading minor not positive definite")
 
     kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
     return FeatureSequence(out, kind)

@@ -184,8 +184,7 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if not (finite_real(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning rate must be > 0")
-        if self.step_count < 0:
-            raise ValueError("step_count must be >= 0")
+        check_integer("step_count", self.step_count, 0)
 
 
 def init_optimizer(net: Mlp, learning_rate: float = 0.001) -> OptimizerState:

@@ -137,6 +137,20 @@ class TestParserDefaults:
         assert GanBaselineConfig().epochs == 400
         assert MseBaselineConfig().epochs == 60
 
+    def test_a_train_run_leaves_the_setting_flags_as_built(self, tmp_path, capsys):
+        """main() reuses one parser, so the setting_flags every train parse
+        gets are the parser's own: a train run must leave them as built."""
+        argv = train_args(tmp_path, "cyclegan", tmp_path / "models", "--mse-weight", "1")
+        flags = build_parser().parse_args(argv).setting_flags
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --mse-weight is not used by --method cyclegan\n"
+        assert build_parser().parse_args(argv).setting_flags is flags
+        assert flags == {
+            "seed": "--seed", "cycle_weight": "--lambda", "batch_frames": "--batch",
+            "epochs": "--epochs", "lr_generator": "--lr-g", "lr_discriminator": "--lr-d",
+            "loss_form": "--loss-form", "mse_weight": "--mse-weight", "hidden_dims": "--hidden",
+        }
+
     def test_hidden_parse(self):
         args = build_parser().parse_args(
             ["train", "--method", "cyclegan", "--src-mcep", "a", "--tgt-mcep", "b",
@@ -509,6 +523,30 @@ class TestConvertAndEval:
         assert main(self.convert_args(corpus, trained, b_dir)) == 0
         for name in ("out.mcep.ftr", "out.f0.ftr", "out.ap.ftr"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_one_parser_serves_every_call(self, corpus, trained, tmp_path):
+        """main() parses with one parser per process. A convert with --mlpg
+        off and a post-filter, then one with the defaults, each write the
+        bytes a lone call in a fresh interpreter writes."""
+        assert build_parser() is build_parser()
+        runs = {"flags": ("--mlpg", "off", "--postfilter-beta", "0.5"), "defaults": ()}
+        env = {**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])}
+        for name, extra in runs.items():
+            for mode in ("lone", "reused"):
+                (tmp_path / mode / name).mkdir(parents=True)
+            subprocess.run(
+                [sys.executable, "-m", "cyclevc.cli",
+                 *self.convert_args(corpus, trained, tmp_path / "lone" / name, *extra)],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+        for name, extra in runs.items():
+            assert main(self.convert_args(corpus, trained, tmp_path / "reused" / name, *extra)) == 0
+        for name in runs:
+            for out in _OUTPUTS:
+                lone = (tmp_path / "lone" / name / out).read_bytes()
+                assert (tmp_path / "reused" / name / out).read_bytes() == lone, (name, out)
+        flagged, default = (tmp_path / "lone" / name / "out.mcep.ftr" for name in runs)
+        assert flagged.read_bytes() != default.read_bytes()
 
     def test_trace_lists_stages_in_order(self, corpus, trained, tmp_path, capsys):
         assert main(self.convert_args(corpus, trained, tmp_path, "--trace")) == 0

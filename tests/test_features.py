@@ -20,6 +20,7 @@ from cyclevc.errors import (
 )
 from cyclevc.features import (
     AUGMENTED_DIM,
+    DELTA_WINDOWS,
     FeatureKind,
     FeatureSequence,
     HIGH_DIM,
@@ -112,7 +113,27 @@ class TestSplitMerge:
             merge_mcep(lower, higher)
 
 
+def gathered_deltas(data: np.ndarray) -> np.ndarray:
+    """compute_deltas as one clamped-index gather per window entry, each
+    window summed from zeros in its order."""
+    t = data.shape[0]
+    idx = np.arange(t)
+    blocks = []
+    for win in DELTA_WINDOWS:
+        block = np.zeros_like(data)
+        for offset, coef in win:
+            block += coef * data[np.clip(idx + offset, 0, t - 1)]
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1)
+
+
 class TestComputeDeltas:
+    @pytest.mark.parametrize("frames", [1, 2, 3, 5, 300, 2000])
+    def test_bit_identical_to_the_gather(self, frames):
+        data = np.random.default_rng(frames).normal(size=(frames, LOW_DIM))
+        aug = compute_deltas(FeatureSequence(data, FeatureKind.MCEP_LOW25))
+        assert aug.data.tobytes() == gathered_deltas(data).tobytes()
+
     def test_output_width_and_order(self):
         rng = np.random.default_rng(3)
         statics = FeatureSequence(rng.normal(size=(6, LOW_DIM)), FeatureKind.MCEP_LOW25)

@@ -79,6 +79,22 @@ def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return out
 
 
+@pytest.mark.parametrize("frames", [*range(1, 8), 50])
+def test_window_rows_are_the_window_matrix_band(frames):
+    """Each row holds W[t, t-K..t+K] of the entry-by-entry window matrix,
+    zero off either edge, for short sequences and for a long one whose
+    interior rows repeat the template's middle row."""
+    k = _MAX_OFFSET
+    for win in DELTA_WINDOWS:
+        mat = dense_window_matrix(win, frames)
+        expected = np.zeros((frames, 2 * k + 1))
+        for t in range(frames):
+            for j in range(2 * k + 1):
+                if 0 <= t + j - k < frames:
+                    expected[t, j] = mat[t, t + j - k]
+        assert _window_rows(win, frames).tobytes() == expected.tobytes()
+
+
 class TestGaussianTrajectory:
     def test_width_must_divide(self):
         with pytest.raises(DimensionMismatchError):
@@ -118,6 +134,15 @@ class TestMlpgGenerate:
             variances[30] = np.inf
             out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
             assert out.tobytes() == full_band_mlpg(means, variances).tobytes(), f"T={frames}"
+
+    def test_overflowing_right_hand_side_is_refused(self):
+        """Means of 1e10 over a static variance of 1e-300 overflow the
+        right-hand side to inf, which the solve refuses as solveh_banded does."""
+        means = np.full((6, 3), 1e10)
+        variances = np.array([1e-300, 1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                mlpg_generate(GaussianTrajectory(means=means, variances=variances))
 
     def test_recovers_delta_expansion(self):
         """Means that truly came from a static sequence are recovered exactly."""

@@ -15,6 +15,7 @@ from cyclevc.features import FeatureSequence
 from cyclevc.net import (
     Gradients,
     Mlp,
+    OptimizerState,
     apply_update,
     backward,
     forward,
@@ -300,6 +301,12 @@ class TestApplyUpdate:
     def test_learning_rate_must_be_a_finite_real(self, rate):
         with pytest.raises(ValueError, match="^learning rate must be > 0$"):
             init_optimizer(self._scalar_net(), rate)
+
+    @pytest.mark.parametrize("step_count", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_step_count_must_be_an_integer(self, step_count):
+        opt = init_optimizer(self._scalar_net())
+        with pytest.raises(ValueError, match="^step_count must be an integer, got "):
+            OptimizerState(opt.learning_rate, opt.m, opt.v, step_count=step_count)
 
     def test_optimizer_moments_are_separate_buffers(self):
         net = init_mlp((3, 5, 2), seed=19)
