@@ -96,7 +96,7 @@ def train_mse_baseline(
         yb = data.y.data[idx]
         pred, cache = forward(net, xb)
         loss, g_mse = mse_loss(pred, yb)
-        grads, _ = backward(net, cache, g_mse)
+        grads, _ = backward(net, cache, g_mse, input_grad=False)
         return apply_update(net, grads, opt), MseLosses(loss)
 
     opt = init_optimizer(net, config.lr_generator)
@@ -107,21 +107,21 @@ def train_mse_baseline(
 def gan_baseline_generator_objective(
     gen: Mlp,
     disc: Mlp,
-    x_batch: np.ndarray,
+    x_batch: np.ndarray | tuple[np.ndarray, tuple[np.ndarray, ...]],
     y_batch: np.ndarray,
     mse_weight: float,
     loss_form: str = "lsgan",
 ) -> tuple[float, float, Gradients]:
     """Generator loss (adversarial + weighted MSE) and its gradients.
 
-    Returns (adversarial term, mse term, generator gradients). The
-    discriminator is treated as frozen.
+    x_batch may also be the tuple forward(gen, x_batch), as train_gan_baseline
+    passes it. Returns (adv term, mse term, generator gradients); disc is frozen.
     """
-    pred, cache_g = forward(gen, x_batch)
+    pred, cache_g = x_batch if isinstance(x_batch, tuple) else forward(gen, x_batch)
     adv, g_through_d = adversarial_term(disc, pred, loss_form)
     mse, g_mse = mse_loss(pred, y_batch)
     g_out = g_through_d + mse_weight * g_mse
-    grads, _ = backward(gen, cache_g, g_out)
+    grads, _ = backward(gen, cache_g, g_out, input_grad=False)
     return adv, mse, grads
 
 
@@ -132,8 +132,8 @@ def train_gan_baseline(
 
     The discriminator sees y as real and G(x) as fake; the generator
     minimizes its adversarial term plus mse_weight * MSE(G(x), y).
-    Discriminator first, then generator, once each per batch. Returns
-    (generator, discriminator, per-epoch mean losses).
+    Discriminator first, then generator, once each per batch, on one
+    forward of G(x). Returns (generator, discriminator, per-epoch losses).
     """
     gen = config.init_net(data.dim, data.dim, "G")
     disc = config.init_net(data.dim, 1, "D")
@@ -144,13 +144,13 @@ def train_gan_baseline(
         yb = data.y.data[idx]
 
         # Discriminator update on (real y, fake G(x)).
-        fake, _ = forward(gen, xb)
-        disc_loss, grads_d = discriminator_gradients(disc, yb, fake, config.loss_form)
+        generated = forward(gen, xb)
+        disc_loss, grads_d = discriminator_gradients(disc, yb, generated[0], config.loss_form)
         disc, opt_d = apply_update(disc, grads_d, opt_d)
 
         # Generator update against the refreshed discriminator.
         adv, mse, grads = gan_baseline_generator_objective(
-            gen, disc, xb, yb, config.mse_weight, config.loss_form
+            gen, disc, generated, yb, config.mse_weight, config.loss_form
         )
         gen, opt_g = apply_update(gen, grads, opt_g)
         losses = GanLosses(disc_loss, adv, mse, adv + config.mse_weight * mse)

@@ -13,6 +13,7 @@ Both adversarial loss forms, "lsgan" (default) and "log", are score_loss.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import threading
 from contextlib import contextmanager
@@ -203,6 +204,10 @@ _lanes = threading.local()
 #: state that is not safe across threads, so the lanes then run inline.
 _LANE_CALLS = (forward, backward, apply_update)
 
+#: numpy's error state, per thread, for both lanes of training steps and
+#: for epoch means: fit and apply_update report what it silences.
+_STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
 
 @contextmanager
 def _lane_worker():
@@ -235,7 +240,7 @@ def _lane_worker():
     for (_, set_), count in zip(controls, previous):
         set_(count // 2)
     try:
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cyclevc-lane") as pool:
+        with ThreadPoolExecutor(1, "cyclevc-lane", lambda: np.seterr(**_STEP_ERRSTATE)) as pool:
             _lanes.pool = pool
             yield
     finally:
@@ -274,8 +279,8 @@ def discriminator_gradients(
     d_fake, cache_f = forward(disc, fake)
     loss_real, g_real = score_loss(d_real, 1.0, loss_form)
     loss_fake, g_fake = score_loss(d_fake, 0.0, loss_form)
-    grads_r, _ = backward(disc, cache_r, g_real)
-    grads_f, _ = backward(disc, cache_f, g_fake)
+    grads_r, _ = backward(disc, cache_r, g_real, input_grad=False)
+    grads_f, _ = backward(disc, cache_f, g_fake, input_grad=False)
     return loss_real + loss_fake, grads_r + grads_f
 
 
@@ -326,7 +331,7 @@ def _cycle_direction(
     rec, cache_back = forward(back, fake)
     cycle, g_cycle = l1_loss(rec, batch)
     grads_back, g_into_back = backward(back, cache_back, cycle_weight * g_cycle)
-    grads_gen, _ = backward(gen, cache_gen, g_into_disc + g_into_back)
+    grads_gen, _ = backward(gen, cache_gen, g_into_disc + g_into_back, input_grad=False)
     return adv, cycle, grads_gen, grads_back
 
 
@@ -394,27 +399,28 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
     of the stacked records, the steps summed in order, or pairwise for
     one-column records. A non-finite record or epoch mean raises
     NonFiniteError; one from a step or its record gets the step's 1-based
-    position, "epoch E, step S".
+    position, "epoch E, step S". Steps and means run under _STEP_ERRSTATE.
     """
     if min(frame_counts) < 1:
         raise InsufficientDataError("every training dataset must be nonempty")
     shuffle_rng = derive_rng(config.seed, "train.shuffle")
     history = []
-    for epoch in range(1, config.epochs + 1):
-        records = []
-        batches = epoch_batches(shuffle_rng, config.batch_frames, *frame_counts)
-        for k, indices in enumerate(batches, 1):
-            try:
-                nets, record = step(nets, *indices)
-                if not np.isfinite(record).all():
-                    raise NonFiniteError(f"non-finite losses: {record}")
-            except NonFiniteError as exc:
-                exc.position = f"epoch {epoch}, step {k}"
-                raise
-            records.append(record)
-        history.append(type(record)._make(np.mean(np.array(records), axis=0).tolist()))
-        if not np.isfinite(history[-1]).all():
-            raise NonFiniteError(f"non-finite mean losses of epoch {epoch}: {history[-1]}")
+    with np.errstate(**_STEP_ERRSTATE):
+        for epoch in range(1, config.epochs + 1):
+            records = []
+            batches = epoch_batches(shuffle_rng, config.batch_frames, *frame_counts)
+            for k, indices in enumerate(batches, 1):
+                try:
+                    nets, record = step(nets, *indices)
+                    if not all(map(math.isfinite, record)):
+                        raise NonFiniteError(f"non-finite losses: {record}")
+                except NonFiniteError as exc:
+                    exc.position = f"epoch {epoch}, step {k}"
+                    raise
+                records.append(record)
+            history.append(type(record)._make(np.mean(np.array(records), axis=0).tolist()))
+            if not all(map(math.isfinite, history[-1])):
+                raise NonFiniteError(f"non-finite mean losses of epoch {epoch}: {history[-1]}")
     return nets, history
 
 

@@ -27,7 +27,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,17 +48,25 @@ def _flatten(weights, biases) -> np.ndarray:
 
 def _shapes(layer_dims):
     """The weight and the bias shapes of a net with these layer widths."""
-    return [(o, i) for i, o in zip(layer_dims, layer_dims[1:])], [(o,) for o in layer_dims[1:]]
+    pairs = tuple(zip(layer_dims, layer_dims[1:]))
+    return tuple((o, i) for i, o in pairs), tuple((o,) for _, o in pairs)
 
 
-def _views(vector: np.ndarray, weight_shapes, bias_shapes):
-    """Per-layer weight and bias views of a vector in the flat layout."""
-    views, pos = [], 0
+@functools.cache
+def _layout(weight_shapes, bias_shapes):
+    """(start, stop, shape) of each weight, then each bias, in the flat
+    layout, and the number of weights; worked out once per set of shapes."""
+    spans, pos = [], 0
     for shape in (*weight_shapes, *bias_shapes):
-        size = math.prod(shape)
-        views.append(vector[pos : pos + size].reshape(shape))
-        pos += size
-    n = len(weight_shapes)
+        spans.append((pos, pos + math.prod(shape), shape))
+        pos += math.prod(shape)
+    return tuple(spans), len(weight_shapes)
+
+
+def _views(vector: np.ndarray, layout):
+    """Per-layer weight and bias views of a vector in the flat layout."""
+    spans, n = layout
+    views = [vector[lo:hi].reshape(shape) for lo, hi, shape in spans]
     return tuple(views[:n]), tuple(views[n:])
 
 
@@ -99,11 +107,12 @@ class Mlp:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NonFiniteError(f"layer {layer} parameters are not finite")
-        self._bind(_flatten(self.weights, self.biases))
+        self._bind(_flatten(self.weights, self.biases), _layout(*_shapes(self.layer_dims)))
 
-    def _bind(self, params: np.ndarray) -> None:
+    def _bind(self, params: np.ndarray, layout) -> None:
         params.flags.writeable = False
-        weights, biases = _views(params, *_shapes(self.layer_dims))
+        weights, biases = _views(params, layout)
+        object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
@@ -112,7 +121,7 @@ class Mlp:
         """The same architecture over ``params``, which it takes over uncopied."""
         net = object.__new__(Mlp)
         object.__setattr__(net, "layer_dims", self.layer_dims)
-        net._bind(params)
+        net._bind(params, self._layout)
         return net
 
     @property
@@ -135,28 +144,25 @@ class Gradients:
     constructor copies the given arrays into it.
     """
 
-    __slots__ = ("_vector", "weights", "biases")
+    __slots__ = ("_vector", "_layout", "weights", "biases")
 
     def __init__(self, weights, biases) -> None:
-        self._bind(
-            _flatten(weights, biases),
-            [np.shape(w) for w in weights],
-            [np.shape(b) for b in biases],
-        )
+        shapes = tuple(np.shape(w) for w in weights), tuple(np.shape(b) for b in biases)
+        self._bind(_flatten(weights, biases), _layout(*shapes))
 
-    def _bind(self, vector, weight_shapes, bias_shapes) -> None:
-        self._vector = vector
-        self.weights, self.biases = _views(vector, weight_shapes, bias_shapes)
+    def _bind(self, vector, layout) -> None:
+        self._vector, self._layout = vector, layout
+        self.weights, self.biases = _views(vector, layout)
 
     @classmethod
-    def _wrap(cls, vector: np.ndarray, like) -> "Gradients":
-        """Gradients over ``vector`` (uncopied), laid out like ``like``."""
+    def _wrap(cls, vector: np.ndarray, layout) -> "Gradients":
+        """Gradients over ``vector`` (uncopied) in ``layout``, a _layout()."""
         grads = object.__new__(cls)
-        grads._bind(vector, [w.shape for w in like.weights], [b.shape for b in like.biases])
+        grads._bind(vector, layout)
         return grads
 
     def __add__(self, other: "Gradients") -> "Gradients":
-        return Gradients._wrap(self._vector + other._vector, self)
+        return Gradients._wrap(self._vector + other._vector, self._layout)
 
     def flat(self) -> np.ndarray:
         """All entries as one vector (weights then biases, layer order);
@@ -218,8 +224,13 @@ def sigmoid_inplace(z: np.ndarray) -> None:
     which gives exactly 0; above z = 37, exp(-z) is below half an ulp of
     1, which gives exactly 1."""
     with np.errstate(over="ignore"):
-        np.negative(z, out=z)
-        np.exp(z, out=z)
+        _sigmoid(z)
+
+
+def _sigmoid(z: np.ndarray) -> None:
+    """sigmoid_inplace without its np.errstate, for callers inside one."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
 
@@ -234,26 +245,31 @@ def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, 
         )
     acts = [batch]
     last = net.n_layers - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = acts[-1] @ w.T
-        a += b
-        if layer != last:
-            sigmoid_inplace(a)
-        acts.append(a)
+    with np.errstate(over="ignore"):  # the sigmoids' exp, as in sigmoid_inplace
+        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+            a = acts[-1] @ w.T
+            a += b
+            if layer != last:
+                _sigmoid(a)
+            acts.append(a)
     return acts[-1], tuple(acts)
 
 
 def backward(
-    net: Mlp, cache: tuple[np.ndarray, ...], output_gradient: np.ndarray, param_grads: bool = True
-) -> tuple[Gradients | None, np.ndarray]:
+    net: Mlp, cache: tuple[np.ndarray, ...], output_gradient: np.ndarray,
+    param_grads: bool = True, input_grad: bool = True,
+) -> tuple[Gradients | None, np.ndarray | None]:
     """Exact backprop given d(loss)/d(output).
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, which lets callers chain losses through stacked networks.
     With param_grads=False, for a network that is only backpropagated
     through, the parameter gradients are not computed and None is returned
-    in their place.
+    in their place. input_grad=False likewise skips the input gradient,
+    layer 0's product with its weights; asking for neither is an error.
     """
+    if not (param_grads or input_grad):
+        raise ValueError("backward with neither parameter nor input gradients computes nothing")
     if len(cache) != net.n_layers + 1:
         raise DimensionMismatchError(
             f"cache holds {len(cache) - 1} layers, net has {net.n_layers}"
@@ -270,7 +286,7 @@ def backward(
             f"output_gradient shape {g.shape} does not match "
             f"output shape {cache[-1].shape}"
         )
-    grads = Gradients._wrap(np.empty_like(net.params), net) if param_grads else None
+    grads = Gradients._wrap(np.empty_like(net.params), net._layout) if param_grads else None
     last = net.n_layers - 1
     for layer in range(last, -1, -1):
         if layer != last:
@@ -281,7 +297,9 @@ def backward(
             g *= 1.0 - a_out
         if grads is not None:
             np.matmul(g.T, cache[layer], out=grads.weights[layer])
-            np.sum(g, axis=0, out=grads.biases[layer])
+            np.add.reduce(g, axis=0, out=grads.biases[layer])  # np.sum without its wrapper
+        if layer == 0 and not input_grad:
+            return grads, None
         g = g @ net.weights[layer]
     return grads, g
 
@@ -300,11 +318,12 @@ def apply_update(
     place. Raises NonFiniteError on NaN/inf gradients so a diverged training
     run aborts instead of silently corrupting the model.
     """
-    if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
-        raise DimensionMismatchError("gradient layer count does not match net")
-    for layer, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-        if gw.shape != net.weights[layer].shape or gb.shape != net.biases[layer].shape:
-            raise DimensionMismatchError(f"gradient {layer} shape mismatch")
+    if grads._layout != net._layout:
+        if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
+            raise DimensionMismatchError("gradient layer count does not match net")
+        for layer, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
+            if gw.shape != net.weights[layer].shape or gb.shape != net.biases[layer].shape:
+                raise DimensionMismatchError(f"gradient {layer} shape mismatch")
     g = grads.flat()
     if not np.isfinite(g).all():
         layer = next(
@@ -334,7 +353,7 @@ def apply_update(
         denom += _EPSILON
         step /= denom
         np.subtract(net.params[blk], step, out=new_params[blk])
-    return net._with_params(new_params), replace(opt, step_count=t)
+    return net._with_params(new_params), OptimizerState(lr, opt.m, opt.v, t)
 
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
@@ -515,7 +534,7 @@ def load_mlp(path) -> Mlp:
         raise FormatError(f"{image}: holds {len(data) - start} parameter bytes, expected {want}")
     try:
         params = np.frombuffer(data, dtype=_IMAGE_DTYPE, offset=start)
-        weights, biases = _views(params, weight_shapes, bias_shapes)
+        weights, biases = _views(params, _layout(weight_shapes, bias_shapes))
         return Mlp(layer_dims=dims, weights=weights, biases=biases)
     except ValueError as exc:
         raise FormatError(f"{image}: {exc}") from exc

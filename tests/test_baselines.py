@@ -7,16 +7,19 @@ import pytest
 
 from cyclevc.baselines import (
     GanBaselineConfig,
+    GanLosses,
     MseBaselineConfig,
+    MseLosses,
     ParallelTrainSet,
     gan_baseline_generator_objective,
     mse_loss,
     train_gan_baseline,
     train_mse_baseline,
 )
+from cyclevc.cyclegan import fit, score_loss
 from cyclevc.errors import DimensionMismatchError, NonFiniteError
 from cyclevc.features import FeatureSequence
-from cyclevc.net import Mlp, forward, init_mlp, backward
+from cyclevc.net import Mlp, apply_update, backward, forward, init_mlp, init_optimizer
 
 
 def linear_task(rng: np.random.Generator, frames: int, dim: int = 6) -> ParallelTrainSet:
@@ -130,7 +133,9 @@ class TestGanBaseline:
         yb = rng.normal(size=(3, 3))
         mse_weight = 2.5
 
-        _, _, grads = gan_baseline_generator_objective(gen, disc, xb, yb, mse_weight, "lsgan")
+        _, _, grads = gan_baseline_generator_objective(
+            gen, disc, forward(gen, xb), yb, mse_weight, "lsgan"
+        )
 
         step = 1e-5
         for layer in range(gen.n_layers):
@@ -142,7 +147,7 @@ class TestGanBaseline:
                     weights[layer][idx] += delta
                     candidate = Mlp(gen.layer_dims, tuple(weights), gen.biases)
                     adv, mse, _ = gan_baseline_generator_objective(
-                        candidate, disc, xb, yb, mse_weight, "lsgan"
+                        candidate, disc, forward(candidate, xb), yb, mse_weight, "lsgan"
                     )
                     vals.append(adv + mse_weight * mse)
                 numeric[idx] = (vals[0] - vals[1]) / (2 * step)
@@ -160,7 +165,7 @@ class TestGanBaseline:
         xb = rng.normal(size=(16, 4))
         yb = rng.normal(size=(16, 4))
 
-        _, _, mixed = gan_baseline_generator_objective(gen, disc, xb, yb, 1e6, "lsgan")
+        _, _, mixed = gan_baseline_generator_objective(gen, disc, forward(gen, xb), yb, 1e6, "lsgan")
         out, cache = forward(gen, xb)
         pure, _ = backward(gen, cache, 2.0 * (out - yb) / out.size)
         v1 = mixed.flat()
@@ -174,7 +179,9 @@ class TestGanBaseline:
         disc = init_mlp((3, 4, 1), seed=13)
         xb = rng.normal(size=(4, 3))
         yb = rng.normal(size=(4, 3))
-        _, _, grads0 = gan_baseline_generator_objective(gen, disc, xb, yb, 0.0, "lsgan")
+        _, _, grads0 = gan_baseline_generator_objective(
+            gen, disc, forward(gen, xb), yb, 0.0, "lsgan"
+        )
 
         fake, cache = forward(gen, xb)
         d_out, d_cache = forward(disc, fake)
@@ -214,3 +221,74 @@ def test_non_finite_losses_stop_training_at_their_step(method):
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite losses") as exc:
         trainer(data, config)
     assert exc.value.position == "epoch 1, step 2"
+
+
+# ---------------------------------------------------------------------------
+# The trainers against reference steps that share no forward and take every
+# backward in full, input gradient included.
+# ---------------------------------------------------------------------------
+
+def reference_gan_baseline(data: ParallelTrainSet, config: GanBaselineConfig):
+    gen = config.init_net(data.dim, data.dim, "G")
+    disc = config.init_net(data.dim, 1, "D")
+
+    def step(nets, idx):
+        gen, disc, opt_g, opt_d = nets
+        xb, yb = data.x.data[idx], data.y.data[idx]
+        fake, _ = forward(gen, xb)
+        d_real, cache_r = forward(disc, yb)
+        d_fake, cache_f = forward(disc, fake)
+        loss_real, g_real = score_loss(d_real, 1.0, config.loss_form)
+        loss_fake, g_fake = score_loss(d_fake, 0.0, config.loss_form)
+        grads_d = backward(disc, cache_r, g_real)[0] + backward(disc, cache_f, g_fake)[0]
+        disc, opt_d = apply_update(disc, grads_d, opt_d)
+
+        pred, cache_g = forward(gen, xb)
+        d_pred, cache_d = forward(disc, pred)
+        adv, g_adv = score_loss(d_pred, 1.0, config.loss_form)
+        _, g_pred = backward(disc, cache_d, g_adv)
+        mse, g_mse = mse_loss(pred, yb)
+        grads, _ = backward(gen, cache_g, g_pred + config.mse_weight * g_mse)
+        gen, opt_g = apply_update(gen, grads, opt_g)
+        losses = GanLosses(loss_real + loss_fake, adv, mse, adv + config.mse_weight * mse)
+        return (gen, disc, opt_g, opt_d), losses
+
+    opts = init_optimizer(gen, config.lr_generator), init_optimizer(disc, config.lr_discriminator)
+    (gen, disc, _, _), history = fit(step, (gen, disc, *opts), config, data.frames)
+    return gen, disc, history
+
+
+def reference_mse_baseline(data: ParallelTrainSet, config: MseBaselineConfig):
+    def step(nets, idx):
+        net, opt = nets
+        pred, cache = forward(net, data.x.data[idx])
+        loss, g_mse = mse_loss(pred, data.y.data[idx])
+        grads, _ = backward(net, cache, g_mse)
+        return apply_update(net, grads, opt), MseLosses(loss)
+
+    net = config.init_net(data.dim, data.dim, "G")
+    (net, _), history = fit(step, (net, init_optimizer(net, config.lr_generator)), config, data.frames)
+    return net, history
+
+
+@pytest.mark.parametrize("loss_form", ["lsgan", "log"])
+def test_gan_baseline_matches_its_reference_bit_for_bit(loss_form):
+    data = linear_task(np.random.default_rng(10), frames=96, dim=4)
+    config = GanBaselineConfig(
+        epochs=3, seed=15, hidden_dims=(6, 5), batch_frames=32, mse_weight=0.6,
+        lr_discriminator=0.01, loss_form=loss_form,
+    )
+    gen, disc, history = train_gan_baseline(data, config)
+    ref_gen, ref_disc, ref_history = reference_gan_baseline(data, config)
+    assert history == ref_history
+    assert gen.params.tobytes() == ref_gen.params.tobytes()
+    assert disc.params.tobytes() == ref_disc.params.tobytes()
+
+
+def test_mse_baseline_matches_its_reference_bit_for_bit():
+    data = linear_task(np.random.default_rng(11), frames=96, dim=4)
+    config = MseBaselineConfig(epochs=3, seed=16, hidden_dims=(6, 5), batch_frames=32)
+    net, history = train_mse_baseline(data, config)
+    ref_net, ref_history = reference_mse_baseline(data, config)
+    assert history == ref_history
+    assert net.params.tobytes() == ref_net.params.tobytes()

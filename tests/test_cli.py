@@ -475,6 +475,29 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: epoch 1, step 2: non-finite losses: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, epochs, setting", [
+        ("mse-parallel", "1", ("--lr-g", "1e308")),
+        ("cyclegan", "1", ("--lambda", "1e308")),
+        ("gan-parallel", "1", ("--mse-weight", "1e308")),
+        ("gan-parallel", "3", ("--lr-d", "1e300")),
+    ])
+    def test_a_diverging_run_prints_only_its_error(self, corpus, tmp_path, method, epochs, setting):
+        """In a fresh interpreter with Python's default warning filters,
+        where numpy's overflow and invalid-value warnings would print on
+        stderr before the error (the last --epochs given wins)."""
+        out = tmp_path / "m"
+        args = train_args(corpus, method, out, "--epochs", epochs, "--batch", "32", *setting)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cyclevc.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from cyclevc.cli import main; sys.exit(main())",
+             *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):

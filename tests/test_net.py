@@ -207,6 +207,22 @@ class TestBackward:
         assert grads is None
         np.testing.assert_array_equal(frozen, full)
 
+    @pytest.mark.parametrize("dims", [(3, 1), (3, 6, 4, 2)])
+    def test_backward_without_input_gradient_gives_the_same_parameter_gradients(self, dims):
+        net = init_mlp(dims, seed=17)
+        batch = np.random.default_rng(18).normal(size=(5, 3))
+        out, cache = forward(net, batch)
+        full, _ = backward(net, cache, out - 1.0)
+        grads, input_grad = backward(net, cache, out - 1.0, input_grad=False)
+        assert input_grad is None
+        assert grads.flat().tobytes() == full.flat().tobytes()
+
+    def test_backward_that_returns_nothing_is_refused(self):
+        net = init_mlp((3, 4, 1), seed=19)
+        out, cache = forward(net, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="computes nothing"):
+            backward(net, cache, out, param_grads=False, input_grad=False)
+
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         net = init_mlp((3, 6, 2), seed=12)
