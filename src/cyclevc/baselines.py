@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .cyclegan import TrainConfig, adversarial_term, discriminator_gradients, fit
+from .cyclegan import TrainConfig, adversarial_term, discriminator_gradients, fit, loss_mean
 from .features import FeatureSequence
 from .net import Gradients, Mlp, apply_update, backward, forward, init_optimizer
 
@@ -81,7 +81,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
             f"pred shape {pred.shape} does not match target {target.shape}"
         )
     diff = pred - target
-    return float(np.mean(diff**2)), 2.0 * diff / pred.size
+    return loss_mean(diff**2), 2.0 * diff / pred.size
 
 
 def train_mse_baseline(

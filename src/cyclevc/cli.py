@@ -23,7 +23,7 @@ from .baselines import (
     train_mse_baseline,
 )
 from .cyclegan import LOSS_FORMS, CycleGanConfig, build_model, train
-from .errors import DimensionMismatchError, InsufficientDataError
+from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
 from .features import (
     AUGMENTED_DIM,
     FeatureKind,
@@ -140,6 +140,21 @@ _METHODS = {
 }
 
 
+def _check_outputs(networks, x: FeatureSequence, y: FeatureSequence, n: int) -> None:
+    """Raise NonFiniteError naming the first network whose output on the
+    first n frames of its pool (x for G and D_X, y for the others) is not
+    finite. fit checks each step's losses before its update, so only this
+    checks the last update: finite parameters can still overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for role, network in networks.items():
+            frames = (x if role in ("G", "D_X") else y).data[:n]
+            if not np.isfinite(forward(network, frames)[0]).all():
+                raise NonFiniteError(
+                    f"trained {role} gives non-finite output on the first {len(frames)} "
+                    "training frames; nothing was written"
+                )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config_type, trainer = _METHODS[args.method]
     given = {f.name: getattr(args, f.name) for f in fields(config_type)}
@@ -162,8 +177,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         tgt_mceps = _read_many(args.tgt_mcep, FeatureKind.MCEP49)
         data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
     *networks, history = trainer(config, *data)
+    networks = dict(zip(BUNDLE_ROLES[args.method], networks))
+    pools = data if args.method == "cyclegan" else (data[0].x, data[0].y)
+    _check_outputs(networks, *pools, config.batch_frames)
     out_dir = Path(args.out_dir)
-    save_model_bundle(out_dir, args.method, dict(zip(BUNDLE_ROLES[args.method], networks)))
+    save_model_bundle(out_dir, args.method, networks)
     write_loss_csv(out_dir / "losses.csv", history)
     print(f"models written to {out_dir}")
     return 0
@@ -175,16 +193,24 @@ def cmd_convert(args: argparse.Namespace) -> int:
     method, paths = read_manifest(args.model_dir)
     if args.direction == "yx" and method != "cyclegan":
         raise ValueError(f"method {method} trains a one-way mapping; use --direction xy")
-    net = load_mlp(paths["G" if args.direction == "xy" else "F"])
+    net_path = paths["G" if args.direction == "xy" else "F"]
+    net = load_mlp(net_path)
     src_stats = load_speaker_stats(args.src_stats)
     tgt_stats = load_speaker_stats(args.tgt_stats)
     mcep = _read_expected(args.mcep, FeatureKind.MCEP49)
     f0 = _read_expected(args.f0, FeatureKind.F0)
     ap = _read_expected(args.ap, FeatureKind.APERIODICITY)
 
+    def generator(batch):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mapped = forward(net, batch)[0]
+        if not np.isfinite(mapped).all():
+            raise NonFiniteError(f"{net_path}: stage generator: non-finite output")
+        return mapped
+
     trace = (lambda label: print(f"stage: {label}")) if args.trace else None
     result = convert_utterance(
-        generator=lambda batch: forward(net, batch)[0],
+        generator=generator,
         src_stats=src_stats,
         tgt_stats=tgt_stats,
         mcep=mcep,

@@ -164,6 +164,11 @@ def build_model(feature_dim: int, config: CycleGanConfig) -> CycleGanModel:
 # respect to its first argument.
 # ---------------------------------------------------------------------------
 
+def loss_mean(values: np.ndarray) -> float:
+    """np.mean of a float64 array, the same bytes, without its Python wrapper."""
+    return float(np.add.reduce(values, axis=None) / values.size)
+
+
 def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.ndarray]:
     """The loss that pulls raw discriminator scores toward target (1 for
     real frames, 0 for generated ones) and its gradient wrt the scores.
@@ -175,10 +180,10 @@ def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.
     n = scores.shape[0]
     if form == "lsgan":
         diff = scores - target
-        return float(np.mean(diff**2)), 2.0 * diff / n
+        return loss_mean(diff**2), 2.0 * diff / n
     p = np.array(scores, dtype=np.float64)
     sigmoid_inplace(p)
-    return float(np.mean(np.logaddexp(0.0, -scores if target else scores))), (p - target) / n
+    return loss_mean(np.logaddexp(0.0, -scores if target else scores)), (p - target) / n
 
 
 def l1_loss(rec: np.ndarray, ref: np.ndarray) -> tuple[float, np.ndarray]:
@@ -188,7 +193,7 @@ def l1_loss(rec: np.ndarray, ref: np.ndarray) -> tuple[float, np.ndarray]:
     if rec.shape != ref.shape:
         raise DimensionMismatchError("reconstruction batches must match their inputs")
     diff = rec - ref
-    return float(np.mean(np.sum(np.abs(diff), axis=1))), np.sign(diff) / rec.shape[0]
+    return loss_mean(np.add.reduce(np.abs(diff), axis=1)), np.sign(diff) / rec.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -398,35 +398,25 @@ _OPENBLAS_SETTERS = (
 
 
 def _openblas_thread_controls() -> list[tuple]:
-    """A (get, set) pair of thread-count functions for each OpenBLAS mapped
-    into this process that exports one of _OPENBLAS_SETTERS. scipy's 32-bit
-    build exports scipy_openblas_set_num_threads, which is not among them,
-    so it is left alone; training's GEMMs run on numpy's build. Where
-    /proc/self/maps does not exist (outside Linux) there are none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {
-                fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in fh)
-                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
-            }
-    except OSError:
+    """The (get, set) thread-count pair of the OpenBLAS that numpy's GEMMs
+    run on, as a one-item list; empty outside Linux or where none of
+    _OPENBLAS_SETTERS resolves. A symbol looked up in the handle of numpy's
+    linear-algebra extension is searched for in the libraries it links."""
+    if not sys.platform.startswith("linux"):
         return []
-    controls = []
-    for path in sorted(paths):
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (OSError, AttributeError):
+        return []
+    for name in _OPENBLAS_SETTERS:
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
+            get, set_ = getattr(lib, name.replace("set", "get", 1)), getattr(lib, name)
+        except AttributeError:
             continue
-        for name in _OPENBLAS_SETTERS:
-            try:
-                get, set_ = getattr(lib, name.replace("set", "get", 1)), getattr(lib, name)
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            controls.append((get, set_))
-            break
-    return controls
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return [(get, set_)]
+    return []
 
 
 # ---------------------------------------------------------------------------

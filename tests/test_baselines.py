@@ -67,6 +67,12 @@ class TestMseLoss:
         with pytest.raises(DimensionMismatchError):
             mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_value_is_the_np_mean_form_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            pred, target = scale * rng.normal(size=(2, 128, 75))
+            assert mse_loss(pred, target)[0] == float(np.mean((pred - target) ** 2))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         pred, target = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))

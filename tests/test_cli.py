@@ -19,8 +19,13 @@ from cyclevc.cli import build_parser, main
 from cyclevc.cyclegan import CycleGanConfig
 from cyclevc.errors import NonFiniteError
 from cyclevc.features import FeatureKind, FeatureSequence, read_ftr, split_mcep, write_ftr
-from cyclevc.net import forward
-from cyclevc.pipeline import convert_utterance, load_model_bundle, load_speaker_stats
+from cyclevc.net import Mlp, forward, init_mlp
+from cyclevc.pipeline import (
+    convert_utterance,
+    load_model_bundle,
+    load_speaker_stats,
+    save_model_bundle,
+)
 
 
 def write_spec(path, seed=31, frames_a=160, frames_b=140):
@@ -475,6 +480,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: epoch 1, step 2: non-finite losses: ")
         assert not out.exists()
 
+    def test_a_last_update_that_overflows_writes_nothing(self, corpus, tmp_path, capsys):
+        """At --lr-g 1e308 and the default batch the one step's losses are
+        finite and its update leaves finite parameters, up to about 1e308,
+        whose output on the source frames is not."""
+        out = tmp_path / "m"
+        assert main(train_args(corpus, "mse-parallel", out, "--epochs", "1", "--lr-g", "1e308")) == 1
+        assert capsys.readouterr().err == (
+            "error: trained G gives non-finite output on the first 128 training frames; "
+            "nothing was written\n"
+        )
+        assert not (out / "manifest.txt").exists() and not (out / "losses.csv").exists()
+
     @pytest.mark.parametrize("method, epochs, setting", [
         ("mse-parallel", "1", ("--lr-g", "1e308")),
         ("cyclegan", "1", ("--lambda", "1e308")),
@@ -828,6 +845,24 @@ class TestConvertLoadsOneNetwork:
         (model / f"{filename}.f8").write_text("not a model\n")
         assert main(convert_argv(corpus, model, tmp_path, direction)) == 1
         assert str(model / f"{filename}.f8") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction, filename", [("xy", "g.mlp"), ("yx", "f.mlp")])
+    def test_a_generator_with_non_finite_output_names_its_file_and_stage(
+        self, corpus, tmp_path, capsys, direction, filename
+    ):
+        """A bundle saved by hand whose converting generator has every
+        weight at 1e308: finite parameters, non-finite output."""
+        huge = init_mlp((75, 8, 75), seed=1)
+        huge = Mlp(huge.layer_dims, tuple(np.full_like(w, 1e308) for w in huge.weights), huge.biases)
+        networks = {role: init_mlp((75, 8, 75) if role in ("G", "F") else (75, 8, 1), seed=2)
+                    for role in ("G", "F", "D_X", "D_Y")}
+        networks[filename[0].upper()] = huge
+        model = tmp_path / "model"
+        save_model_bundle(model, "cyclegan", networks)
+        assert main(convert_argv(corpus, model, tmp_path / "out", direction)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model / filename}: stage generator: non-finite output\n"
+        assert not (tmp_path / "out").exists()
 
     def test_an_old_manifest_is_one_error_line(self, corpus, bundles, tmp_path, capsys):
         """A bundle whose manifest still names its files must be trained again."""

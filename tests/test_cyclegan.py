@@ -151,6 +151,23 @@ def test_score_loss_reproduces_the_reference_formulas(form):
         assert gen_loss == gen and np.array_equal(gen_grad, g_gen)
 
 
+@pytest.mark.parametrize("form", LOSS_FORMS)
+def test_loss_values_are_the_np_mean_forms_bit_for_bit(form):
+    """On 128-frame batches of scores and of 75-dim frames, at several
+    scales: score_loss toward either target and l1_loss."""
+    rng = np.random.default_rng(17)
+    for scale in (1e-3, 1.0, 30.0, 1e3):
+        scores = scale * rng.normal(size=(128, 1))
+        for target in (0.0, 1.0):
+            if form == "lsgan":
+                reference = float(np.mean((scores - target) ** 2))
+            else:
+                reference = float(np.mean(np.logaddexp(0.0, -scores if target else scores)))
+            assert score_loss(scores, target, form)[0] == reference
+        rec, ref = scale * rng.normal(size=(2, 128, 75))
+        assert l1_loss(rec, ref)[0] == float(np.mean(np.sum(np.abs(rec - ref), axis=1)))
+
+
 class TestCycleLoss:
     """l1_loss, one cycle direction's loss and its gradient."""
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from cyclevc import cyclegan as cyclegan_module
 from cyclevc import net as net_module
 from cyclevc.cyclegan import CycleGanConfig, build_model, train
 from cyclevc.errors import DimensionMismatchError, FormatError, NonFiniteError
@@ -559,3 +564,57 @@ class TestBinaryImage:
         image.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match="net.mlp.f8.*not UTF-8"):
             load_mlp(path)
+
+
+def maps_scan_controls() -> list[tuple]:
+    """The reference lookup: every file mapped into this process whose
+    name holds "openblas", opened with RTLD_NOLOAD, with the (get, set)
+    pair of the first of net._OPENBLAS_SETTERS it exports."""
+    with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+        paths = {
+            fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+            if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+        }
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in net_module._OPENBLAS_SETTERS:
+            get = getattr(lib, name.replace("set", "get", 1), None)
+            set_ = getattr(lib, name, None)
+            if get is not None and set_ is not None:
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def addresses(controls) -> list[tuple[int, int]]:
+    return [tuple(ctypes.cast(fn, ctypes.c_void_p).value for fn in pair) for pair in controls]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the lookup is Linux-only")
+class TestOpenblasThreadControls:
+    def test_finds_the_pair_the_maps_scan_finds(self):
+        found = net_module._openblas_thread_controls()
+        assert addresses(found) == addresses(maps_scan_controls())
+        assert [get() for get, _ in found] == [get() for get, _ in maps_scan_controls()]
+
+    def test_a_failed_open_finds_none_and_training_runs_inline(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot open")
+
+        monkeypatch.setattr(net_module.ctypes, "CDLL", refuse)
+        assert net_module._openblas_thread_controls() == []
+
+        threads = []
+        gradients = cyclegan_module.discriminator_gradients
+
+        def spy(*args):
+            threads.append(threading.current_thread().name)
+            return gradients(*args)
+
+        monkeypatch.setattr(cyclegan_module, "discriminator_gradients", spy)
+        rng = np.random.default_rng(5)
+        config = CycleGanConfig(hidden_dims=(16, 8), batch_frames=32, epochs=1, seed=2)
+        train(build_model(6, config), FeatureSequence(rng.normal(size=(64, 6))),
+              FeatureSequence(rng.normal(size=(48, 6))), config)
+        assert threads and set(threads) == {threading.current_thread().name}
