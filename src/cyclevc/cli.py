@@ -28,6 +28,7 @@ from .features import (
     AUGMENTED_DIM,
     FeatureKind,
     FeatureSequence,
+    ftr_frames,
     normalize,
     read_ftr,
     write_ftr,
@@ -208,21 +209,36 @@ def cmd_convert(args: argparse.Namespace) -> int:
             raise NonFiniteError(f"{net_path}: stage generator: non-finite output")
         return mapped
 
-    trace = (lambda label: print(f"stage: {label}")) if args.trace else None
-    result = convert_utterance(
-        generator=generator,
-        src_stats=src_stats,
-        tgt_stats=tgt_stats,
-        mcep=mcep,
-        f0=f0,
-        aperiodicity=ap,
-        use_mlpg=args.mlpg == "on",
-        postfilter_beta=args.postfilter_beta,
-        trace=trace,
+    stages = []
+
+    def trace(label):
+        stages.append(label)
+        if args.trace:
+            print(f"stage: {label}")
+
+    try:
+        result = convert_utterance(
+            generator=generator,
+            src_stats=src_stats,
+            tgt_stats=tgt_stats,
+            mcep=mcep,
+            f0=f0,
+            aperiodicity=ap,
+            use_mlpg=args.mlpg == "on",
+            postfilter_beta=args.postfilter_beta,
+            trace=trace,
+        )
+    except NonFiniteError as exc:
+        if stages[-1:] != ["transform-f0"]:
+            raise
+        raise NonFiniteError(f"{args.f0}: stage transform-f0: non-finite output") from exc
+    outputs = (
+        (args.out_mcep, result.mcep), (args.out_f0, result.f0), (args.out_ap, result.aperiodicity)
     )
-    write_ftr(args.out_mcep, result.mcep)
-    write_ftr(args.out_f0, result.f0)
-    write_ftr(args.out_ap, result.aperiodicity)
+    for path, seq in outputs:  # all three are checked before any is written
+        ftr_frames(path, seq)
+    for path, seq in outputs:
+        write_ftr(path, seq)
     print(
         f"frames={result.frames} shift_db={result.shift_db:.4f} "
         f"seconds={result.seconds:.3f}"

@@ -216,42 +216,38 @@ _STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 @contextmanager
 def _lane_worker():
-    """For the body, run second lanes on one worker thread, with each
-    OpenBLAS that net._openblas_thread_controls finds on half its thread
+    """For the body, run second lanes on one worker thread, with the
+    OpenBLAS that net._openblas_thread_control finds on half its thread
     count, so that the two lanes use the cores one lane used before.
 
     The lanes run inline, and BLAS is left alone, where a function in
-    _LANE_CALLS has been replaced, no control was found or a count is below
-    two: lanes on a BLAS that still spawns its full thread count
+    _LANE_CALLS has been replaced, no control was found or the count is
+    below two: lanes on a BLAS that still spawns its full thread count
     oversubscribe the cores and run slower than one lane, and on one BLAS
     thread two lanes only add thread handoffs. The worker stops before the
-    previous counts come back, also on an exception. The counts are
-    process-wide, so bodies that overlap in several threads restore them in
+    previous count comes back, also on an exception. The count is
+    process-wide, so bodies that overlap in several threads restore it in
     the order they exit.
     """
     own = globals()
-    if any(own[fn.__name__] is not fn for fn in _LANE_CALLS):
-        yield
-        return
-    controls = net._openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    if not controls or min(previous) < 2:
+    control = net._openblas_thread_control()
+    count = control[0]() if control else 0
+    if count < 2 or any(own[fn.__name__] is not fn for fn in _LANE_CALLS):
         yield
         return
     # Imported here: concurrent.futures costs about 4 ms to import, and
     # only training uses it.
     from concurrent.futures import ThreadPoolExecutor
 
-    for (_, set_), count in zip(controls, previous):
-        set_(count // 2)
+    set_threads = control[1]
+    set_threads(count // 2)
     try:
         with ThreadPoolExecutor(1, "cyclevc-lane", lambda: np.seterr(**_STEP_ERRSTATE)) as pool:
             _lanes.pool = pool
             yield
     finally:
         _lanes.pool = None
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
+        set_threads(count)
 
 
 def _run_lanes(first, second):

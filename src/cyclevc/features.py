@@ -271,7 +271,8 @@ def transform_f0(
     out = f0.data.copy()
     voiced = out[:, 0] > 0.0
     logs = np.log(out[voiced, 0])
-    out[voiced, 0] = np.exp((logs - src.mean) / src.std * tgt.std + tgt.mean)
+    with np.errstate(over="ignore"):  # an infinite F0: FeatureSequence refuses it
+        out[voiced, 0] = np.exp((logs - src.mean) / src.std * tgt.std + tgt.mean)
     return FeatureSequence(out, FeatureKind.F0)
 
 
@@ -283,10 +284,22 @@ _FTR_MAGIC = b"FTR1"
 _FTR_HEADER = struct.Struct("<4sIII")  # magic, frames, dim, kind code
 
 
+def ftr_frames(path, seq: FeatureSequence) -> np.ndarray:
+    """seq's frames as FTR1 stores them, row-major little-endian float32.
+    A value beyond float32's range, which read_ftr would read back as
+    infinite, raises NonFiniteError naming path."""
+    with np.errstate(over="ignore"):
+        frames = np.ascontiguousarray(seq.data, dtype="<f4")
+    if not np.isfinite(frames).all():
+        raise NonFiniteError(f"{path}: feature data exceeds the float32 range of FTR1")
+    return frames
+
+
 def write_ftr(path, seq: FeatureSequence) -> None:
-    """Write the FTR1 binary format: header plus row-major float32 frames."""
+    """Write the FTR1 binary format: header plus row-major float32 frames.
+    Checks the frames (ftr_frames) before it opens path."""
     header = _FTR_HEADER.pack(_FTR_MAGIC, seq.frames, seq.dim, seq.kind.value)
-    body = np.ascontiguousarray(seq.data, dtype="<f4").tobytes()
+    body = ftr_frames(path, seq).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)

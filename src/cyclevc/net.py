@@ -397,17 +397,17 @@ _OPENBLAS_SETTERS = (
 )
 
 
-def _openblas_thread_controls() -> list[tuple]:
+def _openblas_thread_control() -> tuple | None:
     """The (get, set) thread-count pair of the OpenBLAS that numpy's GEMMs
-    run on, as a one-item list; empty outside Linux or where none of
-    _OPENBLAS_SETTERS resolves. A symbol looked up in the handle of numpy's
-    linear-algebra extension is searched for in the libraries it links."""
+    run on; None outside Linux or where none of _OPENBLAS_SETTERS resolves.
+    A symbol looked up in the handle of numpy's linear-algebra extension is
+    searched for in the libraries it links."""
     if not sys.platform.startswith("linux"):
-        return []
+        return None
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
     except (OSError, AttributeError):
-        return []
+        return None
     for name in _OPENBLAS_SETTERS:
         try:
             get, set_ = getattr(lib, name.replace("set", "get", 1)), getattr(lib, name)
@@ -415,8 +415,8 @@ def _openblas_thread_controls() -> list[tuple]:
             continue
         get.argtypes, get.restype = (), ctypes.c_int
         set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return [(get, set_)]
-    return []
+        return get, set_
+    return None
 
 
 # ---------------------------------------------------------------------------

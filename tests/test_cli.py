@@ -783,6 +783,14 @@ def convert_argv(corpus, model_dir, out_dir, direction="xy"):
     ]
 
 
+def with_logf0_std(stats_text: str, std: str) -> str:
+    """A stats file's text with its logf0_std line set to std."""
+    return "".join(
+        f"logf0_std {std}\n" if line.startswith("logf0_std ") else line
+        for line in stats_text.splitlines(keepends=True)
+    )
+
+
 def whole_bundle_convert(corpus, model_dir, out_dir, direction):
     """Convert through a load of every network in the bundle."""
     src, tgt = ("src", "tgt") if direction == "xy" else ("tgt", "src")
@@ -889,6 +897,50 @@ class TestConvertLoadsOneNetwork:
         assert capsys.readouterr().err == (
             f"error: {f0}: feature data contains non-finite entries\n"
         )
+
+    def test_an_overflowing_f0_stage_names_the_f0_file_and_the_stage(
+        self, corpus, bundles, tmp_path, capsys
+    ):
+        """A source log-F0 std of 1e-6 maps every voiced frame far beyond
+        float64's range."""
+        stats = tmp_path / "src.stats"
+        stats.write_text(with_logf0_std((corpus / "src.stats").read_text(), "1e-06"))
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
+        argv[argv.index("--src-stats") + 1] = str(stats)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {corpus / 'src.f0.ftr'}: stage transform-f0: non-finite output\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_an_output_beyond_float32_is_one_error_and_no_file(
+        self, corpus, bundles, tmp_path, capsys
+    ):
+        """One voiced frame at 1e9 Hz, with log-F0 stds of 0.05 and 0.3,
+        converts to about 5e43 Hz: finite in float64, infinite in the
+        float32 of FTR1. The mcep output, written first, must not be
+        written either."""
+        f0 = read_ftr(corpus / "src.f0.ftr").data.copy()
+        f0[3, 0] = 1e9
+        f0_path = tmp_path / "loud.f0.ftr"
+        write_ftr(f0_path, FeatureSequence(f0, FeatureKind.F0))
+        argv = convert_argv(corpus, bundles["mse-parallel"], tmp_path / "out")
+        argv[argv.index("--f0") + 1] = str(f0_path)
+        for flag, name, std in (("--src-stats", "src", "0.05"), ("--tgt-stats", "tgt", "0.3")):
+            stats = tmp_path / f"{name}.stats"
+            stats.write_text(with_logf0_std((corpus / f"{name}.stats").read_text(), std))
+            argv[argv.index(flag) + 1] = str(stats)
+        (tmp_path / "out").mkdir()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {tmp_path / 'out' / 'out.f0.ftr'}: "
+            "feature data exceeds the float32 range of FTR1\n"
+        )
+        assert captured.out == ""
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize(
         "edit, cause",

@@ -349,6 +349,20 @@ class TestFtrFormat:
             with pytest.raises(NonFiniteError, match=f"^{re.escape(str(path))}: "):
                 read_ftr(path)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_a_value_beyond_float32_is_refused_before_the_file_opens(self, tmp_path, value):
+        """float32 would store it as infinite, which read_ftr refuses; the
+        cast's overflow warning must not reach the caller either."""
+        path = tmp_path / "big.ftr"
+        seq = FeatureSequence(np.array([[1.0], [value]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteError, match=f"^{re.escape(str(path))}: .*exceeds the float32 range"
+            ):
+                write_ftr(path, seq)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "frames, dim, kind, body, error",
         [

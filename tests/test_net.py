@@ -592,18 +592,23 @@ def addresses(controls) -> list[tuple[int, int]]:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the lookup is Linux-only")
-class TestOpenblasThreadControls:
+class TestOpenblasThreadControl:
     def test_finds_the_pair_the_maps_scan_finds(self):
-        found = net_module._openblas_thread_controls()
-        assert addresses(found) == addresses(maps_scan_controls())
-        assert [get() for get, _ in found] == [get() for get, _ in maps_scan_controls()]
+        found = net_module._openblas_thread_control()
+        assert found is not None
+        assert addresses([found]) == addresses(maps_scan_controls())
+        assert [found[0]()] == [get() for get, _ in maps_scan_controls()]
+
+    def test_no_resolving_setter_finds_none(self, monkeypatch):
+        monkeypatch.setattr(net_module, "_OPENBLAS_SETTERS", ("no_such_set_num_threads",))
+        assert net_module._openblas_thread_control() is None
 
     def test_a_failed_open_finds_none_and_training_runs_inline(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise OSError("cannot open")
 
         monkeypatch.setattr(net_module.ctypes, "CDLL", refuse)
-        assert net_module._openblas_thread_controls() == []
+        assert net_module._openblas_thread_control() is None
 
         threads = []
         gradients = cyclegan_module.discriminator_gradients

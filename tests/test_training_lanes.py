@@ -5,6 +5,7 @@ lane's error surfaces unchanged once both lanes are done."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -19,12 +20,13 @@ from cyclevc.errors import NonFiniteError
 from cyclevc.features import FeatureSequence
 
 requires_blas_control = pytest.mark.skipif(
-    not net._openblas_thread_controls(), reason="no OpenBLAS thread control is loaded"
+    net._openblas_thread_control() is None, reason="no OpenBLAS thread control is loaded"
 )
 
 
-def blas_threads() -> list[int]:
-    return [get() for get, _ in net._openblas_thread_controls()]
+def blas_threads() -> int:
+    get, _ = net._openblas_thread_control()
+    return get()
 
 
 def lane_threads() -> list[threading.Thread]:
@@ -57,18 +59,12 @@ def trained_digest(config, x, y) -> str:
 
 @pytest.fixture
 def blas_at():
-    """Sets every OpenBLAS thread control to a count; the counts found
-    before come back after the test."""
-    controls = net._openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-
-    def set_all(count: int) -> None:
-        for _, set_ in controls:
-            set_(count)
-
-    yield set_all
-    for (_, set_), count in zip(controls, previous):
-        set_(count)
+    """Sets the OpenBLAS thread count; the count found before comes back
+    after the test."""
+    get, set_ = net._openblas_thread_control()
+    previous = get()
+    yield set_
+    set_(previous)
 
 
 @pytest.fixture
@@ -103,7 +99,7 @@ def test_lanes_give_the_bytes_of_inline_lanes(monkeypatch, blas_at, lane_names, 
 
     blas_at(2)
     with monkeypatch.context() as patch:
-        patch.setattr(net, "_openblas_thread_controls", lambda: [])
+        patch.setattr(net, "_openblas_thread_control", lambda: None)
         lane_names.clear()
         no_blas_control = trained_digest(config, x, y)
         assert lane_names and not on_worker(lane_names)
@@ -120,7 +116,7 @@ def test_lanes_give_the_same_bytes_under_frequent_thread_switches(monkeypatch, b
     config, x, y = problem(128, "log")
     blas_at(2)
     with monkeypatch.context() as patch:
-        patch.setattr(net, "_openblas_thread_controls", lambda: [])
+        patch.setattr(net, "_openblas_thread_control", lambda: None)
         inline = trained_digest(config, x, y)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -137,7 +133,6 @@ def test_training_halves_the_blas_threads_and_restores_them(monkeypatch, blas_at
     """Each lane gets half the threads one lane had, so two lanes use the
     cores the parent step used; a small net runs on the lanes too."""
     blas_at(count)
-    before = blas_threads()
     during, names = [], []
     gradients = cyclegan.discriminator_gradients
 
@@ -150,8 +145,36 @@ def test_training_halves_the_blas_threads_and_restores_them(monkeypatch, blas_at
     config, x, y = problem(32, "lsgan", hidden=(16, 8))
     train(build_model(75, config), x, y, config)
     assert on_worker(names)
-    assert during and all(counts == [count // 2] * len(before) for counts in during)
-    assert blas_threads() == before
+    assert during and set(during) == {count // 2}
+    assert blas_threads() == count
+    assert not lane_threads()
+
+
+@requires_blas_control
+@pytest.mark.parametrize("count", [2, 3])
+def test_overlapping_runs_give_the_bytes_of_lone_runs_and_restore_the_count(blas_at, count):
+    """Two runs with different seeds, started together in two threads. The
+    count is process-wide: a run that starts while the other holds it at
+    half reads that half, below two here, and runs inline, so whichever
+    order the runs enter and exit in, the count from before comes back."""
+    blas_at(count)
+    config, x, y = problem(64, "lsgan", hidden=(64, 64), epochs=10)
+    configs = [dataclasses.replace(config, seed=seed) for seed in (21, 22)]
+    alone = [trained_digest(c, x, y) for c in configs]
+    start, digests = threading.Barrier(2), {}
+
+    def run(i):
+        start.wait(timeout=60)
+        digests[i] = trained_digest(configs[i], x, y)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [digests.get(i) for i in range(2)] == alone
+    assert blas_threads() == count
     assert not lane_threads()
 
 
@@ -161,7 +184,7 @@ def test_one_blas_thread_runs_the_lanes_inline_with_blas_untouched(blas_at, lane
     config, x, y = problem(32, "lsgan", hidden=(16, 8))
     train(build_model(75, config), x, y, config)
     assert lane_names and set(lane_names) == {threading.current_thread().name}
-    assert blas_threads() == [1] * len(blas_threads())
+    assert blas_threads() == 1
 
 
 @requires_blas_control
@@ -182,7 +205,7 @@ def test_wrapped_network_functions_run_the_lanes_inline(monkeypatch, blas_at, wr
     monkeypatch.setattr(cyclegan, wrapped, wrapper)
     assert trained_digest(config, x, y) == with_lanes
     assert names and set(names) == {threading.current_thread().name}
-    assert blas_threads() == [2] * len(blas_threads())
+    assert blas_threads() == 2
 
 
 @requires_blas_control
