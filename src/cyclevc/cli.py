@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .baselines import (
     train_mse_baseline,
 )
 from .cyclegan import LOSS_FORMS, CycleGanConfig, build_model, train
-from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
+from .errors import DimensionMismatchError, InsufficientDataError, NonFiniteError, located
 from .features import (
     AUGMENTED_DIM,
     FeatureKind,
@@ -83,14 +82,8 @@ def _read_many(paths, kind: FeatureKind) -> list[FeatureSequence]:
     return [_read_expected(p, kind) for p in paths]
 
 
-@contextmanager
-def _naming(*paths):
-    """Puts the paths in front of a DimensionMismatchError or an
-    InsufficientDataError the body raises, keeping its type."""
-    try:
-        yield
-    except (DimensionMismatchError, InsufficientDataError) as exc:
-        raise type(exc)(f"{', '.join(map(str, paths))}: {exc}") from exc
+def _naming(*paths) -> located:
+    return located(", ".join(map(str, paths)), DimensionMismatchError, InsufficientDataError)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +255,17 @@ def cmd_align(args: argparse.Namespace) -> int:
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     dataset = generate_dataset(SyntheticSpec.from_json(args.spec))
     out_dir = Path(args.out_dir)
+    outputs = [
+        (out_dir / f"{name}.{stream}.ftr", seq)
+        for name, streams in dataset.items()
+        for stream, seq in streams.items()
+    ]
+    for path, seq in outputs:  # all are checked before any is written
+        ftr_frames(path, seq)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, streams in dataset.items():
-        for stream, seq in streams.items():
-            path = out_dir / f"{name}.{stream}.ftr"
-            write_ftr(path, seq)
-            print(f"wrote {path} ({seq.frames} frames)")
+    for path, seq in outputs:
+        write_ftr(path, seq)
+        print(f"wrote {path} ({seq.frames} frames)")
     return 0
 
 
@@ -379,8 +377,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        where = getattr(exc, "position", None)  # a training step's, see cyclegan.fit
-        print(f"error: {where}: {exc}" if where else f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteError,
     check_integer,
     finite_real,
+    located,
 )
 from .features import FeatureSequence
 from .net import (
@@ -214,6 +215,10 @@ _LANE_CALLS = (forward, backward, apply_update)
 _STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
+#: Held by the one _lane_worker body that runs lanes and sets the BLAS count.
+_LANE_OWNER = threading.Lock()
+
+
 @contextmanager
 def _lane_worker():
     """For the body, run second lanes on one worker thread, with the
@@ -224,15 +229,19 @@ def _lane_worker():
     _LANE_CALLS has been replaced, no control was found or the count is
     below two: lanes on a BLAS that still spawns its full thread count
     oversubscribe the cores and run slower than one lane, and on one BLAS
-    thread two lanes only add thread handoffs. The worker stops before the
-    previous count comes back, also on an exception. The count is
-    process-wide, so bodies that overlap in several threads restore it in
-    the order they exit.
+    thread two lanes only add thread handoffs. The count is process-wide,
+    so one body at a time owns the lanes (_LANE_OWNER), and a body that
+    overlaps the owner runs inline too. The worker stops before the
+    previous count comes back, and the owner lets go after that, also on
+    an exception.
     """
     own = globals()
-    control = net._openblas_thread_control()
+    owner = _LANE_OWNER.acquire(blocking=False)
+    control = net._openblas_thread_control() if owner else None
     count = control[0]() if control else 0
     if count < 2 or any(own[fn.__name__] is not fn for fn in _LANE_CALLS):
+        if owner:
+            _LANE_OWNER.release()
         yield
         return
     # Imported here: concurrent.futures costs about 4 ms to import, and
@@ -248,6 +257,7 @@ def _lane_worker():
     finally:
         _lanes.pool = None
         set_threads(count)
+        _LANE_OWNER.release()
 
 
 def _run_lanes(first, second):
@@ -400,7 +410,7 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
     of the stacked records, the steps summed in order, or pairwise for
     one-column records. A non-finite record or epoch mean raises
     NonFiniteError; one from a step or its record gets the step's 1-based
-    position, "epoch E, step S". Steps and means run under _STEP_ERRSTATE.
+    "epoch E, step S: " in front. Steps and means run under _STEP_ERRSTATE.
     """
     if min(frame_counts) < 1:
         raise InsufficientDataError("every training dataset must be nonempty")
@@ -411,13 +421,10 @@ def fit(step, nets, config: TrainConfig, *frame_counts: int):
             records = []
             batches = epoch_batches(shuffle_rng, config.batch_frames, *frame_counts)
             for k, indices in enumerate(batches, 1):
-                try:
+                with located(f"epoch {epoch}, step {k}", NonFiniteError):
                     nets, record = step(nets, *indices)
                     if not all(map(math.isfinite, record)):
                         raise NonFiniteError(f"non-finite losses: {record}")
-                except NonFiniteError as exc:
-                    exc.position = f"epoch {epoch}, step {k}"
-                    raise
                 records.append(record)
             history.append(type(record)._make(np.mean(np.array(records), axis=0).tolist()))
             if not all(map(math.isfinite, history[-1])):

@@ -14,15 +14,27 @@ class InsufficientDataError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A NaN or infinity showed up where the computation must stay finite.
-
-    Raised in a training step or on its losses, it gets a ``position``,
-    "epoch E, step S" (1-based, cyclegan.fit); its message is unchanged.
-    """
+    """A NaN or infinity showed up where the computation must stay finite,
+    or a nonzero value underflowed to 0 (a voiced F0, a value FTR1 stores)."""
 
 
 class FormatError(ValueError):
     """An on-disk file does not follow the expected format."""
+
+
+class located:
+    """Raises an error of one of types from the body again as its own type,
+    chained, with "where: " in front; a class, cheaper than a generator."""
+
+    def __init__(self, where: str, *types: type[Exception]) -> None:
+        self.where, self.types = where, types
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, self.types):
+            raise type(exc)(f"{self.where}: {exc}") from exc
 
 
 def utf8_text(path, data: bytes) -> str:

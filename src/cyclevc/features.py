@@ -20,6 +20,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     NonFiniteError,
+    located,
 )
 
 #: Floor applied to every fitted standard deviation so that degenerate
@@ -264,15 +265,19 @@ def transform_f0(
     """Map voiced log-F0 linearly so source stats become target stats.
 
     Unvoiced frames (F0 = 0) pass through unchanged, preserving the
-    voiced/unvoiced mask exactly.
+    voiced/unvoiced mask exactly: a voiced frame whose F0 maps to 0 or to
+    infinity raises NonFiniteError.
     """
     if f0.kind is not FeatureKind.F0 or f0.dim != 1:
         raise DimensionMismatchError("transform_f0 expects a 1-dim F0 track")
     out = f0.data.copy()
     voiced = out[:, 0] > 0.0
     logs = np.log(out[voiced, 0])
-    with np.errstate(over="ignore"):  # an infinite F0: FeatureSequence refuses it
-        out[voiced, 0] = np.exp((logs - src.mean) / src.std * tgt.std + tgt.mean)
+    with np.errstate(over="ignore"):
+        mapped = np.exp((logs - src.mean) / src.std * tgt.std + tgt.mean)
+    if not ((mapped > 0.0) & (mapped < np.inf)).all():
+        raise NonFiniteError("a voiced frame's F0 maps to 0 or infinity")
+    out[voiced, 0] = mapped
     return FeatureSequence(out, FeatureKind.F0)
 
 
@@ -287,11 +292,15 @@ _FTR_HEADER = struct.Struct("<4sIII")  # magic, frames, dim, kind code
 def ftr_frames(path, seq: FeatureSequence) -> np.ndarray:
     """seq's frames as FTR1 stores them, row-major little-endian float32.
     A value beyond float32's range, which read_ftr would read back as
-    infinite, raises NonFiniteError naming path."""
+    infinite, or a nonzero one below it, which it would read back as 0,
+    raises NonFiniteError naming path."""
     with np.errstate(over="ignore"):
         frames = np.ascontiguousarray(seq.data, dtype="<f4")
     if not np.isfinite(frames).all():
         raise NonFiniteError(f"{path}: feature data exceeds the float32 range of FTR1")
+    # all() is cheap where nothing is 0, as in every stream but F0.
+    if not frames.all() and np.count_nonzero(frames) != np.count_nonzero(seq.data):
+        raise NonFiniteError(f"{path}: feature data holds a nonzero value FTR1 stores as 0")
     return frames
 
 
@@ -325,7 +334,5 @@ def read_ftr(path) -> FeatureSequence:
     body = np.frombuffer(raw, dtype="<f4", offset=_FTR_HEADER.size)
     with np.errstate(invalid="ignore"):  # a signaling NaN: FeatureSequence names it
         data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
-    try:
+    with located(path, ValueError):  # the content error's own type, naming the file
         return FeatureSequence(data, kind)
-    except ValueError as exc:  # the content error's own type, naming the file
-        raise type(exc)(f"{path}: {exc}") from exc

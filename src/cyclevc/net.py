@@ -52,10 +52,8 @@ def _shapes(layer_dims):
     return tuple((o, i) for i, o in pairs), tuple((o,) for _, o in pairs)
 
 
-@functools.cache
 def _layout(weight_shapes, bias_shapes):
-    """(start, stop, shape) of each weight, then each bias, in the flat
-    layout, and the number of weights; worked out once per set of shapes."""
+    """(start, stop, shape) of each weight, then bias, in the flat layout; the weight count."""
     spans, pos = [], 0
     for shape in (*weight_shapes, *bias_shapes):
         spans.append((pos, pos + math.prod(shape), shape))
@@ -451,13 +449,6 @@ def _header(magic: str, net: Mlp) -> list[str]:
     ]
 
 
-def _format_row(values: list[float]) -> str:
-    """The floats space-separated, each as its repr(): the shortest decimal
-    that round-trips the exact 64-bit value, so no precision is lost. A
-    list's repr() is its items' reprs joined by ", " inside brackets."""
-    return repr(values)[1:-1].replace(",", "")
-
-
 def save_mlp(path, net: Mlp) -> None:
     """Write the binary image that load_mlp reads, then the MLP1 text. A
     failed image write leaves the old image and text in place."""
@@ -472,14 +463,15 @@ def save_mlp(path, net: Mlp) -> None:
         if os.path.exists(partial):
             os.remove(partial)
         raise
+    # repr() is the shortest decimal that round-trips each 64-bit value.
     lines = _header(_TEXT_MAGIC, net)
     for layer in range(net.n_layers):
         w = net.weights[layer]
         lines.append(f"weight {layer} {w.shape[0]} {w.shape[1]}")
-        lines.extend(_format_row(row.tolist()) for row in w)
+        lines.extend(" ".join(map(repr, row.tolist())) for row in w)
         b = net.biases[layer]
         lines.append(f"bias {layer} {b.shape[0]}")
-        lines.append(_format_row(b.tolist()))
+        lines.append(" ".join(map(repr, b.tolist())))
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 

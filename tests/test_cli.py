@@ -197,6 +197,23 @@ class TestGenSynthetic:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_a_stream_beyond_float32_writes_no_file(self, tmp_path, capsys):
+        """The second speaker's mel-cepstra, near 1e39, overflow float32;
+        the first speaker's three files must not be written either."""
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][1]["mixture"]["means"] = [[1e39] * 25] * 3
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {out_dir / 'tgt.mcep.ftr'}: feature data exceeds the float32 range of FTR1\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("value", [10**400, 2**63], ids=["10**400", "2**63"])
     @pytest.mark.parametrize("field", ["frames", "aperiodicity_dim"])
     def test_an_integer_beyond_64_bits_writes_nothing(self, tmp_path, capsys, field, value):
@@ -791,6 +808,14 @@ def with_logf0_std(stats_text: str, std: str) -> str:
     )
 
 
+def with_logf0_mean(stats_text: str, mean: str) -> str:
+    """A stats file's text with its logf0_mean line set to mean."""
+    return "".join(
+        f"logf0_mean {mean}\n" if line.startswith("logf0_mean ") else line
+        for line in stats_text.splitlines(keepends=True)
+    )
+
+
 def whole_bundle_convert(corpus, model_dir, out_dir, direction):
     """Convert through a load of every network in the bundle."""
     src, tgt = ("src", "tgt") if direction == "xy" else ("tgt", "src")
@@ -905,6 +930,24 @@ class TestConvertLoadsOneNetwork:
         float64's range."""
         stats = tmp_path / "src.stats"
         stats.write_text(with_logf0_std((corpus / "src.stats").read_text(), "1e-06"))
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
+        argv[argv.index("--src-stats") + 1] = str(stats)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {corpus / 'src.f0.ftr'}: stage transform-f0: non-finite output\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_an_f0_stage_that_unvoices_a_frame_names_the_f0_file_and_the_stage(
+        self, corpus, bundles, tmp_path, capsys
+    ):
+        """A source log-F0 mean of 2000 puts every voiced frame some 10,000
+        source stds below it, where the target F0 underflows to exactly 0:
+        the frames would turn unvoiced."""
+        stats = tmp_path / "src.stats"
+        stats.write_text(with_logf0_mean((corpus / "src.stats").read_text(), "2000.0"))
         argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
         argv[argv.index("--src-stats") + 1] = str(stats)
         assert main(argv) == 1

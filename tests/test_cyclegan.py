@@ -426,9 +426,8 @@ class TestTraining:
         config = CycleGanConfig(batch_frames=1, epochs=1)
         with np.errstate(over="ignore"), pytest.raises(
             NonFiniteError, match=r"^non-finite mean losses of epoch 1: MseLosses\(mse=inf\)$"
-        ) as exc:
+        ):
             fit(lambda nets, idx: (nets, MseLosses(1e308)), None, config, 2)
-        assert not hasattr(exc.value, "position")
 
 
 _FAULTS_PER_STEP = textwrap.dedent("""

@@ -284,6 +284,18 @@ class TestLogF0:
         np.testing.assert_array_equal(out.data > 0, track.data > 0)
         assert (out.data[track.data == 0] == 0).all()
 
+    @pytest.mark.parametrize(
+        "src_mean, src_std", [(math.log(110.0), 1e-5), (5.0, 1e-6)], ids=["to-zero", "to-inf"]
+    )
+    def test_a_voiced_frame_mapped_to_zero_or_infinity_is_an_error(self, src_mean, src_std):
+        """90 Hz lies far below the source mean in source stds, so its F0
+        underflows to 0 and the frame would turn unvoiced; above the mean
+        (to-inf) it overflows."""
+        src = LogF0Stats(mean=src_mean, std=src_std, voiced_count=10)
+        tgt = LogF0Stats(mean=5.0, std=0.2, voiced_count=10)
+        with pytest.raises(NonFiniteError, match="maps to 0 or infinity"):
+            transform_f0(self._track([100.0, 0.0, 90.0]), src, tgt)
+
     def test_self_transform_hits_target_stats(self):
         """Converting the fitting track itself reproduces the target moments."""
         rng = np.random.default_rng(7)
@@ -361,6 +373,20 @@ class TestFtrFormat:
                 NonFiniteError, match=f"^{re.escape(str(path))}: .*exceeds the float32 range"
             ):
                 write_ftr(path, seq)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1e-46, -1e-46])
+    def test_a_nonzero_value_float32_stores_as_zero_is_refused_before_the_file_opens(
+        self, tmp_path, value
+    ):
+        """1e-46 lies below float32's smallest subnormal (about 1.4e-45):
+        the voiced frame of an F0 track would read back unvoiced."""
+        path = tmp_path / "tiny.f0.ftr"
+        seq = FeatureSequence(np.array([[value], [0.0], [120.0]]), FeatureKind.F0)
+        with pytest.raises(
+            NonFiniteError, match=f"^{re.escape(str(path))}: .*nonzero value FTR1 stores as 0"
+        ):
+            write_ftr(path, seq)
         assert not path.exists()
 
     @pytest.mark.parametrize(

@@ -151,12 +151,12 @@ def test_training_halves_the_blas_threads_and_restores_them(monkeypatch, blas_at
 
 
 @requires_blas_control
-@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("count", [2, 3, 4])
 def test_overlapping_runs_give_the_bytes_of_lone_runs_and_restore_the_count(blas_at, count):
     """Two runs with different seeds, started together in two threads. The
-    count is process-wide: a run that starts while the other holds it at
-    half reads that half, below two here, and runs inline, so whichever
-    order the runs enter and exit in, the count from before comes back."""
+    count is process-wide, so one run at a time owns the lanes and the
+    count, and a run that overlaps it runs inline: whichever order the runs
+    enter and exit in, the count from before comes back."""
     blas_at(count)
     config, x, y = problem(64, "lsgan", hidden=(64, 64), epochs=10)
     configs = [dataclasses.replace(config, seed=seed) for seed in (21, 22)]
@@ -176,6 +176,69 @@ def test_overlapping_runs_give_the_bytes_of_lone_runs_and_restore_the_count(blas
     assert [digests.get(i) for i in range(2)] == alone
     assert blas_threads() == count
     assert not lane_threads()
+
+
+@requires_blas_control
+def test_a_run_that_overlaps_the_lane_owner_runs_inline_with_blas_untouched(
+    monkeypatch, blas_at
+):
+    """The order is forced: A enters the lanes, B enters, A leaves, then B
+    leaves. Had B halved the count A left at 2, it would restore 2 after A
+    restored 4."""
+    blas_at(4)
+    config, x, y = problem(64, "lsgan", hidden=(64, 64), epochs=3)
+    configs = {"A": dataclasses.replace(config, seed=21), "B": dataclasses.replace(config, seed=22)}
+    alone = {name: trained_digest(c, x, y) for name, c in configs.items()}
+    a_entered, b_entered = threading.Event(), threading.Event()
+    threads, digests, seen = {}, {}, {}
+    fit = cyclegan.fit
+
+    def ordered_fit(*args):
+        """Runs inside each run's _lane_worker, before its first step."""
+        name = threading.current_thread().name
+        if name == "A":
+            a_entered.set()
+            assert b_entered.wait(timeout=60)
+        else:
+            assert a_entered.wait(timeout=60)
+            b_entered.set()
+            threads["A"].join(timeout=120)  # A's lanes are gone, its count back
+        seen[name] = (getattr(cyclegan._lanes, "pool", None) is not None, blas_threads())
+        return fit(*args)
+
+    def run(name):
+        digests[name] = trained_digest(configs[name], x, y)
+
+    monkeypatch.setattr(cyclegan, "fit", ordered_fit)
+    threads.update((name, threading.Thread(target=run, args=(name,), name=name)) for name in "AB")
+    for thread in threads.values():
+        thread.start()
+    for thread in threads.values():
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads.values())
+    assert digests == alone
+    assert seen == {"A": (True, 2), "B": (False, 4)}
+    assert blas_threads() == 4
+    assert not lane_threads()
+
+
+@requires_blas_control
+def test_a_run_that_raises_hands_the_lanes_on(monkeypatch, blas_at, lane_names):
+    """The owner lets go of the lanes once the count is back, also when the
+    run raises, so the next run takes them."""
+    blas_at(2)
+    config, x, y = problem(32, "lsgan", hidden=(16, 8))
+
+    def failing(*args):
+        raise NonFiniteError("non-finite losses")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cyclegan, "train_step", failing)
+        with pytest.raises(NonFiniteError):
+            train(build_model(75, config), x, y, config)
+    assert blas_threads() == 2
+    train(build_model(75, config), x, y, config)
+    assert on_worker(lane_names)
 
 
 @requires_blas_control
@@ -244,7 +307,7 @@ def test_a_lane_error_keeps_its_type_and_waits_for_the_other_lane(
     monkeypatch.setattr(cyclegan, "discriminator_gradients", flaky)
     monkeypatch.setattr(cyclegan, "train_step", watched)
     before = blas_threads()
-    with pytest.raises(NonFiniteError, match=r"^non-finite gradient in layer 2$"):
+    with pytest.raises(NonFiniteError, match=r"^epoch 1, step 1: non-finite gradient in layer 2$"):
         train(model, x, y, config)
     assert [kind for kind, _ in events] == ["raise", "finish", "leave the step"]
     worker_event = dict(events)["raise" if failing_lane == "worker" else "finish"]
