@@ -107,17 +107,16 @@ def train_mse_baseline(
 def gan_baseline_generator_objective(
     gen: Mlp,
     disc: Mlp,
-    x_batch: np.ndarray | tuple[np.ndarray, tuple[np.ndarray, ...]],
+    generated: tuple[np.ndarray, tuple[np.ndarray, ...]],
     y_batch: np.ndarray,
     mse_weight: float,
     loss_form: str = "lsgan",
 ) -> tuple[float, float, Gradients]:
-    """Generator loss (adversarial + weighted MSE) and its gradients.
-
-    x_batch may also be the tuple forward(gen, x_batch), as train_gan_baseline
-    passes it. Returns (adv term, mse term, generator gradients); disc is frozen.
+    """Generator loss (adversarial + weighted MSE) and its gradients, given
+    generated = forward(gen, x_batch). Returns (adv term, mse term,
+    generator gradients); disc is frozen.
     """
-    pred, cache_g = x_batch if isinstance(x_batch, tuple) else forward(gen, x_batch)
+    pred, cache_g = generated
     adv, g_through_d = adversarial_term(disc, pred, loss_form)
     mse, g_mse = mse_loss(pred, y_batch)
     g_out = g_through_d + mse_weight * g_mse

@@ -195,14 +195,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     f0 = _read_expected(args.f0, FeatureKind.F0)
     ap = _read_expected(args.ap, FeatureKind.APERIODICITY)
 
-    def generator(batch):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mapped = forward(net, batch)[0]
-        if not np.isfinite(mapped).all():
-            raise NonFiniteError(f"{net_path}: stage generator: non-finite output")
-        return mapped
-
-    stages = []
+    # The inputs that a stage's NonFiniteError names; convert_utterance names the stage.
+    inputs = {"generator": (net_path,), "transform-f0": (args.f0, args.src_stats, args.tgt_stats)}
+    stages = [None]
 
     def trace(label):
         stages.append(label)
@@ -211,7 +206,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
     try:
         result = convert_utterance(
-            generator=generator,
+            generator=lambda batch: forward(net, batch)[0],
             src_stats=src_stats,
             tgt_stats=tgt_stats,
             mcep=mcep,
@@ -222,9 +217,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
             trace=trace,
         )
     except NonFiniteError as exc:
-        if stages[-1:] != ["transform-f0"]:
+        if stages[-1] not in inputs:
             raise
-        raise NonFiniteError(f"{args.f0}: stage transform-f0: non-finite output") from exc
+        raise NonFiniteError(f"{', '.join(map(str, inputs[stages[-1]]))}: {exc}") from exc
     outputs = (
         (args.out_mcep, result.mcep), (args.out_f0, result.f0), (args.out_ap, result.aperiodicity)
     )

@@ -395,7 +395,7 @@ def epoch_batches(rng: np.random.Generator, batch_frames: int, *frame_counts: in
     """
     keep_heap_top()
     batch = min(batch_frames, *frame_counts)
-    steps = max(1, min(frame_counts) // batch)
+    steps = min(frame_counts) // batch
     orders = [rng.permutation(n) for n in frame_counts]
     for k in range(steps):
         yield tuple(order[k * batch : (k + 1) * batch] for order in orders)

@@ -159,11 +159,8 @@ _MAX_OFFSET = max(abs(off) for win in DELTA_WINDOWS for off, _ in win)
 
 def split_mcep(seq: FeatureSequence) -> tuple[FeatureSequence, FeatureSequence]:
     """Split a 49-dim mel-cepstrum into lower 25 and higher 24 columns."""
-    if seq.kind is not FeatureKind.MCEP49 or seq.dim != MCEP_DIM:
-        raise DimensionMismatchError(
-            f"split_mcep expects a {MCEP_DIM}-dim MCEP49 sequence, got "
-            f"{seq.kind.name} with width {seq.dim}"
-        )
+    if seq.kind is not FeatureKind.MCEP49:
+        raise DimensionMismatchError(f"split_mcep expects MCEP49, got {seq.kind.name}")
     lower = FeatureSequence(seq.data[:, :LOW_DIM].copy(), FeatureKind.MCEP_LOW25)
     higher = FeatureSequence(seq.data[:, LOW_DIM:].copy(), FeatureKind.MCEP_HIGH24)
     return lower, higher
@@ -244,7 +241,7 @@ def denormalize(seq: FeatureSequence, stats: NormStats) -> FeatureSequence:
 
 def fit_logf0_stats(f0: FeatureSequence) -> LogF0Stats:
     """Fit natural-log F0 mean/std over voiced frames (F0 > 0) only."""
-    if f0.kind is not FeatureKind.F0 or f0.dim != 1:
+    if f0.kind is not FeatureKind.F0:
         raise DimensionMismatchError("fit_logf0_stats expects a 1-dim F0 track")
     voiced = f0.data[f0.data[:, 0] > 0.0, 0]
     if voiced.shape[0] < 2:
@@ -268,7 +265,7 @@ def transform_f0(
     voiced/unvoiced mask exactly: a voiced frame whose F0 maps to 0 or to
     infinity raises NonFiniteError.
     """
-    if f0.kind is not FeatureKind.F0 or f0.dim != 1:
+    if f0.kind is not FeatureKind.F0:
         raise DimensionMismatchError("transform_f0 expects a 1-dim F0 track")
     out = f0.data.copy()
     voiced = out[:, 0] > 0.0
@@ -333,6 +330,6 @@ def read_ftr(path) -> FeatureSequence:
         )
     body = np.frombuffer(raw, dtype="<f4", offset=_FTR_HEADER.size)
     with np.errstate(invalid="ignore"):  # a signaling NaN: FeatureSequence names it
-        data = body.astype(np.float64).reshape(frames, dim) if frames else np.zeros((0, dim))
+        data = body.astype(np.float64).reshape(frames, dim)
     with located(path, ValueError):  # the content error's own type, naming the file
         return FeatureSequence(data, kind)

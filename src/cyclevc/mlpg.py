@@ -192,6 +192,5 @@ def postfilter(seq: FeatureSequence, beta: float = 0.0) -> FeatureSequence:
     """
     check_beta(beta)
     out = seq.data.copy()
-    if seq.dim > 2:
-        out[:, 2:] *= 1.0 + beta
+    out[:, 2:] *= 1.0 + beta
     return FeatureSequence(out, seq.kind)

@@ -205,8 +205,6 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
     for layer, width in enumerate(dims):
         check_integer(f"layer_dims[{layer}]", width, 1)
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise ValueError(f"need at least 2 layer widths, got {dims}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -317,11 +315,7 @@ def apply_update(
     run aborts instead of silently corrupting the model.
     """
     if grads._layout != net._layout:
-        if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
-            raise DimensionMismatchError("gradient layer count does not match net")
-        for layer, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-            if gw.shape != net.weights[layer].shape or gb.shape != net.biases[layer].shape:
-                raise DimensionMismatchError(f"gradient {layer} shape mismatch")
+        raise DimensionMismatchError("gradient shapes do not match the net's")
     g = grads.flat()
     if not np.isfinite(g).all():
         layer = next(

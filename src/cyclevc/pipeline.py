@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteError,
     check_integer,
     finite_real,
+    located,
     utf8_text,
 )
 from .features import (
@@ -206,7 +207,9 @@ def convert_utterance(
 ) -> ConversionResult:
     """Run one utterance through the conversion chain.
 
-    generator maps a B x 75 normalized batch to a B x 75 normalized batch.
+    generator maps a B x 75 normalized batch to a B x 75 normalized batch,
+    with numpy's overflow and invalid warnings off; a non-finite output raises
+    NonFiniteError "stage generator: ...", and one from transform_f0 "stage transform-f0: ...".
     Higher-order mel-cepstrum columns and the aperiodicity stream are
     copied through bit-exactly. F0 and aperiodicity must match mcep's frames,
     and postfilter must accept postfilter_beta, before the first stage.
@@ -228,11 +231,14 @@ def convert_utterance(
     stage("normalize-source")
     z = normalize(aug, src_stats.norm)
     stage("generator")
-    mapped = generator(z.data)
+    with np.errstate(over="ignore", invalid="ignore"):  # the output is checked next
+        mapped = generator(z.data)
     if mapped.shape != z.data.shape:
         raise DimensionMismatchError(
             f"generator returned shape {mapped.shape}, expected {z.data.shape}"
         )
+    if not np.isfinite(mapped).all():
+        raise NonFiniteError("stage generator: non-finite output")
     stage("denormalize-target")
     out = denormalize(FeatureSequence(mapped, FeatureKind.AUGMENTED75), tgt_stats.norm)
     if use_mlpg:
@@ -247,7 +253,8 @@ def convert_utterance(
     stage("merge-mcep")
     merged = merge_mcep(statics, higher)
     stage("transform-f0")
-    out_f0 = transform_f0(f0, src_stats.logf0, tgt_stats.logf0)
+    with located("stage transform-f0", NonFiniteError):
+        out_f0 = transform_f0(f0, src_stats.logf0, tgt_stats.logf0)
     stage("copy-aperiodicity")
     out_ap = FeatureSequence(aperiodicity.data, aperiodicity.kind)
 
@@ -341,10 +348,9 @@ class MixtureSpec:
 
 
 def _real_array(name: str, value) -> np.ndarray:
-    """value, nested lists or a numpy array of a real dtype, as a float64
-    array; ValueError naming name unless each entry is finite_real."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        value = value.tolist()
+    """value, nested lists or a numpy array of a real dtype (whose object
+    entries are Python numbers), as a float64 array; ValueError naming
+    name unless each entry is finite_real."""
     items = np.array(value, dtype=object)
     for item in items.flat:
         if not finite_real(item):

@@ -385,7 +385,9 @@ def test_criterion_6_parallel_baselines():
         gen = init_mlp((4, 8, 4), seed=10)
         disc = init_mlp((4, 6, 1), seed=11)
         xb, yb = rng.normal(size=(16, 4)), rng.normal(size=(16, 4))
-        _, _, mixed = gan_baseline_generator_objective(gen, disc, xb, yb, 1e6, "lsgan")
+        _, _, mixed = gan_baseline_generator_objective(
+            gen, disc, forward(gen, xb), yb, 1e6, "lsgan"
+        )
         out, cache = forward(gen, xb)
         pure, _ = backward(gen, cache, 2.0 * (out - yb) / out.size)
         v1, v2 = mixed.flat(), pure.flat() * 1e6

@@ -935,7 +935,8 @@ class TestConvertLoadsOneNetwork:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {corpus / 'src.f0.ftr'}: stage transform-f0: non-finite output\n"
+            f"error: {corpus / 'src.f0.ftr'}, {stats}, {corpus / 'tgt.stats'}: "
+            "stage transform-f0: a voiced frame's F0 maps to 0 or infinity\n"
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
@@ -953,7 +954,8 @@ class TestConvertLoadsOneNetwork:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {corpus / 'src.f0.ftr'}: stage transform-f0: non-finite output\n"
+            f"error: {corpus / 'src.f0.ftr'}, {stats}, {corpus / 'tgt.stats'}: "
+            "stage transform-f0: a voiced frame's F0 maps to 0 or infinity\n"
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()

@@ -228,6 +228,12 @@ class TestPostfilter:
         assert out.data[0, 1] == 2.0
         assert out.data[0, 2] == 6.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fewer_than_three_columns_pass_through(self, dim):
+        """Only coefficients 2.. are scaled, so narrower sequences come back as given."""
+        seq = FeatureSequence(np.random.default_rng(8).normal(size=(4, dim)))
+        assert postfilter(seq, 0.5).data.tobytes() == seq.data.tobytes()
+
     def test_composition(self):
         rng = np.random.default_rng(7)
         seq = FeatureSequence(rng.normal(size=(4, 25)), FeatureKind.MCEP_LOW25)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -17,7 +19,12 @@ import pytest
 
 import cyclevc
 from cyclevc import pipeline
-from cyclevc.errors import DimensionMismatchError, FormatError, InsufficientDataError
+from cyclevc.errors import (
+    DimensionMismatchError,
+    FormatError,
+    InsufficientDataError,
+    NonFiniteError,
+)
 from cyclevc.features import (
     FeatureKind,
     FeatureSequence,
@@ -266,6 +273,35 @@ class TestConvertUtterance:
             convert_utterance(
                 lambda batch: batch[:, :10], stats, stats, mcep, f0, ap
             )
+
+    @pytest.mark.parametrize(
+        "generator",
+        [lambda b: b * 1e308 * 1e308, lambda b: b * 1e308 * 1e308 * 0.0],
+        ids=["inf", "nan"],
+    )
+    def test_a_non_finite_generator_output_names_the_stage_and_warns_nothing(self, generator):
+        """The generator overflows inside itself; its numpy warnings are
+        off, and the check right after it says which stage failed."""
+        rng = np.random.default_rng(9)
+        mcep, f0, ap = make_speaker(rng)
+        stats = self._stats_for(mcep, f0)
+        stages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^stage generator: non-finite output$"):
+                convert_utterance(generator, stats, stats, mcep, f0, ap, trace=stages.append)
+        assert stages[-1] == "generator"
+
+    def test_an_f0_transform_that_unvoices_a_frame_names_the_stage(self):
+        """A source log-F0 mean of 2000 maps every voiced frame's F0 to 0."""
+        rng = np.random.default_rng(9)
+        mcep, f0, ap = make_speaker(rng)
+        stats = self._stats_for(mcep, f0)
+        src = dataclasses.replace(stats, logf0=dataclasses.replace(stats.logf0, mean=2000.0))
+        with pytest.raises(NonFiniteError) as caught:
+            convert_utterance(lambda batch: batch, src, stats, mcep, f0, ap)
+        assert str(caught.value) == "stage transform-f0: a voiced frame's F0 maps to 0 or infinity"
+        assert isinstance(caught.value.__cause__, NonFiniteError)
 
 
 _FAULTS_PER_CONVERSION = textwrap.dedent("""
