@@ -53,12 +53,9 @@ from .pipeline import (
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hidden layer list {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("hidden layer widths must be positive")
-    return dims
 
 
 def _read_expected(path, kind: FeatureKind) -> FeatureSequence:
@@ -71,11 +68,8 @@ def _read_expected(path, kind: FeatureKind) -> FeatureSequence:
         return seq
     if seq.kind is not FeatureKind.GENERIC:
         raise DimensionMismatchError(f"{path}: holds {seq.kind.name}, expected {kind.name}")
-    if kind.fixed_dim is not None and seq.dim != kind.fixed_dim:
-        raise DimensionMismatchError(
-            f"{path}: expected {kind.name} ({kind.fixed_dim} dims), got GENERIC with {seq.dim}"
-        )
-    return FeatureSequence(seq.data, kind)
+    with located(path, DimensionMismatchError):  # a width the kind does not allow
+        return FeatureSequence(seq.data, kind)
 
 
 def _read_many(paths, kind: FeatureKind) -> list[FeatureSequence]:
@@ -138,15 +132,14 @@ def _check_outputs(networks, x: FeatureSequence, y: FeatureSequence, n: int) -> 
     """Raise NonFiniteError naming the first network whose output on the
     first n frames of its pool (x for G and D_X, y for the others) is not
     finite. fit checks each step's losses before its update, so only this
-    checks the last update: finite parameters can still overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for role, network in networks.items():
-            frames = (x if role in ("G", "D_X") else y).data[:n]
-            if not np.isfinite(forward(network, frames)[0]).all():
-                raise NonFiniteError(
-                    f"trained {role} gives non-finite output on the first {len(frames)} "
-                    "training frames; nothing was written"
-                )
+    checks the last update: finite parameters can still overflow, silently under main's errstate."""
+    for role, network in networks.items():
+        frames = (x if role in ("G", "D_X") else y).data[:n]
+        if not np.isfinite(forward(network, frames)[0]).all():
+            raise NonFiniteError(
+                f"trained {role} gives non-finite output on the first {len(frames)} "
+                "training frames; nothing was written"
+            )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -195,8 +188,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
     f0 = _read_expected(args.f0, FeatureKind.F0)
     ap = _read_expected(args.ap, FeatureKind.APERIODICITY)
 
-    # The inputs that a stage's NonFiniteError names; convert_utterance names the stage.
-    inputs = {"generator": (net_path,), "transform-f0": (args.f0, args.src_stats, args.tgt_stats)}
+    # The inputs that a stage's error names; convert_utterance names the stage.
+    inputs = {"normalize-source": (args.mcep, args.src_stats), "generator": (net_path,),
+              "denormalize-target": (args.tgt_stats,), "mlpg": (args.tgt_stats,),
+              "transform-f0": (args.f0, args.src_stats, args.tgt_stats)}
     stages = [None]
 
     def trace(label):
@@ -216,10 +211,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
             postfilter_beta=args.postfilter_beta,
             trace=trace,
         )
-    except NonFiniteError as exc:
+    except ValueError as exc:
         if stages[-1] not in inputs:
             raise
-        raise NonFiniteError(f"{', '.join(map(str, inputs[stages[-1]]))}: {exc}") from exc
+        raise type(exc)(f"{', '.join(map(str, inputs[stages[-1]]))}: {exc}") from exc
     outputs = (
         (args.out_mcep, result.mcep), (args.out_f0, result.f0), (args.out_ap, result.aperiodicity)
     )
@@ -248,7 +243,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    dataset = generate_dataset(SyntheticSpec.from_json(args.spec))
+    with located(args.spec, NonFiniteError):  # numbers that overflow a stream
+        dataset = generate_dataset(SyntheticSpec.from_json(args.spec))
     out_dir = Path(args.out_dir)
     outputs = [
         (out_dir / f"{name}.{stream}.ftr", seq)
@@ -370,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # every command checks its results
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

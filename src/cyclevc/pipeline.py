@@ -207,9 +207,9 @@ def convert_utterance(
 ) -> ConversionResult:
     """Run one utterance through the conversion chain.
 
-    generator maps a B x 75 normalized batch to a B x 75 normalized batch,
-    with numpy's overflow and invalid warnings off; a non-finite output raises
-    NonFiniteError "stage generator: ...", and one from transform_f0 "stage transform-f0: ...".
+    generator maps a B x 75 normalized batch to a B x 75 normalized batch.
+    Every stage's output is checked, so the chain runs with numpy's overflow and
+    invalid warnings off; a stage's ValueError gets "stage <label>: " in front.
     Higher-order mel-cepstrum columns and the aperiodicity stream are
     copied through bit-exactly. F0 and aperiodicity must match mcep's frames,
     and postfilter must accept postfilter_beta, before the first stage.
@@ -221,42 +221,45 @@ def convert_utterance(
             raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
     check_beta(postfilter_beta)
     keep_heap_top()
-    stage = trace if trace is not None else (lambda _label: None)
     started = time.monotonic()
 
-    stage("split-mcep")
-    lower, higher = split_mcep(mcep)
-    stage("compute-deltas")
-    aug = compute_deltas(lower)
-    stage("normalize-source")
-    z = normalize(aug, src_stats.norm)
-    stage("generator")
-    with np.errstate(over="ignore", invalid="ignore"):  # the output is checked next
-        mapped = generator(z.data)
-    if mapped.shape != z.data.shape:
-        raise DimensionMismatchError(
-            f"generator returned shape {mapped.shape}, expected {z.data.shape}"
-        )
-    if not np.isfinite(mapped).all():
-        raise NonFiniteError("stage generator: non-finite output")
-    stage("denormalize-target")
-    out = denormalize(FeatureSequence(mapped, FeatureKind.AUGMENTED75), tgt_stats.norm)
-    if use_mlpg:
-        stage("mlpg")
-        traj = GaussianTrajectory(means=out.data, variances=tgt_stats.norm.std**2)
-        statics = mlpg_generate(traj)
-    else:
-        stage("slice-statics")
-        statics = FeatureSequence(out.data[:, :LOW_DIM], FeatureKind.MCEP_LOW25)
-    stage("postfilter")
-    statics = postfilter(statics, postfilter_beta)
-    stage("merge-mcep")
-    merged = merge_mcep(statics, higher)
-    stage("transform-f0")
-    with located("stage transform-f0", NonFiniteError):
-        out_f0 = transform_f0(f0, src_stats.logf0, tgt_stats.logf0)
-    stage("copy-aperiodicity")
-    out_ap = FeatureSequence(aperiodicity.data, aperiodicity.kind)
+    def stage(label: str) -> located:
+        if trace is not None:
+            trace(label)
+        return located(f"stage {label}", ValueError)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with stage("split-mcep"):
+            lower, higher = split_mcep(mcep)
+        with stage("compute-deltas"):
+            aug = compute_deltas(lower)
+        with stage("normalize-source"):
+            z = normalize(aug, src_stats.norm)
+        with stage("generator"):
+            mapped = generator(z.data)
+            if mapped.shape != z.data.shape:
+                raise DimensionMismatchError(
+                    f"generator returned shape {mapped.shape}, expected {z.data.shape}"
+                )
+            if not np.isfinite(mapped).all():
+                raise NonFiniteError("non-finite output")
+        with stage("denormalize-target"):
+            out = denormalize(FeatureSequence(mapped, FeatureKind.AUGMENTED75), tgt_stats.norm)
+        if use_mlpg:
+            with stage("mlpg"):
+                traj = GaussianTrajectory(means=out.data, variances=tgt_stats.norm.std**2)
+                statics = mlpg_generate(traj)
+        else:
+            with stage("slice-statics"):
+                statics = FeatureSequence(out.data[:, :LOW_DIM], FeatureKind.MCEP_LOW25)
+        with stage("postfilter"):
+            statics = postfilter(statics, postfilter_beta)
+        with stage("merge-mcep"):
+            merged = merge_mcep(statics, higher)
+        with stage("transform-f0"):
+            out_f0 = transform_f0(f0, src_stats.logf0, tgt_stats.logf0)
+        with stage("copy-aperiodicity"):
+            out_ap = FeatureSequence(aperiodicity.data, aperiodicity.kind)
 
     shift = mel_cepstral_distortion(lower, statics)
     return ConversionResult(

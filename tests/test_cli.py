@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,15 @@ class TestParserDefaults:
         )
         assert args.hidden_dims == (16, 32, 16)
 
+    def test_a_hidden_list_of_non_integers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(
+                ["train", "--method", "cyclegan", "--src-mcep", "a", "--tgt-mcep", "b",
+                 "--src-stats", "s", "--tgt-stats", "t", "--out-dir", "d", "--hidden", "4,x"]
+            )
+        assert caught.value.code == 2
+        assert "bad hidden layer list '4,x'" in capsys.readouterr().err
+
 
 class TestGenSynthetic:
     def test_byte_determinism(self, corpus, tmp_path):
@@ -211,6 +221,31 @@ class TestGenSynthetic:
         assert captured.err == (
             f"error: {out_dir / 'tgt.mcep.ftr'}: feature data exceeds the float32 range of FTR1\n"
         )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"logf0_mean": 800},
+            {"mixture": {"weights": [1.0], "means": [[1e308] * 25], "stds": [[1e308] * 25]}},
+        ],
+        ids=["logf0-mean-800", "mixture-at-1e308"],
+    )
+    def test_a_stream_that_overflows_names_the_spec(self, tmp_path, capsys, edit):
+        """Finite settings whose draws overflow float64: the error names the
+        spec, no numpy warning reaches stderr and nothing is written."""
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][0].update(edit)
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {spec}: feature data contains non-finite entries\n"
         assert captured.out == ""
         assert not out_dir.exists()
 
@@ -450,6 +485,15 @@ class TestTrain:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {empty}: holds no frames\n"
         assert not (tmp_path / "m").exists()
+
+    def test_a_hidden_width_below_one_is_refused_by_the_config(self, corpus, tmp_path, capsys):
+        """TrainConfig owns the rule, so the error is the one --epochs 0 gets: exit 1."""
+        out_dir = tmp_path / "out"
+        assert main(train_args(corpus, "cyclegan", out_dir, "--hidden", "0")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: hidden_dims[0] must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_parallel_list_mismatch_is_an_error(self, corpus, tmp_path, capsys):
         args = train_args(corpus, "mse-parallel", tmp_path / "m")
@@ -699,7 +743,7 @@ class TestConvertAndEval:
         capsys.readouterr()
         assert main(args) == 1
         assert capsys.readouterr().err == (
-            f"error: {narrow}: expected MCEP49 (49 dims), got GENERIC with 5\n"
+            f"error: {narrow}: kind MCEP49 requires width 49, got 5\n"
         )
         assert list(out_dir.iterdir()) == []
 
@@ -800,18 +844,10 @@ def convert_argv(corpus, model_dir, out_dir, direction="xy"):
     ]
 
 
-def with_logf0_std(stats_text: str, std: str) -> str:
-    """A stats file's text with its logf0_std line set to std."""
+def with_stat(stats_text: str, key: str, value: str) -> str:
+    """A stats file's text with its key line set to value."""
     return "".join(
-        f"logf0_std {std}\n" if line.startswith("logf0_std ") else line
-        for line in stats_text.splitlines(keepends=True)
-    )
-
-
-def with_logf0_mean(stats_text: str, mean: str) -> str:
-    """A stats file's text with its logf0_mean line set to mean."""
-    return "".join(
-        f"logf0_mean {mean}\n" if line.startswith("logf0_mean ") else line
+        f"{key} {value}\n" if line.startswith(f"{key} ") else line
         for line in stats_text.splitlines(keepends=True)
     )
 
@@ -929,7 +965,7 @@ class TestConvertLoadsOneNetwork:
         """A source log-F0 std of 1e-6 maps every voiced frame far beyond
         float64's range."""
         stats = tmp_path / "src.stats"
-        stats.write_text(with_logf0_std((corpus / "src.stats").read_text(), "1e-06"))
+        stats.write_text(with_stat((corpus / "src.stats").read_text(), "logf0_std", "1e-06"))
         argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
         argv[argv.index("--src-stats") + 1] = str(stats)
         assert main(argv) == 1
@@ -948,7 +984,7 @@ class TestConvertLoadsOneNetwork:
         source stds below it, where the target F0 underflows to exactly 0:
         the frames would turn unvoiced."""
         stats = tmp_path / "src.stats"
-        stats.write_text(with_logf0_mean((corpus / "src.stats").read_text(), "2000.0"))
+        stats.write_text(with_stat((corpus / "src.stats").read_text(), "logf0_mean", "2000.0"))
         argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
         argv[argv.index("--src-stats") + 1] = str(stats)
         assert main(argv) == 1
@@ -957,6 +993,37 @@ class TestConvertLoadsOneNetwork:
             f"error: {corpus / 'src.f0.ftr'}, {stats}, {corpus / 'tgt.stats'}: "
             "stage transform-f0: a voiced frame's F0 maps to 0 or infinity\n"
         )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, std, named, cause",
+        [
+            ("--tgt-stats", "1e300", ["--tgt-stats"],
+             "stage mlpg: static-stream variances must be finite (identity window must bind)"),
+            ("--src-stats", "1e-320", ["--mcep", "--src-stats"],
+             "stage normalize-source: feature data contains non-finite entries"),
+        ],
+        ids=["target-variance-overflows", "source-std-subnormal"],
+    )
+    def test_a_stats_file_that_breaks_a_stage_is_named_with_the_stage(
+        self, corpus, bundles, tmp_path, capsys, flag, std, named, cause
+    ):
+        """Valid stats whose numbers overflow a stage: a target std of 1e300
+        squares to an infinite variance, and a source std of 1e-320 divides
+        the frames beyond float64. Each error names the stage and its
+        inputs, and no numpy warning reaches stderr."""
+        text = (corpus / ("tgt.stats" if flag == "--tgt-stats" else "src.stats")).read_text()
+        stats = tmp_path / "edited.stats"
+        stats.write_text(with_stat(text, "norm_std", " ".join([std] * 75)))
+        argv = convert_argv(corpus, bundles["cyclegan"], tmp_path / "out")
+        argv[argv.index(flag) + 1] = str(stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        names = ", ".join(argv[argv.index(f) + 1] for f in named)
+        assert captured.err == f"error: {names}: {cause}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -975,7 +1042,7 @@ class TestConvertLoadsOneNetwork:
         argv[argv.index("--f0") + 1] = str(f0_path)
         for flag, name, std in (("--src-stats", "src", "0.05"), ("--tgt-stats", "tgt", "0.3")):
             stats = tmp_path / f"{name}.stats"
-            stats.write_text(with_logf0_std((corpus / f"{name}.stats").read_text(), std))
+            stats.write_text(with_stat((corpus / f"{name}.stats").read_text(), "logf0_std", std))
             argv[argv.index(flag) + 1] = str(stats)
         (tmp_path / "out").mkdir()
         assert main(argv) == 1
@@ -998,8 +1065,29 @@ class TestConvertLoadsOneNetwork:
                 ),
                 "malformed stats file: normalization stats have 10 dims, expected 75",
             ),
+            (
+                lambda text: with_stat(text, "norm_std", " ".join(["1.0"] * 74)),
+                "malformed stats file: mean and std must have equal length",
+            ),
+            (
+                lambda text: with_stat(text, "norm_mean", " ".join(["inf"] + ["0.0"] * 74)),
+                "malformed stats file: stats must be finite",
+            ),
+            (
+                lambda text: with_stat(text, "norm_std", " ".join(["0.0"] + ["1.0"] * 74)),
+                "malformed stats file: std must be strictly positive",
+            ),
+            (
+                lambda text: with_stat(text, "logf0_std", "0.0"),
+                "malformed stats file: log-F0 std must be strictly positive",
+            ),
+            (
+                lambda text: with_stat(text, "logf0_voiced_count", "0"),
+                "malformed stats file: voiced_count must be >= 1",
+            ),
         ],
-        ids=["unknown-key", "ten-dims"],
+        ids=["unknown-key", "ten-dims", "74-stds", "infinite-mean", "zero-std", "zero-logf0-std",
+             "no-voiced-frame"],
     )
     def test_a_bad_stats_file_is_named(self, corpus, bundles, tmp_path, capsys, edit, cause):
         stats = tmp_path / "src.stats"

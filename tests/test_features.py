@@ -343,6 +343,20 @@ class TestFtrFormat:
         with pytest.raises(FormatError):
             read_ftr(path)
 
+    @pytest.mark.parametrize(
+        "raw, cause",
+        [
+            (b"FTR1" + bytes(8), "truncated FTR1 header"),
+            (struct.pack("<4sIII", b"FTR1", 0, 1, 99), "unknown kind code 99"),
+        ],
+        ids=["twelve-byte-header", "unknown-kind"],
+    )
+    def test_a_bad_header_names_the_file(self, tmp_path, raw, cause):
+        path = tmp_path / "bad.ftr"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {cause}$"):
+            read_ftr(path)
+
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "trunc.ftr"
         write_ftr(path, FeatureSequence(np.ones((4, 3))))

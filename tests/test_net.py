@@ -390,8 +390,11 @@ class TestPersistence:
             (b"hidden_activation sigmoid", b"hidden_activation tanh", "activations"),
             (np.float64(0.5).tobytes(), np.float64(np.nan).tobytes(), "not finite"),
             (b"layer_dims 2 3 1", b"layer_dims 2 4 1", "holds 104 parameter bytes, expected 136"),
+            (b"sigmoid\n", b"sigmoid ", "malformed model header"),
+            (b"layer_dims 2 3 1", b"layer_dims 2 x 1", "malformed model header"),
         ],
-        ids=["activation", "nan-weight", "count-not-in-header"],
+        ids=["activation", "nan-weight", "count-not-in-header", "three-line-header",
+             "non-integer-width"],
     )
     def test_malformed_file_error_names_the_file(self, tmp_path, old, new, cause):
         """Each edit goes into the saved image, the one file load_mlp reads."""

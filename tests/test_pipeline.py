@@ -303,6 +303,22 @@ class TestConvertUtterance:
         assert str(caught.value) == "stage transform-f0: a voiced frame's F0 maps to 0 or infinity"
         assert isinstance(caught.value.__cause__, NonFiniteError)
 
+    def test_target_variances_that_overflow_name_the_mlpg_stage_and_warn_nothing(self):
+        """A target std of 1e300 squares to an infinite variance, which MLPG
+        refuses; the square's overflow warning stays off, as in every stage."""
+        rng = np.random.default_rng(9)
+        mcep, f0, ap = make_speaker(rng)
+        stats = self._stats_for(mcep, f0)
+        tgt = dataclasses.replace(stats, norm=NormStats(stats.norm.mean, np.full(75, 1e300)))
+        stages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^stage mlpg: static-stream variances"):
+                convert_utterance(
+                    lambda batch: batch / 10, stats, tgt, mcep, f0, ap, trace=stages.append
+                )
+        assert stages[-1] == "mlpg"
+
 
 _FAULTS_PER_CONVERSION = textwrap.dedent("""
     import resource
@@ -551,6 +567,10 @@ class TestSyntheticData:
             (1, "frames", "300"),
             (0, "seed", 1.5),
             (0, "seed", True),
+            (1, "voiced_fraction", 1.5),
+            (1, "high_band_std", -1),
+            (1, "logf0_std", 0),
+            (2, "stds", [[1.0] * 24 + [0.0]]),
         ],
     )
     def test_bad_value_is_a_format_error_naming_the_file(self, tmp_path, level, key, value):
