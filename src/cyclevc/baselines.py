@@ -89,9 +89,9 @@ def train_mse_baseline(
 ) -> tuple[Mlp, list[MseLosses]]:
     """Mini-batch Adam on plain MSE; returns the net and per-epoch mean MSE."""
     net = config.init_net(data.dim, data.dim, "G")
+    opt = init_optimizer(net, config.lr_generator)
 
-    def step(nets, idx):
-        net, opt = nets
+    def step(net, idx):
         xb = data.x.data[idx]
         yb = data.y.data[idx]
         pred, cache = forward(net, xb)
@@ -99,9 +99,7 @@ def train_mse_baseline(
         grads, _ = backward(net, cache, g_mse, input_grad=False)
         return apply_update(net, grads, opt), MseLosses(loss)
 
-    opt = init_optimizer(net, config.lr_generator)
-    (net, _), history = fit(step, (net, opt), config, data.frames)
-    return net, history
+    return fit(step, net, config, data.frames)
 
 
 def gan_baseline_generator_objective(
@@ -136,26 +134,26 @@ def train_gan_baseline(
     """
     gen = config.init_net(data.dim, data.dim, "G")
     disc = config.init_net(data.dim, 1, "D")
+    opt_g = init_optimizer(gen, config.lr_generator)
+    opt_d = init_optimizer(disc, config.lr_discriminator)
 
     def step(nets, idx):
-        gen, disc, opt_g, opt_d = nets
+        gen, disc = nets
         xb = data.x.data[idx]
         yb = data.y.data[idx]
 
         # Discriminator update on (real y, fake G(x)).
         generated = forward(gen, xb)
         disc_loss, grads_d = discriminator_gradients(disc, yb, generated[0], config.loss_form)
-        disc, opt_d = apply_update(disc, grads_d, opt_d)
+        disc = apply_update(disc, grads_d, opt_d)
 
         # Generator update against the refreshed discriminator.
         adv, mse, grads = gan_baseline_generator_objective(
             gen, disc, generated, yb, config.mse_weight, config.loss_form
         )
-        gen, opt_g = apply_update(gen, grads, opt_g)
+        gen = apply_update(gen, grads, opt_g)
         losses = GanLosses(disc_loss, adv, mse, adv + config.mse_weight * mse)
-        return (gen, disc, opt_g, opt_d), losses
+        return (gen, disc), losses
 
-    opt_g = init_optimizer(gen, config.lr_generator)
-    opt_d = init_optimizer(disc, config.lr_discriminator)
-    (gen, disc, _, _), history = fit(step, (gen, disc, opt_g, opt_d), config, data.frames)
+    (gen, disc), history = fit(step, (gen, disc), config, data.frames)
     return gen, disc, history

@@ -131,9 +131,9 @@ class LossReport(NamedTuple):
     total: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerState:
-    """Optimizer states for all four networks."""
+    """Optimizer states for all four networks; each train_step advances them."""
 
     opt_g: OptimizerState
     opt_f: OptimizerState
@@ -182,6 +182,8 @@ def score_loss(scores: np.ndarray, target: float, form: str) -> tuple[float, np.
     if form == "lsgan":
         diff = scores - target
         return loss_mean(diff**2), 2.0 * diff / n
+    if form != "log":
+        raise ValueError(f"unknown loss_form {form!r}")
     p = np.array(scores, dtype=np.float64)
     sigmoid_inplace(p)
     return loss_mean(np.logaddexp(0.0, -scores if target else scores)), (p - target) / n
@@ -438,16 +440,16 @@ def train_step(
     y_batch: np.ndarray,
     config: CycleGanConfig,
     state: TrainerState,
-) -> tuple[CycleGanModel, TrainerState, LossReport]:
+) -> tuple[CycleGanModel, LossReport]:
     """One alternating update: discriminators first, then both generators.
 
     Each phase runs as two lanes (see _run_lanes): its objective, then the
-    two networks' Adam updates.
+    two networks' Adam updates, which advance state in place.
     """
     disc_x_loss, disc_y_loss, grads_dx, grads_dy = discriminator_objective(
         model, x_batch, y_batch, config.loss_form
     )
-    (new_dx, opt_dx), (new_dy, opt_dy) = _run_lanes(
+    new_dx, new_dy = _run_lanes(
         lambda: apply_update(model.d_x, grads_dx, state.opt_dx),
         lambda: apply_update(model.d_y, grads_dy, state.opt_dy),
     )
@@ -456,14 +458,14 @@ def train_step(
     gen_report, grads_g, grads_f = generator_objective(
         model, x_batch, y_batch, config.cycle_weight, config.loss_form
     )
-    (new_g, opt_g), (new_f, opt_f) = _run_lanes(
+    new_g, new_f = _run_lanes(
         lambda: apply_update(model.g, grads_g, state.opt_g),
         lambda: apply_update(model.f, grads_f, state.opt_f),
     )
     model = CycleGanModel(g=new_g, f=new_f, d_x=model.d_x, d_y=model.d_y)
 
     report = gen_report._replace(disc_x=disc_x_loss, disc_y=disc_y_loss)
-    return model, TrainerState(opt_g=opt_g, opt_f=opt_f, opt_dx=opt_dx, opt_dy=opt_dy), report
+    return model, report
 
 
 def train(
@@ -487,15 +489,10 @@ def train(
             f"model expects width {model.feature_dim}, got {x_data.dim}/{y_data.dim}"
         )
 
-    def step(nets, x_idx, y_idx):
-        model, state = nets
-        model, state, report = train_step(
-            model, x_data.data[x_idx], y_data.data[y_idx], config, state
-        )
-        return (model, state), report
+    state = TrainerState.fresh(model, config)
+
+    def step(model, x_idx, y_idx):
+        return train_step(model, x_data.data[x_idx], y_data.data[y_idx], config, state)
 
     with _lane_worker():
-        (model, _), history = fit(
-            step, (model, TrainerState.fresh(model, config)), config, x_data.frames, y_data.frames
-        )
-    return model, history
+        return fit(step, model, config, x_data.frames, y_data.frames)

@@ -14,10 +14,10 @@ Gradients and the Adam moments use the same layout, so an optimizer step
 is a few whole-vector operations behind a single finiteness check.
 
 Ownership: Mlp values are immutable. Their parameter vector is read-only,
-and apply_update writes the updated parameters to a fresh vector, so a
-network held elsewhere never changes. An OptimizerState is different: each
-Adam step updates its ``m`` and ``v`` moment vectors in place, and the
-returned state shares them with the state passed in.
+and apply_update returns a new Mlp over a fresh vector, so a network held
+elsewhere never changes. An OptimizerState is Adam's running state: each
+apply_update advances its ``m``, ``v`` and ``step_count`` in place, so a
+trainer makes one per network per run and passes it to every step.
 """
 
 from __future__ import annotations
@@ -172,12 +172,13 @@ class Gradients:
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimizerState:
-    """Adam state for one Mlp.
+    """Adam's state (m, v, t) for one Mlp, which each apply_update advances.
 
     m and v are Adam's first and second moment vectors in the Mlp's flat
-    layout; apply_update overwrites them in place.
+    layout and step_count the steps taken; apply_update updates all three
+    in place.
     """
 
     learning_rate: float
@@ -241,7 +242,7 @@ def forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, 
         )
     acts = [batch]
     last = net.n_layers - 1
-    with np.errstate(over="ignore"):  # the sigmoids' exp, as in sigmoid_inplace
+    with np.errstate(over="ignore"):  # overflow in the layer matmuls and in the sigmoids' exp
         for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
             a = acts[-1] @ w.T
             a += b
@@ -305,14 +306,12 @@ def backward(
 _ADAM_BLOCK = 16384
 
 
-def apply_update(
-    net: Mlp, grads: Gradients, opt: OptimizerState
-) -> tuple[Mlp, OptimizerState]:
-    """One optimizer step; returns the updated Mlp and state.
+def apply_update(net: Mlp, grads: Gradients, opt: OptimizerState) -> Mlp:
+    """One Adam step; returns the updated Mlp, over a fresh vector.
 
-    The new parameters go to a fresh vector; Adam's moments are updated in
-    place. Raises NonFiniteError on NaN/inf gradients so a diverged training
-    run aborts instead of silently corrupting the model.
+    opt advances in place: its moments and step_count. Raises
+    NonFiniteError on NaN/inf gradients, before opt changes, so a diverged
+    training run aborts instead of silently corrupting the model.
     """
     if grads._layout != net._layout:
         raise DimensionMismatchError("gradient shapes do not match the net's")
@@ -345,7 +344,8 @@ def apply_update(
         denom += _EPSILON
         step /= denom
         np.subtract(net.params[blk], step, out=new_params[blk])
-    return net._with_params(new_params), OptimizerState(lr, opt.m, opt.v, t)
+    opt.step_count = t
+    return net._with_params(new_params)
 
 
 _M_TOP_PAD = -2  # glibc <malloc.h>

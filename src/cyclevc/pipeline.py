@@ -7,7 +7,8 @@ Conversion follows the fixed stage order: split the 49-dim mel-cepstrum,
 augment the lower 25 with deltas, z-score with the source speaker's stats,
 map through the generator, de-z-score with the target speaker's stats,
 reduce to statics (MLPG or plain slice), post-filter, merge with the
-untouched higher-order columns, transform F0, copy aperiodicity.
+untouched higher-order columns, transform F0, copy aperiodicity, and
+measure the distortion from the source statics (shift_db).
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ def convert_utterance(
             out_f0 = transform_f0(f0, src_stats.logf0, tgt_stats.logf0)
         with stage("copy-aperiodicity"):
             out_ap = FeatureSequence(aperiodicity.data, aperiodicity.kind)
+        with stage("shift-db"):
+            shift = mel_cepstral_distortion(lower, statics)
 
-    shift = mel_cepstral_distortion(lower, statics)
     return ConversionResult(
         mcep=merged,
         f0=out_f0,
@@ -339,8 +341,9 @@ class MixtureSpec:
             raise DimensionMismatchError(
                 f"means/stds must be {len(weights)} x {LOW_DIM}, got {means.shape}/{stds.shape}"
             )
-        # An empty mixture sums to 0.
-        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-6):
+        # An empty mixture sums to 0. The bound is the one Generator.choice applies.
+        bound = np.sqrt(np.finfo(np.float64).eps)
+        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= bound):
             raise ValueError("weights must be nonnegative and sum to 1")
         if not (stds > 0).all():
             raise ValueError("stds must be positive")

@@ -248,7 +248,7 @@ def reference_gan_baseline(data: ParallelTrainSet, config: GanBaselineConfig):
         loss_real, g_real = score_loss(d_real, 1.0, config.loss_form)
         loss_fake, g_fake = score_loss(d_fake, 0.0, config.loss_form)
         grads_d = backward(disc, cache_r, g_real)[0] + backward(disc, cache_f, g_fake)[0]
-        disc, opt_d = apply_update(disc, grads_d, opt_d)
+        disc = apply_update(disc, grads_d, opt_d)
 
         pred, cache_g = forward(gen, xb)
         d_pred, cache_d = forward(disc, pred)
@@ -256,7 +256,7 @@ def reference_gan_baseline(data: ParallelTrainSet, config: GanBaselineConfig):
         _, g_pred = backward(disc, cache_d, g_adv)
         mse, g_mse = mse_loss(pred, yb)
         grads, _ = backward(gen, cache_g, g_pred + config.mse_weight * g_mse)
-        gen, opt_g = apply_update(gen, grads, opt_g)
+        gen = apply_update(gen, grads, opt_g)
         losses = GanLosses(loss_real + loss_fake, adv, mse, adv + config.mse_weight * mse)
         return (gen, disc, opt_g, opt_d), losses
 
@@ -271,7 +271,7 @@ def reference_mse_baseline(data: ParallelTrainSet, config: MseBaselineConfig):
         pred, cache = forward(net, data.x.data[idx])
         loss, g_mse = mse_loss(pred, data.y.data[idx])
         grads, _ = backward(net, cache, g_mse)
-        return apply_update(net, grads, opt), MseLosses(loss)
+        return (apply_update(net, grads, opt), opt), MseLosses(loss)
 
     net = config.init_net(data.dim, data.dim, "G")
     (net, _), history = fit(step, (net, init_optimizer(net, config.lr_generator)), config, data.frames)

@@ -268,6 +268,24 @@ class TestGenSynthetic:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_weights_numpy_cannot_draw_from_name_the_spec(self, tmp_path, capsys):
+        """Weights 5e-7 off a sum of 1 used to pass the spec check and fail
+        in numpy's draw, with a message that named no file."""
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        doc = json.loads(spec.read_text())
+        doc["speakers"][0]["mixture"]["weights"] = [0.5, 0.3, 0.2000005]
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["gen-synthetic", "--spec", str(spec), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {spec}: malformed synthetic spec: "
+            "weights must be nonnegative and sum to 1\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_an_unknown_spec_key_writes_nothing(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         write_spec(spec)
@@ -656,7 +674,7 @@ class TestConvertAndEval:
         assert stages == [
             "split-mcep", "compute-deltas", "normalize-source", "generator",
             "denormalize-target", "mlpg", "postfilter", "merge-mcep",
-            "transform-f0", "copy-aperiodicity",
+            "transform-f0", "copy-aperiodicity", "shift-db",
         ]
 
     def test_mlpg_off_uses_slice_stage(self, corpus, trained, tmp_path, capsys):
@@ -697,6 +715,17 @@ class TestConvertAndEval:
         captured = capsys.readouterr()
         assert captured.err == f"error: beta must be finite and >= 0, got {float(beta)}\n"
         assert "stage:" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_distortion_beyond_float64_names_its_stage(self, corpus, trained, tmp_path, capsys):
+        """A postfilter beta of 1e300 leaves finite statics whose distance
+        from the source overflows; shift-db is the stage that fails."""
+        args = self.convert_args(corpus, trained, tmp_path, "--postfilter-beta", "1e300")
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: stage shift-db: mel-cepstral distortion is not finite: "
+            "the squared frame differences overflowed float64\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_an_empty_mcep_file_is_named(self, corpus, trained, tmp_path, capsys):

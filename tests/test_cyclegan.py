@@ -168,6 +168,12 @@ def test_loss_values_are_the_np_mean_forms_bit_for_bit(form):
         assert l1_loss(rec, ref)[0] == float(np.mean(np.sum(np.abs(rec - ref), axis=1)))
 
 
+def test_score_loss_refuses_an_unknown_form():
+    """Any form but lsgan used to be scored as log."""
+    with pytest.raises(ValueError, match=r"^unknown loss_form 'bogus'$"):
+        score_loss(np.zeros((2, 1)), 1.0, "bogus")
+
+
 class TestCycleLoss:
     """l1_loss, one cycle direction's loss and its gradient."""
 
@@ -397,7 +403,7 @@ class TestTraining:
         y = rng.normal(size=(8, 3))
         state = TrainerState.fresh(model, config)
         before_x, before_y, _, _ = discriminator_objective(model, x, y, "lsgan")
-        stepped, _, _ = train_step(model, x, y, config, state)
+        stepped, _ = train_step(model, x, y, config, state)
         # generators moved too; recompute with the original generators so the
         # comparison isolates the discriminator update
         rewound = CycleGanModel(g=model.g, f=model.f, d_x=stepped.d_x, d_y=stepped.d_y)

@@ -162,7 +162,7 @@ def test_train_step_matches_the_reference_engine(loss_form):
     # later ones reuse the moments the previous step left behind.
     for t in (1, 2, 3):
         x, y = rng.normal(size=(128, 75)), rng.normal(size=(128, 75))
-        model, state, report = train_step(model, x, y, config, state)
+        model, report = train_step(model, x, y, config, state)
         params, moments, ref_losses = _reference_step(params, moments, t, x, y, config)
         for role in _ROLES:
             net = getattr(model, role)

@@ -266,7 +266,7 @@ class TestApplyUpdate:
         for g in (3.7, -0.004, 120.0):
             net = self._scalar_net(0.5)
             opt = init_optimizer(net, learning_rate=0.001)
-            updated, _ = apply_update(net, self._grads(g), opt)
+            updated = apply_update(net, self._grads(g), opt)
             moved = updated.weights[0][0, 0] - 0.5
             assert moved == pytest.approx(-0.001 * g / (abs(g) + 1e-8), rel=1e-12)
             assert moved == pytest.approx(-0.001 * np.sign(g), rel=1e-4)
@@ -280,7 +280,8 @@ class TestApplyUpdate:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 8):
             g = float(rng.normal())
-            net, opt = apply_update(net, self._grads(g), opt)
+            net = apply_update(net, self._grads(g), opt)
+            assert opt.step_count == t
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + (1 - beta2) * g * g
             m_hat = m / (1 - beta1**t)
@@ -308,7 +309,7 @@ class TestApplyUpdate:
             weights=tuple(np.ones_like(w) for w in net.weights),
             biases=tuple(np.ones_like(b) for b in net.biases),
         )
-        updated, _ = apply_update(net, grads, init_optimizer(net))
+        updated = apply_update(net, grads, init_optimizer(net))
         assert not np.shares_memory(updated.params, net.params)
         assert not np.array_equal(updated.params, before)
         np.testing.assert_array_equal(net.params, before)
@@ -352,7 +353,7 @@ class TestApplyUpdate:
                 target = rng.normal(size=(4, 2))
                 out, cache = forward(net, batch)
                 grads, _ = backward(net, cache, 2 * (out - target) / out.size)
-                net, opt = apply_update(net, grads, opt)
+                net = apply_update(net, grads, opt)
             return net
 
         a, b = run(), run()

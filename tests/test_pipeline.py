@@ -233,7 +233,7 @@ class TestConvertUtterance:
         assert stages == [
             "split-mcep", "compute-deltas", "normalize-source", "generator",
             "denormalize-target", "mlpg", "postfilter", "merge-mcep",
-            "transform-f0", "copy-aperiodicity",
+            "transform-f0", "copy-aperiodicity", "shift-db",
         ]
 
     @pytest.mark.parametrize(
@@ -615,12 +615,14 @@ class TestSyntheticData:
                         logf0_std=math.nan)
 
     def test_mixture_weights_validated(self):
-        with pytest.raises(ValueError):
-            MixtureSpec(
-                weights=np.array([0.9, 0.3]),
-                means=np.zeros((2, 25)),
-                stds=np.ones((2, 25)),
-            )
+        # The second sum is off by 5e-7, beyond what Generator.choice accepts.
+        for weights in ([0.9, 0.3], [0.5, 0.5000005]):
+            with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1$"):
+                MixtureSpec(
+                    weights=np.array(weights),
+                    means=np.zeros((2, 25)),
+                    stds=np.ones((2, 25)),
+                )
 
 
 class TestModelBundles:

@@ -211,8 +211,11 @@ def test_a_run_that_overlaps_the_lane_owner_runs_inline_with_blas_untouched(
 
     monkeypatch.setattr(cyclegan, "fit", ordered_fit)
     threads.update((name, threading.Thread(target=run, args=(name,), name=name)) for name in "AB")
-    for thread in threads.values():
-        thread.start()
+    threads["A"].start()
+    # B starts once A is inside its lanes: started together, B could take
+    # the lanes first.
+    assert a_entered.wait(timeout=60)
+    threads["B"].start()
     for thread in threads.values():
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads.values())
