@@ -37,6 +37,7 @@ from .pipeline import (
     BUNDLE_ROLES,
     SyntheticSpec,
     augment_lower,
+    check_frames,
     compute_speaker_stats,
     convert_utterance,
     generate_dataset,
@@ -92,8 +93,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     f0s = _read_many(args.f0, FeatureKind.F0)
     for mcep_path, f0_path, mcep, f0 in zip(args.mcep, args.f0, mceps, f0s):
         with _naming(mcep_path, f0_path):
-            if f0.frames != mcep.frames:
-                raise DimensionMismatchError(f"F0 has {f0.frames} frames, mcep {mcep.frames}")
+            check_frames("F0", f0, mcep)
     with _naming(*args.mcep, *args.f0):
         stats = compute_speaker_stats(mceps, f0s)
     save_speaker_stats(args.out, stats)
@@ -162,7 +162,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         src_mceps = _read_many(args.src_mcep, FeatureKind.MCEP49)
         tgt_mceps = _read_many(args.tgt_mcep, FeatureKind.MCEP49)
-        data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
+        with _naming(*args.src_mcep, *args.tgt_mcep):  # lists of other lengths
+            data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
     *networks, history = trainer(config, *data)
     networks = dict(zip(BUNDLE_ROLES[args.method], networks))
     pools = data if args.method == "cyclegan" else (data[0].x, data[0].y)
@@ -187,6 +188,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     mcep = _read_expected(args.mcep, FeatureKind.MCEP49)
     f0 = _read_expected(args.f0, FeatureKind.F0)
     ap = _read_expected(args.ap, FeatureKind.APERIODICITY)
+    for name, path, stream in (("F0", args.f0, f0), ("aperiodicity", args.ap, ap)):
+        with _naming(args.mcep, path):  # convert_utterance checks again, naming no file
+            check_frames(name, stream, mcep)
 
     # The inputs that a stage's error names; convert_utterance names the stage.
     inputs = {"normalize-source": (args.mcep, args.src_stats), "generator": (net_path,),

@@ -13,7 +13,9 @@ order. ``Mlp.weights`` and ``Mlp.biases`` are per-layer views into it.
 Gradients and the Adam moments use the same layout, so an optimizer step
 is a few whole-vector operations behind a single finiteness check.
 
-Ownership: Mlp values are immutable. Their parameter vector is read-only,
+Ownership: _shapes alone states the layer shapes and _layout alone their
+offsets; _bind alone ties an Mlp or Gradients to its vector and views, and
+builds either uncopied. Mlp values are immutable. Their vector is read-only,
 and apply_update returns a new Mlp over a fresh vector, so a network held
 elsewhere never changes. An OptimizerState is Adam's running state: each
 apply_update advances its ``m``, ``v`` and ``step_count`` in place, so a
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,31 +44,56 @@ from .errors import (
 )
 
 
-def _flatten(weights, biases) -> np.ndarray:
-    """All weights, then all biases, layer order, as one new float64 vector."""
-    return np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
+def _flatten(weights, biases) -> tuple[np.ndarray, tuple]:
+    """All weights, then all biases, layer order, as one new float64 vector;
+    and the (weight shapes, bias shapes) pair of the given arrays."""
+    vector = np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
+    return vector, (tuple(map(np.shape, weights)), tuple(map(np.shape, biases)))
 
 
-def _shapes(layer_dims):
-    """The weight and the bias shapes of a net with these layer widths."""
-    pairs = tuple(zip(layer_dims, layer_dims[1:]))
-    return tuple((o, i) for i, o in pairs), tuple((o,) for _, o in pairs)
+def _shapes(layer_dims) -> tuple:
+    """The layout rule: weight l is (layer_dims[l+1], layer_dims[l]) and bias
+    l is (layer_dims[l+1],). Returns the weight shapes and the bias shapes."""
+    pairs = tuple(zip(layer_dims[1:], layer_dims))
+    return pairs, tuple((o,) for o, _ in pairs)
 
 
-def _layout(weight_shapes, bias_shapes):
-    """(start, stop, shape) of each weight, then bias, in the flat layout; the weight count."""
-    spans, pos = [], 0
-    for shape in (*weight_shapes, *bias_shapes):
-        spans.append((pos, pos + math.prod(shape), shape))
-        pos += math.prod(shape)
-    return tuple(spans), len(weight_shapes)
+def _layout(shapes) -> tuple:
+    """Where the arrays of a (weight shapes, bias shapes) pair sit in the flat
+    vector: the (start, stop, shape) of each weight, then of each bias; the
+    weight count; the vector's length."""
+    flat = (*shapes[0], *shapes[1])
+    offsets = tuple(itertools.accumulate(map(math.prod, flat), initial=0))
+    return tuple(zip(offsets, offsets[1:], flat)), len(shapes[0]), offsets[-1]
 
 
-def _views(vector: np.ndarray, layout):
-    """Per-layer weight and bias views of a vector in the flat layout."""
-    spans, n = layout
-    views = [vector[lo:hi].reshape(shape) for lo, hi, shape in spans]
-    return tuple(views[:n]), tuple(views[n:])
+def _views(vector: np.ndarray, layout) -> tuple:
+    """Per-layer weight and bias views of a vector in a _layout()."""
+    spans, n, _ = layout
+    views = tuple(vector[lo:hi].reshape(shape) for lo, hi, shape in spans)
+    return views[:n], views[n:]
+
+
+def _bind(obj, vector: np.ndarray, layout, **fields):
+    """Bind obj, an Mlp or Gradients, to vector (taken over uncopied) and its
+    views in layout, and set any other fields; returns obj. On
+    object.__new__(cls) this builds either class without a copy."""
+    if isinstance(obj, Mlp):
+        vector.flags.writeable = False
+    weights, biases = _views(vector, layout)
+    fields.update(_vector=vector, _layout=layout, weights=weights, biases=biases)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _require_finite(obj, message: str) -> None:
+    """Raise NonFiniteError(message) with ``{layer}`` set to the first layer
+    of obj, an Mlp or Gradients, whose weight or bias is not all finite."""
+    if not np.isfinite(obj._vector).all():
+        layers = zip(obj.weights, obj.biases)
+        finite = [np.isfinite(w).all() and np.isfinite(b).all() for w, b in layers]
+        raise NonFiniteError(message.format(layer=finite.index(False)))
 
 
 @dataclass(frozen=True)
@@ -81,46 +109,22 @@ class Mlp:
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.layer_dims) < 2:
             raise ValueError("an Mlp needs at least input and output widths")
         if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer widths must be >= 1, got {self.layer_dims}")
-        n = len(self.layer_dims) - 1
-        if len(self.weights) != n or len(self.biases) != n:
-            raise DimensionMismatchError(
-                f"expected {n} weight/bias pairs, got {len(self.weights)}/{len(self.biases)}"
-            )
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_dims[layer + 1], self.layer_dims[layer])
-            if w.shape != want:
-                raise DimensionMismatchError(
-                    f"weight {layer} has shape {w.shape}, expected {want}"
-                )
-            if b.shape != (self.layer_dims[layer + 1],):
-                raise DimensionMismatchError(
-                    f"bias {layer} has shape {b.shape}, expected ({self.layer_dims[layer + 1]},)"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NonFiniteError(f"layer {layer} parameters are not finite")
-        self._bind(_flatten(self.weights, self.biases), _layout(*_shapes(self.layer_dims)))
+        shapes = _shapes(self.layer_dims)
+        params, given = _flatten(self.weights, self.biases)
+        if given != shapes:
+            raise DimensionMismatchError(f"weight and bias shapes {given}, expected {shapes}")
+        _bind(self, params, _layout(shapes))
+        _require_finite(self, "layer {layer} parameters are not finite")
 
-    def _bind(self, params: np.ndarray, layout) -> None:
-        params.flags.writeable = False
-        weights, biases = _views(params, layout)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
-
-    def _with_params(self, params: np.ndarray) -> "Mlp":
-        """The same architecture over ``params``, which it takes over uncopied."""
-        net = object.__new__(Mlp)
-        object.__setattr__(net, "layer_dims", self.layer_dims)
-        net._bind(params, self._layout)
-        return net
+    @property
+    def params(self) -> np.ndarray:
+        return self._vector
 
     @property
     def d_in(self) -> int:
@@ -136,31 +140,17 @@ class Mlp:
 
 
 class Gradients:
-    """Parameter gradients in the flat layout of the owning Mlp.
-
-    ``weights`` and ``biases`` are per-layer views of one vector; the
-    constructor copies the given arrays into it.
-    """
+    """Parameter gradients in the flat layout of the owning Mlp: ``weights``
+    and ``biases`` view one vector, which the constructor copies them into."""
 
     __slots__ = ("_vector", "_layout", "weights", "biases")
 
     def __init__(self, weights, biases) -> None:
-        shapes = tuple(np.shape(w) for w in weights), tuple(np.shape(b) for b in biases)
-        self._bind(_flatten(weights, biases), _layout(*shapes))
-
-    def _bind(self, vector, layout) -> None:
-        self._vector, self._layout = vector, layout
-        self.weights, self.biases = _views(vector, layout)
-
-    @classmethod
-    def _wrap(cls, vector: np.ndarray, layout) -> "Gradients":
-        """Gradients over ``vector`` (uncopied) in ``layout``, a _layout()."""
-        grads = object.__new__(cls)
-        grads._bind(vector, layout)
-        return grads
+        vector, shapes = _flatten(weights, biases)
+        _bind(self, vector, _layout(shapes))
 
     def __add__(self, other: "Gradients") -> "Gradients":
-        return Gradients._wrap(self._vector + other._vector, self._layout)
+        return _bind(object.__new__(Gradients), self._vector + other._vector, self._layout)
 
     def flat(self) -> np.ndarray:
         """All entries as one vector (weights then biases, layer order);
@@ -207,13 +197,10 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
         check_integer(f"layer_dims[{layer}]", width, 1)
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(layer_dims=dims, weights=tuple(weights), biases=tuple(biases))
+    weight_shapes, bias_shapes = _shapes(dims)
+    limits = [np.sqrt(6.0 / sum(shape)) for shape in weight_shapes]  # sum: fan_out + fan_in
+    weights = tuple(rng.uniform(-a, a, size=shape) for a, shape in zip(limits, weight_shapes))
+    return Mlp(layer_dims=dims, weights=weights, biases=tuple(map(np.zeros, bias_shapes)))
 
 
 def sigmoid_inplace(z: np.ndarray) -> None:
@@ -283,7 +270,9 @@ def backward(
             f"output_gradient shape {g.shape} does not match "
             f"output shape {cache[-1].shape}"
         )
-    grads = Gradients._wrap(np.empty_like(net.params), net._layout) if param_grads else None
+    grads = None
+    if param_grads:
+        grads = _bind(object.__new__(Gradients), np.empty_like(net.params), net._layout)
     last = net.n_layers - 1
     for layer in range(last, -1, -1):
         if layer != last:
@@ -315,13 +304,8 @@ def apply_update(net: Mlp, grads: Gradients, opt: OptimizerState) -> Mlp:
     """
     if grads._layout != net._layout:
         raise DimensionMismatchError("gradient shapes do not match the net's")
+    _require_finite(grads, "non-finite gradient in layer {layer}")
     g = grads.flat()
-    if not np.isfinite(g).all():
-        layer = next(
-            k for k, (gw, gb) in enumerate(zip(grads.weights, grads.biases))
-            if not (np.isfinite(gw).all() and np.isfinite(gb).all())
-        )
-        raise NonFiniteError(f"non-finite gradient in layer {layer}")
 
     lr = opt.learning_rate
     t = opt.step_count + 1
@@ -345,7 +329,7 @@ def apply_update(net: Mlp, grads: Gradients, opt: OptimizerState) -> Mlp:
         step /= denom
         np.subtract(net.params[blk], step, out=new_params[blk])
     opt.step_count = t
-    return net._with_params(new_params)
+    return _bind(object.__new__(Mlp), new_params, net._layout, layer_dims=net.layer_dims)
 
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
@@ -504,13 +488,13 @@ def load_mlp(path) -> Mlp:
             f"{image}: unsupported activations {activations}, expected {_ACTIVATIONS}"
         )
 
-    weight_shapes, bias_shapes = _shapes(dims)
-    want = _IMAGE_DTYPE.itemsize * sum(math.prod(shape) for shape in weight_shapes + bias_shapes)
+    layout = _layout(_shapes(dims))
+    want = _IMAGE_DTYPE.itemsize * layout[-1]  # the vector's length
     if len(data) - start != want:
         raise FormatError(f"{image}: holds {len(data) - start} parameter bytes, expected {want}")
     try:
         params = np.frombuffer(data, dtype=_IMAGE_DTYPE, offset=start)
-        weights, biases = _views(params, _layout(weight_shapes, bias_shapes))
+        weights, biases = _views(params, layout)
         return Mlp(layer_dims=dims, weights=weights, biases=biases)
     except ValueError as exc:
         raise FormatError(f"{image}: {exc}") from exc

@@ -195,6 +195,12 @@ class ConversionResult:
     seconds: float
 
 
+def check_frames(name: str, stream: FeatureSequence, mcep: FeatureSequence) -> None:
+    """Raise DimensionMismatchError unless stream, called name, has mcep's frame count."""
+    if stream.frames != mcep.frames:
+        raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
+
+
 def convert_utterance(
     generator: Callable[[np.ndarray], np.ndarray],
     src_stats: SpeakerStats,
@@ -218,8 +224,7 @@ def convert_utterance(
     heap the one before it freed.
     """
     for name, stream in (("F0", f0), ("aperiodicity", aperiodicity)):
-        if stream.frames != mcep.frames:
-            raise DimensionMismatchError(f"{name} has {stream.frames} frames, mcep {mcep.frames}")
+        check_frames(name, stream, mcep)
     check_beta(postfilter_beta)
     keep_heap_top()
     started = time.monotonic()

@@ -521,6 +521,17 @@ class TestTrain:
         assert main(args) == 1
         assert "parallel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["gan-parallel", "mse-parallel"])
+    def test_parallel_lists_of_other_lengths_name_every_file(self, corpus, tmp_path, capsys, method):
+        src, tgt = str(corpus / "src.mcep.ftr"), str(corpus / "tgt.mcep.ftr")
+        args = train_args(corpus, method, tmp_path / "m")
+        args[args.index("--src-mcep") + 1 : args.index("--src-mcep") + 2] = [src, tgt]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}, {tgt}, {tgt}: parallel lists differ: 2 source vs 1 target utterances\n"
+        )
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("method", ["cyclegan", "gan-parallel", "mse-parallel"])
     def test_non_finite_step_names_its_epoch_and_step(
         self, corpus, tmp_path, capsys, monkeypatch, method
@@ -705,7 +716,25 @@ class TestConvertAndEval:
         for flag, path in (("--f0", "tgt.f0.ftr"), ("--ap", "tgt.ap.ftr")):
             args[args.index(flag) + 1] = str(corpus / path)
         assert main(args) == 1
-        assert capsys.readouterr().err == "error: F0 has 140 frames, mcep 160\n"
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'src.mcep.ftr'}, {corpus / 'tgt.f0.ftr'}: "
+            "F0 has 140 frames, mcep 160\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_aperiodicity_of_another_length_names_its_file(
+        self, corpus, trained, tmp_path, capsys
+    ):
+        """The tgt aperiodicity (140 frames) with the src mcep and F0 (160)."""
+        args = self.convert_args(corpus, trained, tmp_path, "--trace")
+        args[args.index("--ap") + 1] = str(corpus / "tgt.ap.ftr")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {corpus / 'src.mcep.ftr'}, {corpus / 'tgt.ap.ftr'}: "
+            "aperiodicity has 140 frames, mcep 160\n"
+        )
+        assert "stage:" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("beta", ["nan", "-0.1"])

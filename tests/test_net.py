@@ -116,6 +116,31 @@ class TestInit:
         assert str(caught.value) == message
 
 
+class TestMlpChecks:
+    """What Mlp refuses in the arrays it is given, for layer widths 2, 3, 1."""
+
+    @pytest.mark.parametrize(
+        "weights, biases",
+        [
+            ((np.zeros((3, 3)), np.zeros((1, 3))), (np.zeros(3), np.zeros(1))),
+            ((np.zeros((3, 2)), np.zeros((1, 3))), (np.zeros(3),)),
+            (
+                (np.zeros((3, 2)), np.zeros((1, 3)), np.zeros((1, 1))),
+                (np.zeros(3), np.zeros(1), np.zeros(1)),
+            ),
+        ],
+        ids=["wrong-shaped-weight", "missing-bias", "extra-layer"],
+    )
+    def test_arrays_that_do_not_fit_the_widths_are_refused(self, weights, biases):
+        with pytest.raises(DimensionMismatchError):
+            Mlp(layer_dims=(2, 3, 1), weights=weights, biases=biases)
+
+    def test_a_nan_in_the_last_bias_names_its_layer(self):
+        weights = (np.zeros((3, 2)), np.zeros((1, 3)))
+        with pytest.raises(NonFiniteError, match="^layer 1 parameters are not finite$"):
+            Mlp(layer_dims=(2, 3, 1), weights=weights, biases=(np.zeros(3), np.array([np.nan])))
+
+
 class TestForward:
     def test_single_layer_dot_product(self):
         net = Mlp(
@@ -543,6 +568,16 @@ class TestBinaryImage:
             image.write_bytes(hashlib.sha256(path.read_bytes()).digest() + pi_net().params.tobytes())
         with pytest.raises(FormatError, match=f"net.mlp.f8: {cause}"):
             load_mlp(path)
+
+    def test_a_zero_width_in_the_header_names_the_image(self, tmp_path):
+        """Widths 2, 0, 1 hold one parameter, the last bias, and the image
+        holds 8 bytes, so the width check is what refuses it."""
+        path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
+        header = b"MLPF8\nlayer_dims 2 0 1\nhidden_activation sigmoid\noutput_activation linear\n"
+        image.write_bytes(header + np.float64(0.5).tobytes())
+        with pytest.raises(FormatError) as caught:
+            load_mlp(path)
+        assert str(caught.value) == f"{image}: layer widths must be >= 1, got (2, 0, 1)"
 
     def test_a_failed_image_write_keeps_the_previous_net(self, tmp_path, monkeypatch):
         path = tmp_path / "net.mlp"
