@@ -14,11 +14,14 @@ straight from the windows' row entries, without forming any T x T matrix.
 
 from __future__ import annotations
 
+import ctypes
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
+from . import net
 from .errors import DimensionMismatchError, finite_real
 from .features import _MAX_OFFSET, DELTA_WINDOWS, FeatureKind, FeatureSequence, LOW_DIM
 
@@ -88,7 +91,8 @@ def _window_rows(win, frames: int) -> np.ndarray:
 
 def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
     """sum_w W_w^T W_w / var_w for every static dimension, in
-    solveh_banded's upper storage: (S, bandwidth + 1, frames).
+    solveh_banded's upper storage: (S, bandwidth + 1, frames), each
+    dimension's band in Fortran order, as LAPACK takes it without a copy.
 
     A column at least 2K frames from either end (K = _MAX_OFFSET) sums the
     same products in the same order wherever it is, since none of its rows
@@ -101,7 +105,7 @@ def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
     n = min(frames, 2 * edge + 1)
     s = precisions.shape[0] // len(DELTA_WINDOWS)
     bandwidth = min(edge, n - 1)
-    ab = np.zeros((s, bandwidth + 1, n))
+    ab = np.zeros((s, n, bandwidth + 1)).transpose(0, 2, 1)
     for w, win in enumerate(DELTA_WINDOWS):
         p = precisions[w * s : (w + 1) * s, None]
         rows = _window_rows(win, n)
@@ -117,8 +121,6 @@ def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
                 )
     if n == frames:
         return ab
-    # Each dimension's band in Fortran order, as LAPACK takes it, so the
-    # solves use it without a copy.
     band = np.empty((s, frames, bandwidth + 1)).transpose(0, 2, 1)
     band[:, :, :edge] = ab[:, :, :edge]
     band[:, :, edge : frames - edge] = ab[:, :, edge : edge + 1]
@@ -154,29 +156,73 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
             rhs[lo + d1 : hi + d1] += rows[lo:hi, d1 + k, None] * mu[lo:hi]
     rhs = np.ascontiguousarray(rhs.T)  # one row per dimension, as the solves take it
 
-    # Imported here: scipy.linalg costs about 0.2 s to import, and training
-    # and the statistics commands never smooth a trajectory.
-    from scipy.linalg import LinAlgError, get_lapack_funcs
-
     # What solveh_banded(ab[dim], rhs[dim], lower=False) does for each
     # dimension, with its checks made once over all of them: a 2-row band
-    # goes to ptsv, any other to pbsv. ab and rhs are ours to overwrite.
+    # goes to ptsv, any other to pbsv. ab and rhs are ours to overwrite, and
+    # each solve leaves its solution in rhs[dim].
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
+    solvers = net._lapack_band_solvers()
+    if solvers is None:
+        _solve_with_scipy(ab, rhs)
+    else:
+        _solve_with_numpy_lapack(solvers, ab, rhs)
+
+    kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
+    return FeatureSequence(rhs.T.copy(), kind)
+
+
+def _check_info(info: int) -> None:
+    """Raise LinAlgError, as solveh_banded does, where LAPACK's info names
+    a leading minor that is not positive definite."""
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+
+
+def _solve_with_numpy_lapack(solvers, ab: np.ndarray, rhs: np.ndarray) -> None:
+    """The solves by the (pbsv, ptsv) pair net._lapack_band_solvers binds.
+
+    The argument objects and data pointers are made once, and each
+    dimension's call offsets the pointers; pbsv takes each ab[dim] in place,
+    Fortran-ordered as _normal_band stores it.
+    """
+    pbsv, ptsv = solvers
+    s, rows, t = ab.shape
+    if not (ab.dtype == rhs.dtype == np.float64 and rhs.shape == (s, t)
+            and ab.transpose(0, 2, 1).flags.c_contiguous and rhs.flags.c_contiguous):
+        raise ValueError("LAPACK takes float64 bands in Fortran order and contiguous rows")
+    n, kd, ldab, one = (ctypes.byref(ctypes.c_int64(v)) for v in (t, rows - 1, rows, 1))
+    info = ctypes.c_int64()
+    status = ctypes.byref(info)
+    b, b_step = rhs.ctypes.data, rhs.strides[0]
+    if rows == 2:
+        # ptsv takes the diagonal and the superdiagonal as vectors of their own.
+        d, e = np.ascontiguousarray(ab[:, 1]), np.ascontiguousarray(ab[:, 0, 1:])
+        for dim in range(s):
+            ptsv(n, one, d[dim].ctypes.data, e[dim].ctypes.data, b + dim * b_step, n, status)
+            _check_info(info.value)
+        return
+    a, a_step = ab.ctypes.data, ab.strides[0]
+    for dim in range(s):
+        pbsv(b"U", n, kd, one, a + dim * a_step, ldab, b + dim * b_step, n, status, 1)
+        _check_info(info.value)
+
+
+def _solve_with_scipy(ab: np.ndarray, rhs: np.ndarray) -> None:
+    """The solves by scipy's LAPACK, for a numpy that links no 64-bit-integer
+    LAPACK. Imported here: scipy.linalg costs about 0.25 s to import and
+    loads a BLAS of its own."""
+    from scipy.linalg import get_lapack_funcs
+
     if ab.shape[1] == 2:
         (ptsv,) = get_lapack_funcs(("ptsv",), (ab, rhs))
         solve = lambda band, b: ptsv(band[1], band[0, 1:], b, 1, 1, 1)[2:]
     else:
         (pbsv,) = get_lapack_funcs(("pbsv",), (ab, rhs))
         solve = lambda band, b: pbsv(band, b, lower=0, overwrite_ab=1, overwrite_b=1)[1:]
-    out = np.empty((t, s))
-    for dim in range(s):
-        out[:, dim], info = solve(ab[dim], rhs[dim])
-        if info > 0:
-            raise LinAlgError(f"{info}th leading minor not positive definite")
-
-    kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
-    return FeatureSequence(out, kind)
+    for dim in range(ab.shape[0]):
+        rhs[dim], info = solve(ab[dim], rhs[dim])
+        _check_info(info)
 
 
 def check_beta(beta: float) -> None:

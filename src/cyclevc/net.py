@@ -51,6 +51,15 @@ def _flatten(weights, biases) -> tuple[np.ndarray, tuple]:
     return vector, (tuple(map(np.shape, weights)), tuple(map(np.shape, biases)))
 
 
+def _check_widths(layer_dims) -> None:
+    """Raise ValueError unless layer_dims has an input and an output width
+    and every width is at least 1."""
+    if len(layer_dims) < 2:
+        raise ValueError("an Mlp needs at least input and output widths")
+    if any(d < 1 for d in layer_dims):
+        raise ValueError(f"layer widths must be >= 1, got {layer_dims}")
+
+
 def _shapes(layer_dims) -> tuple:
     """The layout rule: weight l is (layer_dims[l+1], layer_dims[l]) and bias
     l is (layer_dims[l+1],). Returns the weight shapes and the bias shapes."""
@@ -111,10 +120,7 @@ class Mlp:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.layer_dims) < 2:
-            raise ValueError("an Mlp needs at least input and output widths")
-        if any(d < 1 for d in self.layer_dims):
-            raise ValueError(f"layer widths must be >= 1, got {self.layer_dims}")
+        _check_widths(self.layer_dims)
         shapes = _shapes(self.layer_dims)
         params, given = _flatten(self.weights, self.biases)
         if given != shapes:
@@ -373,26 +379,67 @@ _OPENBLAS_SETTERS = (
 )
 
 
-def _openblas_thread_control() -> tuple | None:
-    """The (get, set) thread-count pair of the OpenBLAS that numpy's GEMMs
-    run on; None outside Linux or where none of _OPENBLAS_SETTERS resolves.
-    A symbol looked up in the handle of numpy's linear-algebra extension is
-    searched for in the libraries it links."""
+#: LAPACK's (pbsv, ptsv) under their 64-bit-integer names: those of the
+#: scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
+#: wheels. Only these are bound: a 32-bit-integer LAPACK takes other types.
+_LAPACK_BAND_SOLVERS = (
+    ("scipy_dpbsv_64_", "scipy_dptsv_64_"),
+    ("dpbsv_64_", "dptsv_64_"),
+)
+
+
+def _numpy_linalg_functions(candidates) -> tuple | None:
+    """The functions of the first group of names in candidates that all
+    resolve in numpy's linear-algebra extension; None outside Linux, where
+    the extension cannot be opened or where no group resolves.
+
+    The extension's already-loaded library is opened again with
+    RTLD_NOLOAD, and a symbol looked up in that handle is searched for in
+    the libraries it links: the BLAS and LAPACK numpy runs on.
+    """
     if not sys.platform.startswith("linux"):
         return None
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
     except (OSError, AttributeError):
         return None
-    for name in _OPENBLAS_SETTERS:
+    for names in candidates:
         try:
-            get, set_ = getattr(lib, name.replace("set", "get", 1)), getattr(lib, name)
+            return tuple(getattr(lib, name) for name in names)
         except AttributeError:
             continue
+    return None
+
+
+@functools.cache
+def _lapack_band_solvers() -> tuple | None:
+    """The (dpbsv, dptsv) pair of the LAPACK numpy links, bound with 64-bit
+    integers, or None (_LAPACK_BAND_SOLVERS). Looked up once, on first use.
+
+    dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) takes the hidden
+    length of uplo last; dptsv(n, nrhs, d, e, b, ldb, info). All arguments
+    but uplo and that length are pointers.
+    """
+    solvers = _numpy_linalg_functions(_LAPACK_BAND_SOLVERS)
+    if solvers is not None:
+        pbsv, ptsv = solvers
+        pbsv.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
+        ptsv.argtypes = (ctypes.c_void_p,) * 7
+        pbsv.restype = ptsv.restype = None
+    return solvers
+
+
+def _openblas_thread_control() -> tuple | None:
+    """The (get, set) thread-count pair of the OpenBLAS that numpy's GEMMs
+    run on, or None (_OPENBLAS_SETTERS)."""
+    control = _numpy_linalg_functions(
+        (name.replace("set", "get", 1), name) for name in _OPENBLAS_SETTERS
+    )
+    if control is not None:
+        get, set_ = control
         get.argtypes, get.restype = (), ctypes.c_int
         set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
+    return control
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +534,12 @@ def load_mlp(path) -> Mlp:
         raise FormatError(
             f"{image}: unsupported activations {activations}, expected {_ACTIVATIONS}"
         )
+    # Checked before the widths size the body: a negative width would
+    # otherwise read as a negative byte count.
+    try:
+        _check_widths(dims)
+    except ValueError as exc:
+        raise FormatError(f"{image}: {exc}") from exc
 
     layout = _layout(_shapes(dims))
     want = _IMAGE_DTYPE.itemsize * layout[-1]  # the vector's length

@@ -20,7 +20,7 @@ from cyclevc.cli import build_parser, main
 from cyclevc.cyclegan import CycleGanConfig
 from cyclevc.errors import NonFiniteError
 from cyclevc.features import FeatureKind, FeatureSequence, read_ftr, split_mcep, write_ftr
-from cyclevc.net import Mlp, forward, init_mlp
+from cyclevc.net import Mlp, _lapack_band_solvers, forward, init_mlp
 from cyclevc.pipeline import (
     convert_utterance,
     load_model_bundle,
@@ -119,6 +119,34 @@ def test_stats_and_cyclegan_training_load_no_scipy(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert (tmp_path / "model" / "losses.csv").exists()
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(
+    _lapack_band_solvers() is None, reason="numpy links no 64-bit-integer LAPACK"
+)
+def test_convert_with_mlpg_loads_no_scipy(corpus, trained, tmp_path):
+    """MLPG solves through the LAPACK numpy links, so a fresh interpreter
+    that converts an utterance with MLPG on has not loaded scipy."""
+    argv = [
+        "convert", "--model-dir", str(trained), "--mlpg", "on",
+        "--src-stats", str(corpus / "src.stats"), "--tgt-stats", str(corpus / "tgt.stats"),
+        *(arg for stream in ("mcep", "f0", "ap") for arg in (
+            f"--{stream}", str(corpus / f"src.{stream}.ftr"),
+            f"--out-{stream}", str(tmp_path / f"out.{stream}.ftr"),
+        )),
+    ]
+    code = (
+        "import json, sys; from cyclevc.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert (tmp_path / "out.mcep.ftr").exists()
     assert run.stdout.splitlines()[-1] == "[]"
 
 

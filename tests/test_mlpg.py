@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from cyclevc import net
 from cyclevc.errors import DimensionMismatchError
 from cyclevc.features import DELTA_WINDOWS, FeatureKind, FeatureSequence, compute_deltas
 from cyclevc.mlpg import (
@@ -200,6 +201,25 @@ class TestMlpgGenerate:
                 GaussianTrajectory(means=means[:, cols], variances=variances[cols])
             ).data
             np.testing.assert_allclose(joint[:, s : s + 1], single, atol=1e-12)
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 5, 200, 1000])
+    @pytest.mark.parametrize("delta_off", [False, True])
+    def test_scipy_lapack_agrees_with_numpy_lapack(self, frames, delta_off, monkeypatch):
+        """Where numpy links no 64-bit-integer LAPACK the solves go through
+        scipy's; both give the same trajectory to 1e-12 relative, for pbsv
+        bands, the 2-row ptsv band (T = 2) and the 1-row one (T = 1)."""
+        if net._lapack_band_solvers() is None:
+            pytest.skip("numpy links no 64-bit-integer LAPACK")
+        rng = np.random.default_rng(frames)
+        means = rng.normal(size=(frames, 75))
+        variances = rng.uniform(0.1, 4.0, size=75)
+        if delta_off:
+            variances[30] = np.inf
+        traj = GaussianTrajectory(means=means, variances=variances)
+        numpy_path = mlpg_generate(traj).data
+        monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+        scipy_path = mlpg_generate(traj).data
+        np.testing.assert_allclose(scipy_path, numpy_path, rtol=1e-12, atol=0)
 
     def test_single_frame(self):
         means = np.array([[2.0, 9.9, -3.3]])

@@ -569,15 +569,19 @@ class TestBinaryImage:
         with pytest.raises(FormatError, match=f"net.mlp.f8: {cause}"):
             load_mlp(path)
 
-    def test_a_zero_width_in_the_header_names_the_image(self, tmp_path):
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_a_zero_width_in_the_header_names_the_image(self, tmp_path, width):
         """Widths 2, 0, 1 hold one parameter, the last bias, and the image
-        holds 8 bytes, so the width check is what refuses it."""
+        holds 8 bytes, so the width check is what refuses it; widths 2, -1, 1
+        are refused by it too, before they size the body."""
         path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
-        header = b"MLPF8\nlayer_dims 2 0 1\nhidden_activation sigmoid\noutput_activation linear\n"
+        header = (
+            f"MLPF8\nlayer_dims 2 {width} 1\nhidden_activation sigmoid\noutput_activation linear\n"
+        ).encode()
         image.write_bytes(header + np.float64(0.5).tobytes())
         with pytest.raises(FormatError) as caught:
             load_mlp(path)
-        assert str(caught.value) == f"{image}: layer widths must be >= 1, got (2, 0, 1)"
+        assert str(caught.value) == f"{image}: layer widths must be >= 1, got (2, {width}, 1)"
 
     def test_a_failed_image_write_keeps_the_previous_net(self, tmp_path, monkeypatch):
         path = tmp_path / "net.mlp"

@@ -338,7 +338,7 @@ _FAULTS_PER_CONVERSION = textwrap.dedent("""
         marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
         convert_utterance(lambda batch: forward(net, batch)[0], stats, stats, mcep, f0, ap)
     marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-    # The first two calls import scipy.linalg and grow the heap.
+    # The first two calls grow the heap; the first also binds LAPACK.
     print((marks[-1] - marks[2]) / (len(marks) - 3))
 """)
 
