@@ -38,6 +38,7 @@ from .pipeline import (
     SyntheticSpec,
     augment_lower,
     check_frames,
+    check_parallel_lists,
     compute_speaker_stats,
     convert_utterance,
     generate_dataset,
@@ -160,10 +161,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             _normalized_pool(args.tgt_mcep, tgt_stats),
         )
     else:
+        with _naming(*args.src_mcep, *args.tgt_mcep):  # before any file is read
+            check_parallel_lists(args.src_mcep, args.tgt_mcep)
         src_mceps = _read_many(args.src_mcep, FeatureKind.MCEP49)
         tgt_mceps = _read_many(args.tgt_mcep, FeatureKind.MCEP49)
-        with _naming(*args.src_mcep, *args.tgt_mcep):  # lists of other lengths
-            data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
+        data = (prepare_parallel_frames(src_mceps, tgt_mceps, src_stats, tgt_stats),)
     *networks, history = trainer(config, *data)
     networks = dict(zip(BUNDLE_ROLES[args.method], networks))
     pools = data if args.method == "cyclegan" else (data[0].x, data[0].y)

@@ -7,9 +7,10 @@ once. The window matrices use the same edge replication as the delta
 computation, so a delta-expanded sequence is recovered exactly.
 
 Each static dimension is an independent symmetric positive-definite banded
-system (bandwidth = twice the largest window offset), solved in O(T). The
-bands of the normal equations are built for all dimensions at once,
-straight from the windows' row entries, without forming any T x T matrix.
+system (bandwidth = twice the largest window offset). The bands of the
+normal equations are built for all dimensions at once, straight from the
+windows' row entries, without forming any T x T matrix, and one LAPACK call
+solves them all as a block-diagonal band, in O(T) per dimension.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def _window_rows(win, frames: int) -> np.ndarray:
 def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
     """sum_w W_w^T W_w / var_w for every static dimension, in
     solveh_banded's upper storage: (S, bandwidth + 1, frames), each
-    dimension's band in Fortran order, as LAPACK takes it without a copy.
+    dimension's band in Fortran order. The S bands side by side are then
+    one Fortran-ordered block-diagonal band, which LAPACK takes without a copy.
 
     A column at least 2K frames from either end (K = _MAX_OFFSET) sums the
     same products in the same order wherever it is, since none of its rows
@@ -154,75 +156,61 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
             lo = max(0, -d1)
             hi = max(lo, t - max(d1, 0))
             rhs[lo + d1 : hi + d1] += rows[lo:hi, d1 + k, None] * mu[lo:hi]
-    rhs = np.ascontiguousarray(rhs.T)  # one row per dimension, as the solves take it
+    rhs = np.ascontiguousarray(rhs.T)  # one row per dimension, as the band's blocks
 
-    # What solveh_banded(ab[dim], rhs[dim], lower=False) does for each
-    # dimension, with its checks made once over all of them: a 2-row band
-    # goes to ptsv, any other to pbsv. ab and rhs are ours to overwrite, and
-    # each solve leaves its solution in rhs[dim].
+    # What solveh_banded(ab[dim], rhs[dim], lower=False) does per dimension,
+    # as one solve: side by side, the blocks are one Fortran-ordered band (no
+    # copy), decoupled by the zeros each block's first columns leave unused.
+    # A 2-row band goes to ptsv, any other to pbsv; b ends as the solution.
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
+    band, b = ab.transpose(1, 0, 2).reshape(ab.shape[1], -1), rhs.reshape(-1)
     solvers = net._lapack_band_solvers()
     if solvers is None:
-        _solve_with_scipy(ab, rhs)
+        info = _solve_with_scipy(band, b)
     else:
-        _solve_with_numpy_lapack(solvers, ab, rhs)
+        info = _solve_with_numpy_lapack(solvers, band, b)
+    if info > 0:
+        # The stacked system's info is dim * T + j; solveh_banded names j.
+        raise LinAlgError(f"{(info - 1) % t + 1}th leading minor not positive definite")
 
     kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
-    return FeatureSequence(rhs.T.copy(), kind)
+    return FeatureSequence(b.reshape(s, t).T.copy(), kind)
 
 
-def _check_info(info: int) -> None:
-    """Raise LinAlgError, as solveh_banded does, where LAPACK's info names
-    a leading minor that is not positive definite."""
-    if info > 0:
-        raise LinAlgError(f"{info}th leading minor not positive definite")
-
-
-def _solve_with_numpy_lapack(solvers, ab: np.ndarray, rhs: np.ndarray) -> None:
-    """The solves by the (pbsv, ptsv) pair net._lapack_band_solvers binds.
-
-    The argument objects and data pointers are made once, and each
-    dimension's call offsets the pointers; pbsv takes each ab[dim] in place,
-    Fortran-ordered as _normal_band stores it.
-    """
+def _solve_with_numpy_lapack(solvers, band: np.ndarray, b: np.ndarray) -> int:
+    """The solve by the (pbsv, ptsv) pair net._lapack_band_solvers binds;
+    returns LAPACK's info. pbsv takes band in place, Fortran-ordered."""
     pbsv, ptsv = solvers
-    s, rows, t = ab.shape
-    if not (ab.dtype == rhs.dtype == np.float64 and rhs.shape == (s, t)
-            and ab.transpose(0, 2, 1).flags.c_contiguous and rhs.flags.c_contiguous):
-        raise ValueError("LAPACK takes float64 bands in Fortran order and contiguous rows")
-    n, kd, ldab, one = (ctypes.byref(ctypes.c_int64(v)) for v in (t, rows - 1, rows, 1))
+    rows, n = band.shape
+    if not (band.dtype == b.dtype == np.float64 and b.shape == (n,)
+            and band.flags.f_contiguous and b.flags.c_contiguous):
+        raise ValueError("LAPACK takes a float64 band in Fortran order and a contiguous vector")
+    size, kd, ldab, one = (ctypes.byref(ctypes.c_int64(v)) for v in (n, rows - 1, rows, 1))
     info = ctypes.c_int64()
-    status = ctypes.byref(info)
-    b, b_step = rhs.ctypes.data, rhs.strides[0]
     if rows == 2:
         # ptsv takes the diagonal and the superdiagonal as vectors of their own.
-        d, e = np.ascontiguousarray(ab[:, 1]), np.ascontiguousarray(ab[:, 0, 1:])
-        for dim in range(s):
-            ptsv(n, one, d[dim].ctypes.data, e[dim].ctypes.data, b + dim * b_step, n, status)
-            _check_info(info.value)
-        return
-    a, a_step = ab.ctypes.data, ab.strides[0]
-    for dim in range(s):
-        pbsv(b"U", n, kd, one, a + dim * a_step, ldab, b + dim * b_step, n, status, 1)
-        _check_info(info.value)
+        d, e = np.ascontiguousarray(band[1]), np.ascontiguousarray(band[0, 1:])
+        ptsv(size, one, d.ctypes.data, e.ctypes.data, b.ctypes.data, size, ctypes.byref(info))
+    else:
+        pbsv(b"U", size, kd, one, band.ctypes.data, ldab, b.ctypes.data, size,
+             ctypes.byref(info), 1)
+    return info.value
 
 
-def _solve_with_scipy(ab: np.ndarray, rhs: np.ndarray) -> None:
-    """The solves by scipy's LAPACK, for a numpy that links no 64-bit-integer
-    LAPACK. Imported here: scipy.linalg costs about 0.25 s to import and
-    loads a BLAS of its own."""
+def _solve_with_scipy(band: np.ndarray, b: np.ndarray) -> int:
+    """The solve by scipy's LAPACK, for a numpy that links no 64-bit-integer
+    LAPACK; returns LAPACK's info. Imported here: scipy.linalg costs about
+    0.25 s to import and loads a BLAS of its own."""
     from scipy.linalg import get_lapack_funcs
 
-    if ab.shape[1] == 2:
-        (ptsv,) = get_lapack_funcs(("ptsv",), (ab, rhs))
-        solve = lambda band, b: ptsv(band[1], band[0, 1:], b, 1, 1, 1)[2:]
+    tridiagonal = band.shape[0] == 2
+    (solve,) = get_lapack_funcs(("ptsv" if tridiagonal else "pbsv",), (band, b))
+    if tridiagonal:
+        b[:], info = solve(band[1], band[0, 1:], b, 1, 1, 1)[2:]
     else:
-        (pbsv,) = get_lapack_funcs(("pbsv",), (ab, rhs))
-        solve = lambda band, b: pbsv(band, b, lower=0, overwrite_ab=1, overwrite_b=1)[1:]
-    for dim in range(ab.shape[0]):
-        rhs[dim], info = solve(ab[dim], rhs[dim])
-        _check_info(info)
+        b[:], info = solve(band, b, lower=0, overwrite_ab=1, overwrite_b=1)[1:]
+    return info
 
 
 def check_beta(beta: float) -> None:

@@ -18,7 +18,7 @@ import reprlib
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Sized
 
 import numpy as np
 
@@ -147,6 +147,15 @@ def load_speaker_stats(path) -> SpeakerStats:
 # Parallel data preparation
 # ---------------------------------------------------------------------------
 
+def check_parallel_lists(src: Sized, tgt: Sized) -> None:
+    """Raise DimensionMismatchError unless the source and target lists,
+    of utterances or of their files, pair one to one."""
+    if len(src) != len(tgt):
+        raise DimensionMismatchError(
+            f"parallel lists differ: {len(src)} source vs {len(tgt)} target utterances"
+        )
+
+
 def prepare_parallel_frames(
     src_mceps: Sequence[FeatureSequence],
     tgt_mceps: Sequence[FeatureSequence],
@@ -159,10 +168,7 @@ def prepare_parallel_frames(
     alignment itself runs on the 25-dim statics and the resulting path
     then pairs the full augmented frames.
     """
-    if len(src_mceps) != len(tgt_mceps):
-        raise DimensionMismatchError(
-            f"parallel lists differ: {len(src_mceps)} source vs {len(tgt_mceps)} target utterances"
-        )
+    check_parallel_lists(src_mceps, tgt_mceps)
     if not src_mceps:
         raise InsufficientDataError("no parallel utterances given")
     xs, ys = [], []

@@ -560,6 +560,22 @@ class TestTrain:
         )
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("method", ["gan-parallel", "mse-parallel"])
+    def test_parallel_list_lengths_are_compared_before_any_file_is_read(
+        self, corpus, tmp_path, capsys, method
+    ):
+        src, tgt = str(corpus / "src.mcep.ftr"), str(corpus / "tgt.mcep.ftr")
+        missing = str(tmp_path / "missing.mcep.ftr")
+        args = train_args(corpus, method, tmp_path / "m")
+        start, stop = args.index("--src-mcep"), args.index("--tgt-mcep") + 2
+        args[start:stop] = ["--src-mcep", src, tgt, "--tgt-mcep", missing]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}, {tgt}, {missing}: parallel lists differ: "
+            "2 source vs 1 target utterances\n"
+        )
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("method", ["cyclegan", "gan-parallel", "mse-parallel"])
     def test_non_finite_step_names_its_epoch_and_step(
         self, corpus, tmp_path, capsys, monkeypatch, method

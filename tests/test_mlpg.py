@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from cyclevc import net
 from cyclevc.errors import DimensionMismatchError
@@ -220,6 +221,51 @@ class TestMlpgGenerate:
         monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
         scipy_path = mlpg_generate(traj).data
         np.testing.assert_allclose(scipy_path, numpy_path, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scipy_path", [False, True])
+    def test_a_matrix_that_is_not_positive_definite_names_its_minor(self, scipy_path, monkeypatch):
+        """A static precision of 1e-12 against a delta-delta one of 1e12 in
+        dimension 3 leaves its 300-frame system not numerically positive
+        definite. Both paths name the minor as solveh_banded does, counted
+        within the dimension: the stacked system's own index would be 1200."""
+        if not scipy_path and net._lapack_band_solvers() is None:
+            pytest.skip("numpy links no 64-bit-integer LAPACK")
+        if scipy_path:
+            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+        variances = np.ones(75)
+        variances[3], variances[53] = 1e12, 1e-12
+        traj = GaussianTrajectory(
+            means=np.random.default_rng(6).normal(size=(300, 75)), variances=variances
+        )
+        with pytest.raises(LinAlgError, match="^300th leading minor not positive definite$"):
+            mlpg_generate(traj)
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 200])
+    @pytest.mark.parametrize("scipy_path", [False, True])
+    def test_one_lapack_call_solves_every_dimension(self, frames, scipy_path, monkeypatch):
+        """The 25 dimensions' systems go to LAPACK as one block-diagonal band."""
+        calls = []
+
+        def counted(solve):
+            return lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
+
+        if scipy_path:
+            import scipy.linalg
+
+            lookup = scipy.linalg.get_lapack_funcs
+            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: [
+                counted(f) for f in lookup(names, arrays)
+            ])
+        else:
+            solvers = net._lapack_band_solvers()
+            if solvers is None:
+                pytest.skip("numpy links no 64-bit-integer LAPACK")
+            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: tuple(map(counted, solvers)))
+        rng = np.random.default_rng(frames)
+        traj = GaussianTrajectory(means=rng.normal(size=(frames, 75)), variances=np.ones(75))
+        mlpg_generate(traj)
+        assert len(calls) == 1
 
     def test_single_frame(self):
         means = np.array([[2.0, 9.9, -3.3]])

@@ -30,8 +30,10 @@ from cyclevc.features import (
     FeatureSequence,
     LogF0Stats,
     NormStats,
+    compute_deltas,
     split_mcep,
 )
+from cyclevc.mlpg import GaussianTrajectory, mlpg_generate
 from cyclevc.net import init_mlp, save_mlp
 from cyclevc.pipeline import (
     MixtureSpec,
@@ -176,6 +178,36 @@ class TestParallelPreparation:
         stats = compute_speaker_stats([m], [f])
         with pytest.raises(DimensionMismatchError):
             prepare_parallel_frames([m, m], [m], stats, stats)
+
+
+def _empty_input_calls():
+    rng = np.random.default_rng(5)
+    mcep, f0, _ = make_speaker(rng)
+    stats = compute_speaker_stats([mcep], [f0])
+    return {
+        "compute_deltas": lambda: compute_deltas(FeatureSequence(np.zeros((0, 25)))),
+        "mlpg_generate": lambda: mlpg_generate(
+            GaussianTrajectory(means=np.zeros((0, 75)), variances=np.ones(75))
+        ),
+        "prepare_parallel_frames": lambda: prepare_parallel_frames([], [], stats, stats),
+        "compute_speaker_stats": lambda: compute_speaker_stats([mcep], []),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, error, message",
+    [
+        ("compute_deltas", InsufficientDataError, "compute_deltas needs at least one frame"),
+        ("mlpg_generate", ValueError, "need at least one frame"),
+        ("prepare_parallel_frames", InsufficientDataError, "no parallel utterances given"),
+        ("compute_speaker_stats", InsufficientDataError, "no F0 files given"),
+    ],
+)
+def test_empty_input_is_refused_with_its_typed_error(name, error, message):
+    with pytest.raises(ValueError) as raised:
+        _empty_input_calls()[name]()
+    assert raised.type is error
+    assert str(raised.value) == message
 
 
 class TestConvertUtterance:
