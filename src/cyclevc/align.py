@@ -6,18 +6,23 @@ distance; backtrace ties prefer diagonal, then a-advance, then b-advance,
 so the returned path is deterministic.
 
 The cumulative cost is accumulated in place, inside the distance matrix
-that ``cdist`` returns, so that matrix is the only ta x tb array. Row 0 and
-column 0 are running sums; the interior runs as a numpy wavefront over
-anti-diagonals k = i + j, each of which depends only on the two before it
-and costs three ufunc calls over strided views. Each cell gets the same
-minimum and the same single addition as the scalar recurrence, so costs
-are bit-identical to it. The path is read back from the stored costs with
-the recurrence's strict comparisons in its order, so it is the path the
-scalar recurrence's back-pointers give.
+that scipy's squared-Euclidean ``cdist`` kernel returns, so that matrix is
+the only ta x tb array. Row 0 and column 0 are running sums; the interior
+runs as a numpy wavefront over anti-diagonals k = i + j, each of which
+depends only on the two before it and costs three ufunc calls over strided
+views. Each cell gets the same minimum and the same single addition as the
+scalar recurrence, so costs are bit-identical to it. The path is read
+back from the stored costs with the recurrence's strict comparisons in its
+order, so it is the path the scalar recurrence's back-pointers give.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,60 @@ class AlignmentPath:
                 raise ValueError(f"illegal step ({i0},{j0}) -> ({i1},{j1})")
 
 
+_KERNEL_MODULE = "scipy.spatial._distance_pybind"
+
+
+@functools.cache
+def _sqeuclidean_kernel():
+    """scipy's squared-Euclidean distance kernel, the function that
+    ``cdist(x, y, metric="sqeuclidean")`` hands its two arrays to after its
+    shape checks, so it gives the same matrix bit for bit. Looked up once,
+    on first use.
+
+    Importing scipy.spatial costs 0.24-0.35 s and 38 MB of peak memory on
+    2 cores (its kd-tree, qhull, scipy.sparse and scipy.linalg with its own
+    OpenBLAS), none of which DTW uses; loading the kernel alone costs 1 ms
+    and 0.5 MB. So unless scipy.spatial is loaded already, the kernel's
+    extension file is loaded on its own, and neither scipy nor
+    scipy.spatial is imported. Where that file or its function is missing,
+    or loading it fails, public ``cdist`` does the work (_public_cdist).
+    """
+    try:
+        module = sys.modules.get(_KERNEL_MODULE)
+        path = None if module is not None else _kernel_file()
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
+            )
+            loader.exec_module(module)
+        if module is not None:
+            return module.cdist_sqeuclidean
+    except (ImportError, OSError, AttributeError):
+        pass
+    return _public_cdist
+
+
+def _kernel_file() -> str | None:
+    """Path of the kernel's extension in the installed scipy, found without
+    importing scipy; None where there is no such file."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "spatial", "_distance_pybind" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _public_cdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances by scipy's public cdist. Imported here:
+    only a scipy whose kernel _sqeuclidean_kernel cannot load comes here."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(x, y, metric="sqeuclidean")
+
+
 def dtw_align(a: FeatureSequence, b: FeatureSequence) -> AlignmentPath:
     """Minimum-cost monotone alignment of a against b.
 
@@ -59,11 +118,7 @@ def dtw_align(a: FeatureSequence, b: FeatureSequence) -> AlignmentPath:
     if a.frames < 1 or b.frames < 1:
         raise InsufficientDataError("both sequences need at least one frame")
 
-    # Imported here: scipy.spatial costs a third of a second to import, and
-    # only the commands that align need it.
-    from scipy.spatial.distance import cdist
-
-    cost = cdist(a.data, b.data, metric="sqeuclidean")
+    cost = _sqeuclidean_kernel()(a.data, b.data)
     ta, tb = cost.shape
     # Accumulate in place: once a diagonal is done, cost[i, j] holds D[i, j].
     # Row 0 and column 0 are the sequential running sums of the recurrence.

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from cyclevc import align
 from cyclevc.align import AlignmentPath, dtw_align, paired_frames
 from cyclevc.errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
-from cyclevc.features import FeatureSequence
+from cyclevc.features import LOW_DIM, FeatureSequence
 from cyclevc.pipeline import mel_cepstral_distortion
 
 
@@ -215,6 +216,36 @@ class TestDtwAlign:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 300 * 400 * 8
+
+
+class TestDistanceKernel:
+    """DTW takes its distances from scipy's squared-Euclidean kernel; the
+    fallback, public cdist, must give the same alignment bit for bit."""
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    @pytest.mark.parametrize("ta, tb", [(40, 33), (1, 17), (17, 1)])
+    def test_fallback_gives_the_same_alignment(self, monkeypatch, ta, tb, sliced):
+        """sliced runs on column views like the data[:, :LOW_DIM] that
+        prepare_parallel_frames aligns."""
+        rng = np.random.default_rng(ta * 100 + tb)
+        a, b = rng.normal(size=(ta, 49)), rng.normal(size=(tb, 49))
+        if sliced:
+            a, b = a[:, :LOW_DIM], b[:, :LOW_DIM]
+        seq_a, seq_b = FeatureSequence(a), FeatureSequence(b)
+        # FeatureSequence keeps the views: rows stay 49 columns apart.
+        assert seq_a.data.strides[0] == seq_b.data.strides[0] == 49 * 8
+        kernel = dtw_align(seq_a, seq_b)
+        monkeypatch.setattr(align, "_sqeuclidean_kernel", lambda: align._public_cdist)
+        fallback = dtw_align(seq_a, seq_b)
+        assert fallback.pairs == kernel.pairs
+        assert np.float64(fallback.cost).tobytes() == np.float64(kernel.cost).tobytes()
+
+    def test_kernel_is_looked_up_once(self):
+        rng = np.random.default_rng(8)
+        for ta in (5, 9, 13):
+            dtw_align(FeatureSequence(rng.normal(size=(ta, 3))),
+                      FeatureSequence(rng.normal(size=(7, 3))))
+        assert align._sqeuclidean_kernel.cache_info().misses == 1
 
 
 class TestAlignmentPath:

@@ -84,9 +84,10 @@ def train_args(corpus, method, out_dir, *extra):
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported inside DTW and MLPG, the only code that uses it, so
-    train, stats and gen-synthetic never pay its import time. Checked in a
-    fresh interpreter, where no earlier test has loaded scipy."""
+    """scipy is imported only inside the fallbacks of MLPG (a numpy with no
+    64-bit-integer LAPACK) and DTW (a scipy whose distance kernel cannot be
+    loaded on its own), so importing the CLI never pays its import time.
+    Checked in a fresh interpreter, where no earlier test has loaded scipy."""
     code = "import sys, cyclevc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -148,6 +149,47 @@ def test_convert_with_mlpg_loads_no_scipy(corpus, trained, tmp_path):
     )
     assert (tmp_path / "out.mcep.ftr").exists()
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_alignment_commands_load_no_scipy(corpus, tmp_path):
+    """DTW loads scipy's distance kernel from its extension file alone, so a
+    fresh interpreter that aligns, evaluates an unequal-length pair and
+    trains both parallel baselines has not loaded scipy. Here, unlike in
+    this process (tests/test_align.py imports scipy.spatial), the kernel is
+    loaded from the file. Importing scipy.spatial afterwards must leave the
+    kernel and public cdist in agreement."""
+    src, tgt = str(corpus / "src.mcep.ftr"), str(corpus / "tgt.mcep.ftr")
+    runs = [
+        ["align", "--a", src, "--b", tgt, "--out", str(tmp_path / "pairs.csv")],
+        ["eval", "--reference", src, "--converted", tgt],
+    ] + [
+        train_args(corpus, method, tmp_path / method) + ["--batch", "16"]
+        for method in ("gan-parallel", "mse-parallel")
+    ]
+    code = (
+        "import json, sys; import numpy as np\n"
+        "from cyclevc import align; from cyclevc.cli import main\n"
+        "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1]))\n"
+        "kernel = align._sqeuclidean_kernel()\n"
+        "print(kernel is align._public_cdist)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from scipy.spatial.distance import cdist\n"
+        "x, y = np.random.default_rng(3).normal(size=(2, 57, 25))\n"
+        "print(kernel(x, y[:41]).tobytes() == cdist(x, y[:41], 'sqeuclidean').tobytes())"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    fell_back, loaded, agree = run.stdout.splitlines()[-3:]
+    if fell_back == "True":
+        pytest.skip("scipy's distance kernel could not be loaded from its file")
+    assert (tmp_path / "pairs.csv").exists()
+    assert all((tmp_path / method / "losses.csv").exists()
+               for method in ("gan-parallel", "mse-parallel"))
+    assert loaded == "[]"
+    assert agree == "True"
 
 
 class TestParserDefaults:
