@@ -292,9 +292,9 @@ def discriminator_gradients(
     d_fake, cache_f = forward(disc, fake)
     loss_real, g_real = score_loss(d_real, 1.0, loss_form)
     loss_fake, g_fake = score_loss(d_fake, 0.0, loss_form)
-    grads_r, _ = backward(disc, cache_r, g_real, input_grad=False)
-    grads_f, _ = backward(disc, cache_f, g_fake, input_grad=False)
-    return loss_real + loss_fake, grads_r + grads_f
+    grads, _ = backward(disc, cache_r, g_real, input_grad=False)
+    grads += backward(disc, cache_f, g_fake, input_grad=False)[0]
+    return loss_real + loss_fake, grads
 
 
 def discriminator_objective(
@@ -378,7 +378,9 @@ def generator_objective(
         cycle=cycle,
         total=adv_g + adv_f + cycle_weight * cycle,
     )
-    return report, grads_g_fwd + grads_g_bwd, grads_f_fwd + grads_f_bwd
+    grads_g_fwd += grads_g_bwd
+    grads_f_fwd += grads_f_bwd
+    return report, grads_g_fwd, grads_f_fwd
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +456,7 @@ def train_step(
         lambda: apply_update(model.d_y, grads_dy, state.opt_dy),
     )
     model = CycleGanModel(g=model.g, f=model.f, d_x=new_dx, d_y=new_dy)
+    del grads_dx, grads_dy  # not held through the generator phase
 
     gen_report, grads_g, grads_f = generator_objective(
         model, x_batch, y_batch, config.cycle_weight, config.loss_form

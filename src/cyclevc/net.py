@@ -155,8 +155,10 @@ class Gradients:
         vector, shapes = _flatten(weights, biases)
         _bind(self, vector, _layout(shapes))
 
-    def __add__(self, other: "Gradients") -> "Gradients":
-        return _bind(object.__new__(Gradients), self._vector + other._vector, self._layout)
+    def __iadd__(self, other: "Gradients") -> "Gradients":
+        """Add other's entries into this vector, in place."""
+        self._vector += other._vector
+        return self
 
     def flat(self) -> np.ndarray:
         """All entries as one vector (weights then biases, layer order);

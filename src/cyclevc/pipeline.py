@@ -201,6 +201,30 @@ class ConversionResult:
     seconds: float
 
 
+#: Fewest rows per generator call in convert_utterance. Blocks this tall
+#: give the same bytes as one call over the utterance; below about 100 rows
+#: OpenBLAS switches to a small-matrix kernel that rounds differently.
+GENERATOR_BLOCK = 512
+
+
+def _map_blocks(generator: Callable[[np.ndarray], np.ndarray], frames: np.ndarray) -> np.ndarray:
+    """generator's outputs on n = max(1, T // GENERATOR_BLOCK) balanced row
+    blocks of the T frames (bounds T * k // n), called in order and
+    concatenated. An output not of its block's shape raises
+    DimensionMismatchError."""
+    n = max(1, len(frames) // GENERATOR_BLOCK)
+    bounds = [len(frames) * k // n for k in range(n + 1)]
+    outputs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = frames[lo:hi]
+        outputs.append(generator(block))
+        if outputs[-1].shape != block.shape:
+            raise DimensionMismatchError(
+                f"generator returned shape {outputs[-1].shape}, expected {block.shape}"
+            )
+    return np.concatenate(outputs)
+
+
 def check_frames(name: str, stream: FeatureSequence, mcep: FeatureSequence) -> None:
     """Raise DimensionMismatchError unless stream, called name, has mcep's frame count."""
     if stream.frames != mcep.frames:
@@ -220,7 +244,11 @@ def convert_utterance(
 ) -> ConversionResult:
     """Run one utterance through the conversion chain.
 
-    generator maps a B x 75 normalized batch to a B x 75 normalized batch.
+    generator maps a B x 75 normalized batch to a B x 75 normalized batch,
+    each frame on its own. It is called on max(1, T // GENERATOR_BLOCK)
+    balanced, in-order row blocks of the T-frame utterance (one call under
+    2 * GENERATOR_BLOCK frames), so a network's forward cache holds one
+    block's activations at a time, not the whole utterance's.
     Every stage's output is checked, so the chain runs with numpy's overflow and
     invalid warnings off; a stage's ValueError gets "stage <label>: " in front.
     Higher-order mel-cepstrum columns and the aperiodicity stream are
@@ -248,11 +276,7 @@ def convert_utterance(
         with stage("normalize-source"):
             z = normalize(aug, src_stats.norm)
         with stage("generator"):
-            mapped = generator(z.data)
-            if mapped.shape != z.data.shape:
-                raise DimensionMismatchError(
-                    f"generator returned shape {mapped.shape}, expected {z.data.shape}"
-                )
+            mapped = _map_blocks(generator, z.data)
             if not np.isfinite(mapped).all():
                 raise NonFiniteError("non-finite output")
         with stage("denormalize-target"):

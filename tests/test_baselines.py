@@ -247,7 +247,8 @@ def reference_gan_baseline(data: ParallelTrainSet, config: GanBaselineConfig):
         d_fake, cache_f = forward(disc, fake)
         loss_real, g_real = score_loss(d_real, 1.0, config.loss_form)
         loss_fake, g_fake = score_loss(d_fake, 0.0, config.loss_form)
-        grads_d = backward(disc, cache_r, g_real)[0] + backward(disc, cache_f, g_fake)[0]
+        grads_d = backward(disc, cache_r, g_real)[0]
+        grads_d += backward(disc, cache_f, g_fake)[0]
         disc = apply_update(disc, grads_d, opt_d)
 
         pred, cache_g = forward(gen, xb)

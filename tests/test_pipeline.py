@@ -31,10 +31,11 @@ from cyclevc.features import (
     LogF0Stats,
     NormStats,
     compute_deltas,
+    normalize,
     split_mcep,
 )
 from cyclevc.mlpg import GaussianTrajectory, mlpg_generate
-from cyclevc.net import init_mlp, save_mlp
+from cyclevc.net import forward, init_mlp, save_mlp
 from cyclevc.pipeline import (
     MixtureSpec,
     SpeakerSpec,
@@ -267,6 +268,66 @@ class TestConvertUtterance:
             "denormalize-target", "mlpg", "postfilter", "merge-mcep",
             "transform-f0", "copy-aperiodicity", "shift-db",
         ]
+
+    @pytest.mark.parametrize("frames", [600, 1023, 1024, 2000, 4001])
+    def test_the_generator_sees_balanced_in_order_row_blocks(self, frames):
+        """max(1, T // 512) calls, each of 512 rows or more, their sizes
+        within one of each other; together they are the normalized
+        utterance in order, so under 1,024 frames it is one call."""
+        rng = np.random.default_rng(11)
+        mcep, f0, ap = make_speaker(rng, frames=frames)
+        stats = self._stats_for(mcep, f0)
+        blocks = []
+
+        def recording(batch):
+            blocks.append(batch.copy())
+            return batch
+
+        convert_utterance(recording, stats, stats, mcep, f0, ap)
+        sizes = [len(block) for block in blocks]
+        assert len(sizes) == max(1, frames // pipeline.GENERATOR_BLOCK)
+        assert min(sizes) >= min(frames, pipeline.GENERATOR_BLOCK)
+        assert max(sizes) - min(sizes) <= 1
+        z = normalize(augment_lower(mcep), stats.norm).data
+        assert np.array_equal(np.concatenate(blocks), z)
+
+    def test_blocked_generator_output_agrees_with_one_forward_call(self):
+        """The default-size net on 2,000 frames, in blocks, against one
+        forward over the whole normalized utterance."""
+        rng = np.random.default_rng(12)
+        mcep, f0, ap = make_speaker(rng, frames=2000)
+        stats = self._stats_for(mcep, f0)
+        net = init_mlp((75, 128, 256, 256, 128, 75), seed=3)
+        outputs = []
+
+        def recording(batch):
+            outputs.append(forward(net, batch)[0])
+            return outputs[-1]
+
+        convert_utterance(recording, stats, stats, mcep, f0, ap)
+        assert len(outputs) == 3
+        whole = forward(net, normalize(augment_lower(mcep), stats.norm).data)[0]
+        blocked = np.concatenate(outputs)
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_a_wrong_width_block_is_refused_before_the_concatenation(self):
+        """On 1,100 frames the second block comes back 10 wide: the shape
+        check names it, not numpy's concatenate."""
+        rng = np.random.default_rng(13)
+        mcep, f0, ap = make_speaker(rng, frames=1100)
+        stats = self._stats_for(mcep, f0)
+        calls = []
+
+        def second_block_narrow(batch):
+            calls.append(len(batch))
+            return batch[:, :10] if len(calls) == 2 else batch
+
+        with pytest.raises(
+            DimensionMismatchError,
+            match=r"^stage generator: generator returned shape \(550, 10\), expected \(550, 75\)$",
+        ):
+            convert_utterance(second_block_narrow, stats, stats, mcep, f0, ap)
+        assert calls == [550, 550]
 
     @pytest.mark.parametrize(
         "stream, frames", [("F0", 50), ("aperiodicity", 70)], ids=["short-f0", "long-ap"]
