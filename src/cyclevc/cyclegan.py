@@ -287,13 +287,16 @@ def discriminator_gradients(
     disc: Mlp, real: np.ndarray, fake: np.ndarray, loss_form: str
 ) -> tuple[float, Gradients]:
     """One discriminator's loss on real vs generated frames and its
-    parameter gradients; the generated frames are constants here."""
-    d_real, cache_r = forward(disc, real)
-    d_fake, cache_f = forward(disc, fake)
+    parameter gradients; the generated frames are constants here. The real
+    batch is scored and backpropagated before the fake one's forward, so one
+    forward cache is alive at a time."""
+    d_real, cache = forward(disc, real)
     loss_real, g_real = score_loss(d_real, 1.0, loss_form)
+    grads, _ = backward(disc, cache, g_real, input_grad=False)
+    del cache
+    d_fake, cache = forward(disc, fake)
     loss_fake, g_fake = score_loss(d_fake, 0.0, loss_form)
-    grads, _ = backward(disc, cache_r, g_real, input_grad=False)
-    grads += backward(disc, cache_f, g_fake, input_grad=False)[0]
+    grads += backward(disc, cache, g_fake, input_grad=False)[0]
     return loss_real + loss_fake, grads
 
 

@@ -9,8 +9,11 @@ computation, so a delta-expanded sequence is recovered exactly.
 Each static dimension is an independent symmetric positive-definite banded
 system (bandwidth = twice the largest window offset). The bands of the
 normal equations are built for all dimensions at once, straight from the
-windows' row entries, without forming any T x T matrix, and one LAPACK call
-solves them all as a block-diagonal band, in O(T) per dimension.
+windows' row entries, without forming any T x T matrix, and LAPACK's pbtrf
+and pbtrs (together pbsv) solve them all as one block-diagonal band, in
+O(T) per dimension. The band depends only on the target speaker's variances
+and on T, so the factor of the longest band made for the last precisions
+seen is kept, and a shorter utterance pays only for its own last columns.
 """
 
 from __future__ import annotations
@@ -130,6 +133,16 @@ def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
     return band
 
 
+#: Frames of the normal band's template (4K + 1).
+_TEMPLATE = 4 * _MAX_OFFSET + 1
+
+#: The one factor kept: (precisions' bytes, the read-only stacked pbtrf factor
+#: of the longest band factored for them, as the (S, L, 3) memory of its
+#: Fortran-ordered band, and that band's raw last two columns), or None. It is
+#: only ever replaced whole, so concurrent calls can at worst lose a reuse.
+_factor = None
+
+
 def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     """Solve for the smooth static trajectory under all stream constraints.
 
@@ -137,6 +150,7 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     sum_w ||W_w c - mu_w||^2 / var_w solves the normal equations
     (sum_w W_w^T W_w / var_w) c = sum_w W_w^T mu_w / var_w.
     """
+    global _factor
     if traj.frames < 1:
         raise ValueError("need at least one frame")
     t = traj.frames
@@ -146,7 +160,6 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
         raise ValueError("static-stream variances must be finite (identity window must bind)")
 
     k = _MAX_OFFSET
-    ab = _normal_band(precisions, t)
     rhs = np.zeros((t, s))
     for w, win in enumerate(DELTA_WINDOWS):
         rows = _window_rows(win, t)
@@ -156,61 +169,143 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
             lo = max(0, -d1)
             hi = max(lo, t - max(d1, 0))
             rhs[lo + d1 : hi + d1] += rows[lo:hi, d1 + k, None] * mu[lo:hi]
-    rhs = np.ascontiguousarray(rhs.T)  # one row per dimension, as the band's blocks
+    b = np.ascontiguousarray(rhs.T).reshape(-1)  # one block per dimension, as the band's
 
     # What solveh_banded(ab[dim], rhs[dim], lower=False) does per dimension,
     # as one solve: side by side, the blocks are one Fortran-ordered band (no
     # copy), decoupled by the zeros each block's first columns leave unused.
-    # A 2-row band goes to ptsv, any other to pbsv; b ends as the solution.
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    # A 2-row band goes to ptsv; any other is factored by pbtrf, or taken
+    # from the kept factor, and solved by pbtrs: pbsv's two steps.
+    lapack = _band_lapack()
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    band, b = ab.transpose(1, 0, 2).reshape(ab.shape[1], -1), rhs.reshape(-1)
-    solvers = net._lapack_band_solvers()
-    if solvers is None:
-        info = _solve_with_scipy(band, b)
-    else:
-        info = _solve_with_numpy_lapack(solvers, band, b)
-    if info > 0:
-        # The stacked system's info is dim * T + j; solveh_banded names j.
-        raise LinAlgError(f"{(info - 1) % t + 1}th leading minor not positive definite")
+    key, kept = precisions.tobytes(), _factor
+    reuse = kept is not None and kept[0] == key and k == 1 and _TEMPLATE <= t <= len(kept[1][0])
+    band = _factor_from_prefix(lapack, *kept[1:], t) if reuse else None
+    if band is None:
+        ab = _normal_band(precisions, t)
+        if not np.isfinite(ab).all():
+            raise ValueError("array must not contain infs or NaNs")
+        band = ab.transpose(0, 2, 1)  # (S, T, rows): the stacked band's memory
+        end, rows = band[:, -2:].copy(), band.shape[2]
+        info = lapack.ptsv(band, b) if rows == 2 else lapack.pbtrf(band)
+        if info > 0:
+            # The stacked system's info is dim * T + j; solveh_banded names j.
+            raise LinAlgError(f"{(info - 1) % t + 1}th leading minor not positive definite")
+    if band.shape[2] != 2:
+        lapack.pbtrs(band, b)
+    if not reuse and t >= _TEMPLATE:
+        band.flags.writeable = False
+        _factor = (key, band, end)
 
     kind = FeatureKind.MCEP_LOW25 if s == LOW_DIM else FeatureKind.GENERIC
     return FeatureSequence(b.reshape(s, t).T.copy(), kind)
 
 
-def _solve_with_numpy_lapack(solvers, band: np.ndarray, b: np.ndarray) -> int:
-    """The solve by the (pbsv, ptsv) pair net._lapack_band_solvers binds;
-    returns LAPACK's info. pbsv takes band in place, Fortran-ordered."""
-    pbsv, ptsv = solvers
-    rows, n = band.shape
-    if not (band.dtype == b.dtype == np.float64 and b.shape == (n,)
-            and band.flags.f_contiguous and b.flags.c_contiguous):
-        raise ValueError("LAPACK takes a float64 band in Fortran order and a contiguous vector")
-    size, kd, ldab, one = (ctypes.byref(ctypes.c_int64(v)) for v in (n, rows - 1, rows, 1))
-    info = ctypes.c_int64()
-    if rows == 2:
+def _factor_from_prefix(lapack, cached: np.ndarray, end: np.ndarray, frames: int):
+    """The stacked pbtrf factor of the T = frames band, laid out as cached,
+    from cached, the factor of a band at least as long whose raw last two
+    columns are end; None where the replayed tail does not check out.
+
+    Written for K = 1: pbtf2 computes column j from columns <= j, and only
+    the last 2K = 2 columns of a band of T >= _TEMPLATE frames differ from
+    a longer band's, so columns 0..T-3 are cached's. The last two are
+    replayed through pbtrf itself, for its arithmetic: (a) per dimension, a
+    unit pivot holding U[T-4, T-3] and U[T-4, T-2], whose rank-1 update
+    leaves the partial entries (T-3, T-2) and (T-2, T-2), then a pivot of -1
+    stops it (info 2); (b) stacked, the pivot RN(U[T-3, T-3]^2), whose root
+    is U[T-3, T-3] again, those partial entries and raw column T-1.
+    """
+    s, t = cached.shape[0], frames
+    u_prev, u_last = cached[:, t - 4], cached[:, t - 3]  # columns T-4, T-3
+    x2 = end[:, 0, 0] * (1.0 / u_prev[:, 2])
+    update = np.zeros((s, 3, 3))
+    update[:, 0, 2], update[:, 1, 1], update[:, 1, 2] = 1.0, u_last[:, 1], -1.0
+    update[:, 2] = end[:, 0]
+    update[:, 2, 0] = x2
+    if any(lapack.pbtrf(window) != 2 for window in update):
+        return None
+    tail = np.zeros((s, 3, 3))
+    tail[:, 0, 2] = u_last[:, 2] ** 2
+    tail[:, 1, 1:] = update[:, 2, 1:]
+    tail[:, 2] = end[:, 1]
+    if lapack.pbtrf(tail) != 0 or (tail[:, 0, 2] != u_last[:, 2]).any():
+        return None
+    factor = np.empty((s, t, 3))
+    factor[:, : t - 2] = cached[:, : t - 2]
+    factor[:, t - 2 :] = tail[:, 1:]
+    factor[:, t - 2, 0] = x2
+    return factor
+
+
+def _band_lapack():
+    solvers = net._lapack_band_solvers()
+    return _ScipyLapack() if solvers is None else _NumpyLapack(*solvers)
+
+
+def _address(a: np.ndarray, size: int) -> int:
+    """a's buffer, where LAPACK reads and writes size float64s."""
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.size == size):
+        raise ValueError("LAPACK takes float64 arrays in C order, of the sizes it is given")
+    return a.ctypes.data
+
+
+def _ref(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+class _NumpyLapack:
+    """pbtrf, pbtrs and ptsv of the LAPACK numpy links (net._lapack_band_solvers).
+    A band is passed as the memory of its Fortran-ordered storage, a
+    C-ordered (..., columns, rows) array, and b as a vector. pbtrf factors
+    in place, pbtrs and ptsv leave the solution in b; pbtrf and ptsv return
+    LAPACK's info."""
+
+    def __init__(self, pbtrf, pbtrs, ptsv):
+        self._pbtrf, self._pbtrs, self._ptsv = pbtrf, pbtrs, ptsv
+
+    def pbtrf(self, band: np.ndarray) -> int:
+        rows, info = band.shape[-1], ctypes.c_int64()
+        self._pbtrf(b"U", _ref(band.size // rows), _ref(rows - 1), _address(band, band.size),
+                    _ref(rows), ctypes.byref(info), 1)
+        return info.value
+
+    def pbtrs(self, band: np.ndarray, b: np.ndarray) -> None:
+        rows, size = band.shape[-1], _ref(b.size)
+        self._pbtrs(b"U", size, _ref(rows - 1), _ref(1), _address(band, b.size * rows),
+                    _ref(rows), _address(b, b.size), size, _ref(0), 1)
+
+    def ptsv(self, band: np.ndarray, b: np.ndarray) -> int:
         # ptsv takes the diagonal and the superdiagonal as vectors of their own.
-        d, e = np.ascontiguousarray(band[1]), np.ascontiguousarray(band[0, 1:])
-        ptsv(size, one, d.ctypes.data, e.ctypes.data, b.ctypes.data, size, ctypes.byref(info))
-    else:
-        pbsv(b"U", size, kd, one, band.ctypes.data, ldab, b.ctypes.data, size,
-             ctypes.byref(info), 1)
-    return info.value
+        d, e, n = band[..., 1].ravel(), band[..., 0].ravel()[1:], b.size
+        size, info = _ref(n), ctypes.c_int64()
+        self._ptsv(size, _ref(1), _address(d, n), _address(e, n - 1), _address(b, n), size,
+                   ctypes.byref(info))
+        return info.value
 
 
-def _solve_with_scipy(band: np.ndarray, b: np.ndarray) -> int:
-    """The solve by scipy's LAPACK, for a numpy that links no 64-bit-integer
-    LAPACK; returns LAPACK's info. Imported here: scipy.linalg costs about
-    0.25 s to import and loads a BLAS of its own."""
-    from scipy.linalg import get_lapack_funcs
+class _ScipyLapack:
+    """The same three by scipy's LAPACK, for a numpy that links no
+    64-bit-integer LAPACK. Imported here: scipy.linalg costs about 0.25 s
+    to import and loads a BLAS of its own."""
 
-    tridiagonal = band.shape[0] == 2
-    (solve,) = get_lapack_funcs(("ptsv" if tridiagonal else "pbsv",), (band, b))
-    if tridiagonal:
-        b[:], info = solve(band[1], band[0, 1:], b, 1, 1, 1)[2:]
-    else:
-        b[:], info = solve(band, b, lower=0, overwrite_ab=1, overwrite_b=1)[1:]
-    return info
+    def __init__(self):
+        from scipy.linalg import get_lapack_funcs
+
+        names = ("pbtrf", "pbtrs", "ptsv")
+        self._pbtrf, self._pbtrs, self._ptsv = get_lapack_funcs(names, dtype=np.float64)
+
+    def pbtrf(self, band: np.ndarray) -> int:
+        c, info = self._pbtrf(band.reshape(-1, band.shape[-1]).T, lower=0, overwrite_ab=1)
+        band[:] = c.T.reshape(band.shape)
+        return info
+
+    def pbtrs(self, band: np.ndarray, b: np.ndarray) -> None:
+        b[:] = self._pbtrs(band.reshape(-1, band.shape[-1]).T, b, lower=0, overwrite_b=1)[0]
+
+    def ptsv(self, band: np.ndarray, b: np.ndarray) -> int:
+        b[:], info = self._ptsv(band[..., 1].ravel(), band[..., 0].ravel()[1:], b, 1, 1, 1)[2:]
+        return info
 
 
 def check_beta(beta: float) -> None:

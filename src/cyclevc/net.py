@@ -381,12 +381,12 @@ _OPENBLAS_SETTERS = (
 )
 
 
-#: LAPACK's (pbsv, ptsv) under their 64-bit-integer names: those of the
-#: scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
+#: LAPACK's (pbtrf, pbtrs, ptsv) under their 64-bit-integer names: those of
+#: the scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
 #: wheels. Only these are bound: a 32-bit-integer LAPACK takes other types.
 _LAPACK_BAND_SOLVERS = (
-    ("scipy_dpbsv_64_", "scipy_dptsv_64_"),
-    ("dpbsv_64_", "dptsv_64_"),
+    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dptsv_64_"),
+    ("dpbtrf_64_", "dpbtrs_64_", "dptsv_64_"),
 )
 
 
@@ -415,19 +415,23 @@ def _numpy_linalg_functions(candidates) -> tuple | None:
 
 @functools.cache
 def _lapack_band_solvers() -> tuple | None:
-    """The (dpbsv, dptsv) pair of the LAPACK numpy links, bound with 64-bit
-    integers, or None (_LAPACK_BAND_SOLVERS). Looked up once, on first use.
+    """The (dpbtrf, dpbtrs, dptsv) triple of the LAPACK numpy links, bound
+    with 64-bit integers, or None (_LAPACK_BAND_SOLVERS). Looked up once, on
+    first use. mlpg factors a band with dpbtrf, or takes the factor it keeps
+    for the target speaker and replays only the band's last two columns
+    through dpbtrf, then solves with dpbtrs: together the two are dpbsv.
 
-    dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) takes the hidden
-    length of uplo last; dptsv(n, nrhs, d, e, b, ldb, info). All arguments
-    but uplo and that length are pointers.
+    dpbtrf(uplo, n, kd, ab, ldab, info) and dpbtrs(uplo, n, kd, nrhs, ab,
+    ldab, b, ldb, info) take the hidden length of uplo last; dptsv(n, nrhs,
+    d, e, b, ldb, info). All arguments but uplo and that length are pointers.
     """
     solvers = _numpy_linalg_functions(_LAPACK_BAND_SOLVERS)
     if solvers is not None:
-        pbsv, ptsv = solvers
-        pbsv.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
+        pbtrf, pbtrs, ptsv = solvers
+        pbtrf.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 5, ctypes.c_size_t)
+        pbtrs.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
         ptsv.argtypes = (ctypes.c_void_p,) * 7
-        pbsv.restype = ptsv.restype = None
+        pbtrf.restype = pbtrs.restype = ptsv.restype = None
     return solvers
 
 

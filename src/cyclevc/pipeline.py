@@ -275,10 +275,12 @@ def convert_utterance(
             aug = compute_deltas(lower)
         with stage("normalize-source"):
             z = normalize(aug, src_stats.norm)
+        del aug  # no later stage reads it, nor z after the generator
         with stage("generator"):
             mapped = _map_blocks(generator, z.data)
             if not np.isfinite(mapped).all():
                 raise NonFiniteError("non-finite output")
+        del z
         with stage("denormalize-target"):
             out = denormalize(FeatureSequence(mapped, FeatureKind.AUGMENTED75), tgt_stats.norm)
         if use_mlpg:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from cyclevc import net
+from cyclevc import mlpg, net
 from cyclevc.errors import DimensionMismatchError
 from cyclevc.features import DELTA_WINDOWS, FeatureKind, FeatureSequence, compute_deltas
 from cyclevc.mlpg import (
@@ -240,32 +240,109 @@ class TestMlpgGenerate:
         with pytest.raises(LinAlgError, match="^300th leading minor not positive definite$"):
             mlpg_generate(traj)
 
-    @pytest.mark.parametrize("frames", [1, 2, 3, 200])
+    def test_a_cached_prefix_names_the_same_minor(self, monkeypatch):
+        """With the factor of a 1,000-frame band of the same precisions kept,
+        which is positive definite, the 300-frame band's tail is not: its
+        replay falls back to the utterance's own band, which names minor 300."""
+        monkeypatch.setattr(mlpg, "_factor", None)
+        variances = np.ones(75)
+        variances[3], variances[53] = 1e12, 1e-12
+        rng = np.random.default_rng(6)
+        mlpg_generate(GaussianTrajectory(means=rng.normal(size=(1000, 75)), variances=variances))
+        assert mlpg._factor is not None
+        traj = GaussianTrajectory(means=rng.normal(size=(300, 75)), variances=variances)
+        with pytest.raises(LinAlgError, match="^300th leading minor not positive definite$"):
+            mlpg_generate(traj)
+
+    @pytest.mark.parametrize("frames", [5, 200, 300])
     @pytest.mark.parametrize("scipy_path", [False, True])
-    def test_one_lapack_call_solves_every_dimension(self, frames, scipy_path, monkeypatch):
-        """The 25 dimensions' systems go to LAPACK as one block-diagonal band."""
-        calls = []
-
-        def counted(solve):
-            return lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
-
+    def test_a_shorter_utterance_reuses_the_kept_factor(self, frames, scipy_path, monkeypatch):
+        """After a 300-frame utterance, one of frames <= 300 against the same
+        precisions makes no pbtrf call over a band of its own length, and
+        one stacked pbtrs solves all 25 dimensions."""
+        sizes, solves = [], []
         if scipy_path:
             import scipy.linalg
 
             lookup = scipy.linalg.get_lapack_funcs
+            pbtrf, pbtrs, ptsv = lookup(("pbtrf", "pbtrs", "ptsv"), dtype=np.float64)
             monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
-            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: [
-                counted(f) for f in lookup(names, arrays)
-            ])
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (
+                lambda ab, **kw: sizes.append(ab.shape[1]) or pbtrf(ab, **kw),
+                lambda ab, b, **kw: solves.append(1) or pbtrs(ab, b, **kw),
+                ptsv,
+            ))
         else:
             solvers = net._lapack_band_solvers()
             if solvers is None:
                 pytest.skip("numpy links no 64-bit-integer LAPACK")
-            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: tuple(map(counted, solvers)))
+            pbtrf, pbtrs, ptsv = solvers
+            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: (
+                lambda *args: sizes.append(args[1]._obj.value) or pbtrf(*args),
+                lambda *args: solves.append(1) or pbtrs(*args),
+                ptsv,
+            ))
+        monkeypatch.setattr(mlpg, "_factor", None)
         rng = np.random.default_rng(frames)
-        traj = GaussianTrajectory(means=rng.normal(size=(frames, 75)), variances=np.ones(75))
-        mlpg_generate(traj)
-        assert len(calls) == 1
+        variances = rng.uniform(0.1, 4.0, size=75)
+        mlpg_generate(GaussianTrajectory(means=rng.normal(size=(300, 75)), variances=variances))
+        assert sizes == [25 * 300] and len(solves) == 1
+        sizes.clear(), solves.clear()
+        means = rng.normal(size=(frames, 75))
+        out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
+        assert 25 * frames not in sizes and len(solves) == 1
+        assert out.tobytes() == full_band_mlpg(means, variances).tobytes()
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "mixed", "two-speakers"])
+    def test_the_kept_factor_gives_the_bytes_of_the_full_band(self, order, monkeypatch):
+        """Utterances of 1..40, 1,000 and 2,500 frames against one set of
+        precisions in rising, falling and mixed order, and in mixed order
+        against two sets in turn, give the bytes of a solve of their own band."""
+        monkeypatch.setattr(mlpg, "_factor", None)
+        rng = np.random.default_rng(9)
+        speakers = [rng.uniform(0.1, 4.0, size=75) for _ in range(2)]
+        speakers[1][40] = np.inf
+        lengths = [*range(1, 41), 1000, 2500]
+        if order == "decreasing":
+            lengths.reverse()
+        elif order != "increasing":
+            lengths = list(rng.permutation(lengths))
+        for i, frames in enumerate(lengths):
+            variances = speakers[i % 2 if order == "two-speakers" else 0]
+            means = rng.normal(size=(frames, 75))
+            out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
+            assert out.tobytes() == full_band_mlpg(means, variances).tobytes(), f"T={frames}"
+
+    @pytest.mark.parametrize("fault", ["window-info", "diagonal"])
+    def test_a_tail_that_does_not_check_out_falls_back(self, fault, monkeypatch):
+        """A per-dimension window that does not stop with info 2, or a
+        replayed pivot that is not the kept one, sends the utterance to a
+        factor of its own band, with the same bytes."""
+        lapack = mlpg._band_lapack()
+
+        class Faulty:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def pbtrf(self, band):
+                info = lapack.pbtrf(band)
+                sizes.append(band.size // 3)
+                if fault == "window-info" and sizes[-8:] == [3] * 8:
+                    info = 0  # the eighth dimension's window
+                if fault == "diagonal" and band.shape == (25, 3, 3):
+                    band[7, 0, 2] = np.nextafter(band[7, 0, 2], np.inf)
+                return info
+
+        sizes = []
+        monkeypatch.setattr(mlpg, "_factor", None)
+        monkeypatch.setattr(mlpg, "_band_lapack", Faulty)
+        rng = np.random.default_rng(10)
+        variances = rng.uniform(0.1, 4.0, size=75)
+        mlpg_generate(GaussianTrajectory(means=rng.normal(size=(300, 75)), variances=variances))
+        means = rng.normal(size=(200, 75))
+        out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
+        assert sizes[-1] == 25 * 200
+        assert out.tobytes() == full_band_mlpg(means, variances).tobytes()
 
     def test_single_frame(self):
         means = np.array([[2.0, 9.9, -3.3]])
