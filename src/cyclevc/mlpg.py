@@ -11,14 +11,16 @@ system (bandwidth = twice the largest window offset). The bands of the
 normal equations are built for all dimensions at once, straight from the
 windows' row entries, without forming any T x T matrix, and LAPACK's pbtrf
 and pbtrs (together pbsv) solve them all as one block-diagonal band, in
-O(T) per dimension. The band depends only on the target speaker's variances
-and on T, so the factor of the longest band made for the last precisions
-seen is kept, and a shorter utterance pays only for its own last columns.
+O(T) per dimension; this module alone binds them, once per process. The
+band depends only on the target speaker's variances and on T, so the
+factor of the longest band made for the last precisions seen is kept, and
+a shorter utterance pays only for its own last columns.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import reprlib
 from dataclasses import dataclass
 
@@ -94,47 +96,32 @@ def _window_rows(win, frames: int) -> np.ndarray:
 
 
 def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
-    """sum_w W_w^T W_w / var_w for every static dimension, in
-    solveh_banded's upper storage: (S, bandwidth + 1, frames), each
-    dimension's band in Fortran order. The S bands side by side are then
-    one Fortran-ordered block-diagonal band, which LAPACK takes without a copy.
-
-    A column at least 2K frames from either end (K = _MAX_OFFSET) sums the
-    same products in the same order wherever it is, since none of its rows
-    clamps an offset. So the sums run over a template of at most 4K + 1
-    frames: its first and last 2K columns are the edges of any longer
-    sequence and its middle column is the interior, bit for bit.
-    """
+    """sum_w W_w^T W_w / var_w for every static dimension, as (S, frames,
+    bandwidth + 1): row j of a dimension is column j of its band in
+    solveh_banded's upper storage. The S bands side by side are one
+    Fortran-ordered block-diagonal band, which LAPACK takes without a copy."""
     k = _MAX_OFFSET
-    edge = 2 * k
-    n = min(frames, 2 * edge + 1)
     s = precisions.shape[0] // len(DELTA_WINDOWS)
-    bandwidth = min(edge, n - 1)
-    ab = np.zeros((s, n, bandwidth + 1)).transpose(0, 2, 1)
+    bandwidth = min(2 * k, frames - 1)
+    ab = np.zeros((s, frames, bandwidth + 1))
     for w, win in enumerate(DELTA_WINDOWS):
         p = precisions[w * s : (w + 1) * s, None]
-        rows = _window_rows(win, n)
+        rows = _window_rows(win, frames)
         # Row r of W adds W[r,i] W[r,j] to entry (i, j) of W^T W, stored for
-        # i <= j at ab[bandwidth - (j - i), j]. With i = r+d1 and j = r+d2,
+        # i <= j at ab[:, j, bandwidth - (j - i)]. With i = r+d1 and j = r+d2,
         # rows lo..hi-1 are those where both columns exist.
         for d1 in range(-k, k + 1):
             lo = max(0, -d1)
             for d2 in range(d1, min(k, d1 + bandwidth) + 1):
-                hi = max(lo, n - max(d2, 0))
-                ab[:, bandwidth - (d2 - d1), lo + d2 : hi + d2] += p * (
+                hi = max(lo, frames - max(d2, 0))
+                ab[:, lo + d2 : hi + d2, bandwidth - (d2 - d1)] += p * (
                     rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
                 )
-    if n == frames:
-        return ab
-    band = np.empty((s, frames, bandwidth + 1)).transpose(0, 2, 1)
-    band[:, :, :edge] = ab[:, :, :edge]
-    band[:, :, edge : frames - edge] = ab[:, :, edge : edge + 1]
-    band[:, :, frames - edge :] = ab[:, :, edge + 1 :]
-    return band
+    return ab
 
 
-#: Frames of the normal band's template (4K + 1).
-_TEMPLATE = 4 * _MAX_OFFSET + 1
+#: Fewest frames (4K + 1) whose band factor is kept or rebuilt from a kept one.
+_SHORTEST_KEPT = 4 * _MAX_OFFSET + 1
 
 #: The one factor kept: (precisions' bytes, the read-only stacked pbtrf factor
 #: of the longest band factored for them, as the (S, L, 3) memory of its
@@ -180,13 +167,12 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     key, kept = precisions.tobytes(), _factor
-    reuse = kept is not None and kept[0] == key and k == 1 and _TEMPLATE <= t <= len(kept[1][0])
+    reuse = kept is not None and kept[0] == key and _SHORTEST_KEPT <= t <= len(kept[1][0])
     band = _factor_from_prefix(lapack, *kept[1:], t) if reuse else None
     if band is None:
-        ab = _normal_band(precisions, t)
-        if not np.isfinite(ab).all():
+        band = _normal_band(precisions, t)
+        if not np.isfinite(band).all():
             raise ValueError("array must not contain infs or NaNs")
-        band = ab.transpose(0, 2, 1)  # (S, T, rows): the stacked band's memory
         end, rows = band[:, -2:].copy(), band.shape[2]
         info = lapack.ptsv(band, b) if rows == 2 else lapack.pbtrf(band)
         if info > 0:
@@ -194,7 +180,7 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
             raise LinAlgError(f"{(info - 1) % t + 1}th leading minor not positive definite")
     if band.shape[2] != 2:
         lapack.pbtrs(band, b)
-    if not reuse and t >= _TEMPLATE:
+    if not reuse and t >= _SHORTEST_KEPT:
         band.flags.writeable = False
         _factor = (key, band, end)
 
@@ -208,8 +194,8 @@ def _factor_from_prefix(lapack, cached: np.ndarray, end: np.ndarray, frames: int
     columns are end; None where the replayed tail does not check out.
 
     Written for K = 1: pbtf2 computes column j from columns <= j, and only
-    the last 2K = 2 columns of a band of T >= _TEMPLATE frames differ from
-    a longer band's, so columns 0..T-3 are cached's. The last two are
+    the last 2K = 2 columns of a band of T >= _SHORTEST_KEPT frames differ
+    from a longer band's, so columns 0..T-3 are cached's. The last two are
     replayed through pbtrf itself, for its arithmetic: (a) per dimension, a
     unit pivot holding U[T-4, T-3] and U[T-4, T-2], whose rank-1 update
     leaves the partial entries (T-3, T-2) and (T-2, T-2), then a pivot of -1
@@ -238,8 +224,20 @@ def _factor_from_prefix(lapack, cached: np.ndarray, end: np.ndarray, frames: int
     return factor
 
 
+#: LAPACK's (pbtrf, pbtrs, ptsv) under their 64-bit-integer names: those of
+#: the scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
+#: wheels. Only these are bound: a 32-bit-integer LAPACK takes other types.
+_LAPACK_BAND_SOLVERS = (
+    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dptsv_64_"),
+    ("dpbtrf_64_", "dpbtrs_64_", "dptsv_64_"),
+)
+
+
+@functools.cache
 def _band_lapack():
-    solvers = net._lapack_band_solvers()
+    """pbtrf, pbtrs and ptsv, looked up once per process: those of the LAPACK
+    numpy links (net._numpy_linalg_functions), else scipy's."""
+    solvers = net._numpy_linalg_functions(_LAPACK_BAND_SOLVERS)
     return _ScipyLapack() if solvers is None else _NumpyLapack(*solvers)
 
 
@@ -255,28 +253,34 @@ def _ref(value: int):
 
 
 class _NumpyLapack:
-    """pbtrf, pbtrs and ptsv of the LAPACK numpy links (net._lapack_band_solvers).
-    A band is passed as the memory of its Fortran-ordered storage, a
-    C-ordered (..., columns, rows) array, and b as a vector. pbtrf factors
-    in place, pbtrs and ptsv leave the solution in b; pbtrf and ptsv return
-    LAPACK's info."""
+    """pbtrf, pbtrs and ptsv of the LAPACK numpy links, by ctypes. A band is
+    passed as the memory of its Fortran-ordered storage, a C-ordered
+    (..., columns, rows) array, and b as a vector. pbtrf factors in place,
+    pbtrs and ptsv leave the solution in b; pbtrf and ptsv return LAPACK's
+    info. All arguments are pointers but uplo and its hidden length, last."""
 
     def __init__(self, pbtrf, pbtrs, ptsv):
+        pbtrf.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 5, ctypes.c_size_t)
+        pbtrs.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
+        ptsv.argtypes = (ctypes.c_void_p,) * 7
+        pbtrf.restype = pbtrs.restype = ptsv.restype = None
         self._pbtrf, self._pbtrs, self._ptsv = pbtrf, pbtrs, ptsv
 
     def pbtrf(self, band: np.ndarray) -> int:
+        # dpbtrf(uplo, n, kd, ab, ldab, info)
         rows, info = band.shape[-1], ctypes.c_int64()
         self._pbtrf(b"U", _ref(band.size // rows), _ref(rows - 1), _address(band, band.size),
                     _ref(rows), ctypes.byref(info), 1)
         return info.value
 
     def pbtrs(self, band: np.ndarray, b: np.ndarray) -> None:
+        # dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
         rows, size = band.shape[-1], _ref(b.size)
         self._pbtrs(b"U", size, _ref(rows - 1), _ref(1), _address(band, b.size * rows),
                     _ref(rows), _address(b, b.size), size, _ref(0), 1)
 
     def ptsv(self, band: np.ndarray, b: np.ndarray) -> int:
-        # ptsv takes the diagonal and the superdiagonal as vectors of their own.
+        # dptsv(n, nrhs, d, e, b, ldb, info): d the diagonal, e the superdiagonal.
         d, e, n = band[..., 1].ravel(), band[..., 0].ravel()[1:], b.size
         size, info = _ref(n), ctypes.c_int64()
         self._ptsv(size, _ref(1), _address(d, n), _address(e, n - 1), _address(b, n), size,
@@ -285,8 +289,8 @@ class _NumpyLapack:
 
 
 class _ScipyLapack:
-    """The same three by scipy's LAPACK, for a numpy that links no
-    64-bit-integer LAPACK. Imported here: scipy.linalg costs about 0.25 s
+    """The same three by scipy's LAPACK, fetched once, for a numpy that links
+    no 64-bit-integer LAPACK. Imported here: scipy.linalg costs about 0.25 s
     to import and loads a BLAS of its own."""
 
     def __init__(self):

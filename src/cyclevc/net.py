@@ -381,15 +381,6 @@ _OPENBLAS_SETTERS = (
 )
 
 
-#: LAPACK's (pbtrf, pbtrs, ptsv) under their 64-bit-integer names: those of
-#: the scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
-#: wheels. Only these are bound: a 32-bit-integer LAPACK takes other types.
-_LAPACK_BAND_SOLVERS = (
-    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dptsv_64_"),
-    ("dpbtrf_64_", "dpbtrs_64_", "dptsv_64_"),
-)
-
-
 def _numpy_linalg_functions(candidates) -> tuple | None:
     """The functions of the first group of names in candidates that all
     resolve in numpy's linear-algebra extension; None outside Linux, where
@@ -413,28 +404,6 @@ def _numpy_linalg_functions(candidates) -> tuple | None:
     return None
 
 
-@functools.cache
-def _lapack_band_solvers() -> tuple | None:
-    """The (dpbtrf, dpbtrs, dptsv) triple of the LAPACK numpy links, bound
-    with 64-bit integers, or None (_LAPACK_BAND_SOLVERS). Looked up once, on
-    first use. mlpg factors a band with dpbtrf, or takes the factor it keeps
-    for the target speaker and replays only the band's last two columns
-    through dpbtrf, then solves with dpbtrs: together the two are dpbsv.
-
-    dpbtrf(uplo, n, kd, ab, ldab, info) and dpbtrs(uplo, n, kd, nrhs, ab,
-    ldab, b, ldb, info) take the hidden length of uplo last; dptsv(n, nrhs,
-    d, e, b, ldb, info). All arguments but uplo and that length are pointers.
-    """
-    solvers = _numpy_linalg_functions(_LAPACK_BAND_SOLVERS)
-    if solvers is not None:
-        pbtrf, pbtrs, ptsv = solvers
-        pbtrf.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 5, ctypes.c_size_t)
-        pbtrs.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
-        ptsv.argtypes = (ctypes.c_void_p,) * 7
-        pbtrf.restype = pbtrs.restype = ptsv.restype = None
-    return solvers
-
-
 def _openblas_thread_control() -> tuple | None:
     """The (get, set) thread-count pair of the OpenBLAS that numpy's GEMMs
     run on, or None (_OPENBLAS_SETTERS)."""
@@ -454,10 +423,10 @@ def _openblas_thread_control() -> tuple | None:
 #
 # save_mlp(path) writes the network twice. ``<path>.f8`` is the model: four
 # header lines (the image magic, the layer widths, the two activations),
-# then ``Mlp.params`` as raw little-endian float64 in the flat layout. It
-# goes to a temporary file that replaces the old image only once whole.
+# then ``Mlp.params`` as raw little-endian float64 in the flat layout.
 # ``path`` then gets the MLP1 text: the same header under its own magic and
-# every value as a full-precision decimal, for programs that read text.
+# every value as a full-precision decimal, for programs that read text. Each
+# goes to a temporary file that replaces the old one only once whole.
 # load_mlp opens the image alone; an edited text changes nothing it loads.
 
 _TEXT_MAGIC = "MLP1"
@@ -480,20 +449,24 @@ def _header(magic: str, net: Mlp) -> list[str]:
     ]
 
 
-def save_mlp(path, net: Mlp) -> None:
-    """Write the binary image that load_mlp reads, then the MLP1 text. A
-    failed image write leaves the old image and text in place."""
-    image = _image_path(path)
-    partial = f"{image}.{os.getpid()}.tmp"
+def _write_atomically(path, *chunks) -> None:
+    """Write the bytes-like chunks to a temporary file beside path, then move
+    it onto path: a failed write leaves path's old bytes and no temporary file."""
+    partial = f"{path}.{os.getpid()}.tmp"
     try:
         with open(partial, "wb") as fh:
-            fh.write("".join(f"{line}\n" for line in _header(_IMAGE_MAGIC, net)).encode("utf-8"))
-            fh.write(net.params.astype(_IMAGE_DTYPE, copy=False).tobytes())
-        os.replace(partial, image)
+            fh.writelines(chunks)
+        os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
             os.remove(partial)
         raise
+
+
+def save_mlp(path, net: Mlp) -> None:
+    """Write the binary image that load_mlp reads, then the MLP1 text."""
+    header = "".join(f"{line}\n" for line in _header(_IMAGE_MAGIC, net)).encode("utf-8")
+    _write_atomically(_image_path(path), header, net.params.astype(_IMAGE_DTYPE, copy=False))
     # repr() is the shortest decimal that round-trips each 64-bit value.
     lines = _header(_TEXT_MAGIC, net)
     for layer in range(net.n_layers):
@@ -503,8 +476,7 @@ def save_mlp(path, net: Mlp) -> None:
         b = net.biases[layer]
         lines.append(f"bias {layer} {b.shape[0]}")
         lines.append(" ".join(map(repr, b.tolist())))
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _head(path, data: bytes, n: int) -> tuple[list[str], int]:

@@ -201,18 +201,18 @@ class ConversionResult:
     seconds: float
 
 
-#: Fewest rows per generator call in convert_utterance. Blocks this tall
-#: give the same bytes as one call over the utterance; below about 100 rows
-#: OpenBLAS switches to a small-matrix kernel that rounds differently.
+#: Most rows per generator call in convert_utterance. Blocks of at least half
+#: as many give the same bytes as one call over the utterance; below about 100
+#: rows OpenBLAS switches to a small-matrix kernel that rounds differently.
 GENERATOR_BLOCK = 512
 
 
 def _map_blocks(generator: Callable[[np.ndarray], np.ndarray], frames: np.ndarray) -> np.ndarray:
-    """generator's outputs on n = max(1, T // GENERATOR_BLOCK) balanced row
+    """generator's outputs on n = ceil(T / GENERATOR_BLOCK) balanced row
     blocks of the T frames (bounds T * k // n), called in order and
     concatenated. An output not of its block's shape raises
     DimensionMismatchError."""
-    n = max(1, len(frames) // GENERATOR_BLOCK)
+    n = -(-len(frames) // GENERATOR_BLOCK)
     bounds = [len(frames) * k // n for k in range(n + 1)]
     outputs = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -245,10 +245,10 @@ def convert_utterance(
     """Run one utterance through the conversion chain.
 
     generator maps a B x 75 normalized batch to a B x 75 normalized batch,
-    each frame on its own. It is called on max(1, T // GENERATOR_BLOCK)
-    balanced, in-order row blocks of the T-frame utterance (one call under
-    2 * GENERATOR_BLOCK frames), so a network's forward cache holds one
-    block's activations at a time, not the whole utterance's.
+    each frame on its own. It is called on ceil(T / GENERATOR_BLOCK)
+    balanced, in-order row blocks of the T-frame utterance, none over
+    GENERATOR_BLOCK rows, so a network's forward cache holds one block's
+    activations at a time, not the whole utterance's.
     Every stage's output is checked, so the chain runs with numpy's overflow and
     invalid warnings off; a stage's ValueError gets "stage <label>: " in front.
     Higher-order mel-cepstrum columns and the aperiodicity stream are

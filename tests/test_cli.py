@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import cyclevc
-from cyclevc import baselines, cyclegan
+from cyclevc import baselines, cyclegan, mlpg
 from cyclevc.baselines import GanBaselineConfig, MseBaselineConfig
 from cyclevc.cli import build_parser, main
 from cyclevc.cyclegan import CycleGanConfig
 from cyclevc.errors import NonFiniteError
 from cyclevc.features import FeatureKind, FeatureSequence, read_ftr, split_mcep, write_ftr
-from cyclevc.net import Mlp, _lapack_band_solvers, forward, init_mlp
+from cyclevc.net import Mlp, forward, init_mlp
 from cyclevc.pipeline import (
     convert_utterance,
     load_model_bundle,
@@ -124,7 +124,8 @@ def test_stats_and_cyclegan_training_load_no_scipy(tmp_path):
 
 
 @pytest.mark.skipif(
-    _lapack_band_solvers() is None, reason="numpy links no 64-bit-integer LAPACK"
+    not isinstance(mlpg._band_lapack(), mlpg._NumpyLapack),
+    reason="numpy links no 64-bit-integer LAPACK",
 )
 def test_convert_with_mlpg_loads_no_scipy(corpus, trained, tmp_path):
     """MLPG solves through the LAPACK numpy links, so a fresh interpreter

@@ -34,18 +34,34 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_a_long_conversion_holds_one_generator_block_of_activations():
-    """T=2000 at the default generator: 7.4 MB, the generator stage's peak,
-    with the generator on row blocks and the static+delta features dropped
-    before it; 8.6 MB when they stayed alive, 16.7 MB when the forward
-    cached every layer's activations for all 2,000 frames. The mlpg stage
-    peaks at 6.1 MB with their normalized copy dropped after the generator
-    and the target speaker's band factor kept from the warm-up; 8.2 MB when
-    both stayed alive and each call factored its own band."""
+def stage_peaks(call) -> dict:
+    """Bytes allocated at each stage's peak during call(trace), beyond what
+    was allocated when the stage began, by the stage labels trace gets."""
+    peaks, stage = {}, [None]
+
+    def trace(label):
+        """Ends the running stage: its peak, beyond what was allocated at the start."""
+        peaks[stage[0]] = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        stage[0] = label
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(trace)
+        trace(None)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def default_conversion(frames: int):
+    """convert(trace=None): one convert_utterance of a synthetic utterance
+    of frames frames through the default-size generator."""
     rng = np.random.default_rng(0)
-    mcep = FeatureSequence(rng.normal(size=(2000, 49)), FeatureKind.MCEP49)
-    f0 = FeatureSequence(np.full((2000, 1), 150.0), FeatureKind.F0)
-    ap = FeatureSequence(rng.random((2000, 5)), FeatureKind.APERIODICITY)
+    mcep = FeatureSequence(rng.normal(size=(frames, 49)), FeatureKind.MCEP49)
+    f0 = FeatureSequence(np.full((frames, 1), 150.0), FeatureKind.F0)
+    ap = FeatureSequence(rng.random((frames, 5)), FeatureKind.APERIODICITY)
     stats = compute_speaker_stats([mcep], [f0])
     net = init_mlp((75, 128, 256, 256, 128, 75), seed=3)
 
@@ -53,25 +69,31 @@ def test_a_long_conversion_holds_one_generator_block_of_activations():
         convert_utterance(lambda batch: forward(net, batch)[0], stats, stats, mcep, f0, ap,
                           trace=trace)
 
+    return convert
+
+
+def test_a_long_conversion_holds_one_generator_block_of_activations():
+    """T=2000 at the default generator: 6.3 MB, the generator stage's peak,
+    with the generator on four row blocks of 500 and the static+delta
+    features dropped before it; 7.4 MB on three blocks of 666 or 667, 8.6 MB
+    when the features stayed alive too, 16.7 MB when the forward cached
+    every layer's activations for all 2,000 frames. The mlpg stage peaks at
+    6.1 MB with their normalized copy dropped after the generator and the
+    target speaker's band factor kept from the warm-up; 8.2 MB when both
+    stayed alive and each call factored its own band."""
+    convert = default_conversion(2000)
     convert()  # binds LAPACK, sets the heap pad and keeps the band factor
     assert traced_peak(convert) < 8 * MB
+    assert stage_peaks(convert)["mlpg"] < 7 * MB
 
-    stage_peaks, stage = {}, [None]
 
-    def trace(label):
-        """Ends the running stage: its peak, beyond what was allocated at the start."""
-        stage_peaks[stage[0]] = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        stage[0] = label
-
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        convert(trace)
-        trace(None)
-    finally:
-        tracemalloc.stop()
-    assert stage_peaks["mlpg"] < 7 * MB
+def test_no_generator_block_is_over_512_rows():
+    """T=1018 at the default generator: the generator stage peaks at 4.8 MB
+    on two blocks of 509 rows, 8.0 MB on one block of all 1,018 rows (more
+    than three blocks of a 2,000-frame utterance take)."""
+    convert = default_conversion(1018)
+    convert()
+    assert stage_peaks(convert)["generator"] < 6 * MB
 
 
 def test_a_training_step_frees_each_phase_s_gradients():

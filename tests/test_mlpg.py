@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -51,8 +52,9 @@ def dense_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
 
 
 def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """The banded solve with the band summed over all T frames, as
-    mlpg_generate did before it summed a short template."""
+    """The banded solve with the band and the right-hand side summed in
+    (S, rows, T) layout over all T frames and solved one dimension at a time
+    by scipy's solveh_banded: the bytes mlpg_generate must give."""
     from scipy.linalg import solveh_banded
 
     t = means.shape[0]
@@ -79,6 +81,18 @@ def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     for dim in range(s):
         out[:, dim] = solveh_banded(ab[dim], rhs[dim], lower=False)
     return out
+
+
+def fresh_lapack(monkeypatch, find):
+    """Have mlpg look its LAPACK up again at its next call, with find in
+    place of net._numpy_linalg_functions."""
+    monkeypatch.setattr(net, "_numpy_linalg_functions", find)
+    monkeypatch.setattr(mlpg, "_band_lapack", functools.cache(mlpg._band_lapack.__wrapped__))
+
+
+def numpy_lapack():
+    """Whether mlpg solves on the LAPACK numpy links, not scipy's."""
+    return isinstance(mlpg._band_lapack(), mlpg._NumpyLapack)
 
 
 @pytest.mark.parametrize("frames", [*range(1, 8), 50])
@@ -127,8 +141,9 @@ class TestMlpgGenerate:
             assert np.abs(banded - dense).max() <= 1e-8, f"trial {trial}"
 
     def test_bit_identical_to_the_full_length_band(self):
-        """The template band gives the bytes of the band summed over every
-        frame: short sequences, the 4K + 1 template itself, and long ones."""
+        """mlpg_generate gives the bytes of full_band_mlpg, scipy's
+        per-dimension solve: short sequences, the 4K + 1 frames from which a
+        band factor is kept, and long ones."""
         rng = np.random.default_rng(8)
         for frames in [*range(1, 41), 1000]:
             means = rng.normal(size=(frames, 75))
@@ -209,7 +224,7 @@ class TestMlpgGenerate:
         """Where numpy links no 64-bit-integer LAPACK the solves go through
         scipy's; both give the same trajectory to 1e-12 relative, for pbsv
         bands, the 2-row ptsv band (T = 2) and the 1-row one (T = 1)."""
-        if net._lapack_band_solvers() is None:
+        if not numpy_lapack():
             pytest.skip("numpy links no 64-bit-integer LAPACK")
         rng = np.random.default_rng(frames)
         means = rng.normal(size=(frames, 75))
@@ -218,7 +233,7 @@ class TestMlpgGenerate:
             variances[30] = np.inf
         traj = GaussianTrajectory(means=means, variances=variances)
         numpy_path = mlpg_generate(traj).data
-        monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+        fresh_lapack(monkeypatch, lambda names: None)
         scipy_path = mlpg_generate(traj).data
         np.testing.assert_allclose(scipy_path, numpy_path, rtol=1e-12, atol=0)
 
@@ -228,10 +243,10 @@ class TestMlpgGenerate:
         dimension 3 leaves its 300-frame system not numerically positive
         definite. Both paths name the minor as solveh_banded does, counted
         within the dimension: the stacked system's own index would be 1200."""
-        if not scipy_path and net._lapack_band_solvers() is None:
+        if not scipy_path and not numpy_lapack():
             pytest.skip("numpy links no 64-bit-integer LAPACK")
         if scipy_path:
-            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+            fresh_lapack(monkeypatch, lambda names: None)
         variances = np.ones(75)
         variances[3], variances[53] = 1e12, 1e-12
         traj = GaussianTrajectory(
@@ -266,18 +281,18 @@ class TestMlpgGenerate:
 
             lookup = scipy.linalg.get_lapack_funcs
             pbtrf, pbtrs, ptsv = lookup(("pbtrf", "pbtrs", "ptsv"), dtype=np.float64)
-            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: None)
+            fresh_lapack(monkeypatch, lambda names: None)
             monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (
                 lambda ab, **kw: sizes.append(ab.shape[1]) or pbtrf(ab, **kw),
                 lambda ab, b, **kw: solves.append(1) or pbtrs(ab, b, **kw),
                 ptsv,
             ))
         else:
-            solvers = net._lapack_band_solvers()
-            if solvers is None:
+            if not numpy_lapack():
                 pytest.skip("numpy links no 64-bit-integer LAPACK")
-            pbtrf, pbtrs, ptsv = solvers
-            monkeypatch.setattr(net, "_lapack_band_solvers", lambda: (
+            lapack = mlpg._band_lapack()
+            pbtrf, pbtrs, ptsv = lapack._pbtrf, lapack._pbtrs, lapack._ptsv
+            fresh_lapack(monkeypatch, lambda names: (
                 lambda *args: sizes.append(args[1]._obj.value) or pbtrf(*args),
                 lambda *args: solves.append(1) or pbtrs(*args),
                 ptsv,
@@ -292,6 +307,29 @@ class TestMlpgGenerate:
         out = mlpg_generate(GaussianTrajectory(means=means, variances=variances)).data
         assert 25 * frames not in sizes and len(solves) == 1
         assert out.tobytes() == full_band_mlpg(means, variances).tobytes()
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_the_lapack_is_looked_up_once(self, found, monkeypatch):
+        """Three calls make one lookup in numpy's linear-algebra extension
+        and, where it finds nothing, fetch scipy's routines once."""
+        import scipy.linalg
+
+        if found and not numpy_lapack():
+            pytest.skip("numpy links no 64-bit-integer LAPACK")
+        lookups, fetches = [], []
+        find, fetch = net._numpy_linalg_functions, scipy.linalg.get_lapack_funcs
+        fresh_lapack(monkeypatch, lambda names: lookups.append(names) or (
+            find(names) if found else None
+        ))
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *args, **kwargs: (
+            fetches.append(args) or fetch(*args, **kwargs)
+        ))
+        rng = np.random.default_rng(14)
+        variances = rng.uniform(0.1, 4.0, size=75)
+        for frames in (3, 300, 200):
+            mlpg_generate(GaussianTrajectory(means=rng.normal(size=(frames, 75)), variances=variances))
+        assert len(lookups) == 1 and len(fetches) == (0 if found else 1)
+        assert isinstance(mlpg._band_lapack(), mlpg._NumpyLapack if found else mlpg._ScipyLapack)
 
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "mixed", "two-speakers"])
     def test_the_kept_factor_gives_the_bytes_of_the_full_band(self, order, monkeypatch):

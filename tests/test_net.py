@@ -599,6 +599,27 @@ class TestBinaryImage:
         assert path.read_bytes() == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.mlp", "net.mlp.f8"]
 
+    def test_a_failed_text_write_keeps_the_previous_text(self, tmp_path, monkeypatch):
+        """The MLP1 text goes through a temporary file too: a failed second
+        write leaves the old text's bytes and no temporary file."""
+        path = tmp_path / "net.mlp"
+        save_mlp(path, pi_net())
+        text = path.read_bytes()
+        replace, calls = net_module.os.replace, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(*args)
+
+        monkeypatch.setattr(net_module.os, "replace", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            save_mlp(path, pi_net(seed=22))
+        monkeypatch.undo()
+        assert path.read_bytes() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.mlp", "net.mlp.f8"]
+
     def test_non_utf8_file_error_names_the_file(self, tmp_path):
         path, image = tmp_path / "net.mlp", tmp_path / "net.mlp.f8"
         save_mlp(path, pi_net())

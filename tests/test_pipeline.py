@@ -269,11 +269,12 @@ class TestConvertUtterance:
             "transform-f0", "copy-aperiodicity", "shift-db",
         ]
 
-    @pytest.mark.parametrize("frames", [600, 1023, 1024, 2000, 4001])
+    @pytest.mark.parametrize("frames", [300, 512, 513, 600, 1018, 1023, 1024, 2000, 4001])
     def test_the_generator_sees_balanced_in_order_row_blocks(self, frames):
-        """max(1, T // 512) calls, each of 512 rows or more, their sizes
-        within one of each other; together they are the normalized
-        utterance in order, so under 1,024 frames it is one call."""
+        """ceil(T / 512) calls, each of 512 rows or fewer and, past 512
+        frames, 256 or more, their sizes within one of each other;
+        together they are the normalized utterance in order, so up to 512
+        frames it is one call."""
         rng = np.random.default_rng(11)
         mcep, f0, ap = make_speaker(rng, frames=frames)
         stats = self._stats_for(mcep, f0)
@@ -285,8 +286,9 @@ class TestConvertUtterance:
 
         convert_utterance(recording, stats, stats, mcep, f0, ap)
         sizes = [len(block) for block in blocks]
-        assert len(sizes) == max(1, frames // pipeline.GENERATOR_BLOCK)
-        assert min(sizes) >= min(frames, pipeline.GENERATOR_BLOCK)
+        assert len(sizes) == -(-frames // pipeline.GENERATOR_BLOCK)
+        assert max(sizes) <= pipeline.GENERATOR_BLOCK
+        assert min(sizes) >= min(frames, pipeline.GENERATOR_BLOCK // 2)
         assert max(sizes) - min(sizes) <= 1
         z = normalize(augment_lower(mcep), stats.norm).data
         assert np.array_equal(np.concatenate(blocks), z)
@@ -305,14 +307,14 @@ class TestConvertUtterance:
             return outputs[-1]
 
         convert_utterance(recording, stats, stats, mcep, f0, ap)
-        assert len(outputs) == 3
+        assert len(outputs) == 4
         whole = forward(net, normalize(augment_lower(mcep), stats.norm).data)[0]
         blocked = np.concatenate(outputs)
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     def test_a_wrong_width_block_is_refused_before_the_concatenation(self):
-        """On 1,100 frames the second block comes back 10 wide: the shape
-        check names it, not numpy's concatenate."""
+        """On 1,100 frames (blocks of 366, 367 and 367) the second block
+        comes back 10 wide: the shape check names it, not numpy's concatenate."""
         rng = np.random.default_rng(13)
         mcep, f0, ap = make_speaker(rng, frames=1100)
         stats = self._stats_for(mcep, f0)
@@ -324,10 +326,10 @@ class TestConvertUtterance:
 
         with pytest.raises(
             DimensionMismatchError,
-            match=r"^stage generator: generator returned shape \(550, 10\), expected \(550, 75\)$",
+            match=r"^stage generator: generator returned shape \(367, 10\), expected \(367, 75\)$",
         ):
             convert_utterance(second_block_narrow, stats, stats, mcep, f0, ap)
-        assert calls == [550, 550]
+        assert calls == [366, 367]
 
     @pytest.mark.parametrize(
         "stream, frames", [("F0", 50), ("aperiodicity", 70)], ids=["short-f0", "long-ap"]
