@@ -22,7 +22,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +66,21 @@ def _sqeuclidean_kernel():
     Importing scipy.spatial costs 0.24-0.35 s and 38 MB of peak memory on
     2 cores (its kd-tree, qhull, scipy.sparse and scipy.linalg with its own
     OpenBLAS), none of which DTW uses; loading the kernel alone costs 1 ms
-    and 0.5 MB. So unless scipy.spatial is loaded already, the kernel's
-    extension file is loaded on its own, and neither scipy nor
-    scipy.spatial is imported. Where that file or its function is missing,
-    or loading it fails, public ``cdist`` does the work (_public_cdist).
+    and 0.5 MB. So the kernel's extension file is loaded on its own, and
+    neither scipy nor scipy.spatial is imported. That also holds where
+    scipy.spatial is loaded already: the kernel is initialised once per
+    process, so its loader returns the module already imported. Where the
+    file or its function is missing, or loading it fails, public ``cdist``
+    does the work (_public_cdist).
     """
     try:
-        module = sys.modules.get(_KERNEL_MODULE)
-        path = None if module is not None else _kernel_file()
+        path = _kernel_file()
         if path is not None:
             loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, path)
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_loader(_KERNEL_MODULE, loader)
             )
             loader.exec_module(module)
-        if module is not None:
             return module.cdist_sqeuclidean
     except (ImportError, OSError, AttributeError):
         pass

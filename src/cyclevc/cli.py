@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -198,14 +199,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
     inputs = {"normalize-source": (args.mcep, args.src_stats), "generator": (net_path,),
               "denormalize-target": (args.tgt_stats,), "mlpg": (args.tgt_stats,),
               "transform-f0": (args.f0, args.src_stats, args.tgt_stats)}
-    stages = [None]
+    naming = located("", ValueError)  # names no file until a stage in inputs starts
 
     def trace(label):
-        stages.append(label)
+        naming.where = ", ".join(map(str, inputs.get(label, ())))
         if args.trace:
             print(f"stage: {label}")
 
-    try:
+    with naming:
         result = convert_utterance(
             generator=lambda batch: forward(net, batch)[0],
             src_stats=src_stats,
@@ -217,15 +218,17 @@ def cmd_convert(args: argparse.Namespace) -> int:
             postfilter_beta=args.postfilter_beta,
             trace=trace,
         )
-    except ValueError as exc:
-        if stages[-1] not in inputs:
-            raise
-        raise type(exc)(f"{', '.join(map(str, inputs[stages[-1]]))}: {exc}") from exc
     outputs = (
         (args.out_mcep, result.mcep), (args.out_f0, result.f0), (args.out_ap, result.aperiodicity)
     )
+    targets = set()
     for path, seq in outputs:  # all three are checked before any is written
         ftr_frames(path, seq)
+        target = os.path.realpath(path)
+        if target in targets or not os.path.isdir(os.path.dirname(target)):
+            problem = "names an earlier output" if target in targets else "no such directory"
+            raise ValueError(f"{path}: {problem}; nothing was written")
+        targets.add(target)
     for path, seq in outputs:
         write_ftr(path, seq)
     print(

@@ -24,7 +24,8 @@ class FormatError(ValueError):
 
 class located:
     """Raises an error of one of types from the body again as its own type,
-    chained, with "where: " in front; a class, cheaper than a generator."""
+    chained, with "where: " in front; a class, cheaper than a generator.
+    An empty where, which the body may set as it goes, lets errors pass."""
 
     def __init__(self, where: str, *types: type[Exception]) -> None:
         self.where, self.types = where, types
@@ -33,7 +34,7 @@ class located:
         pass
 
     def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, self.types):
+        if self.where and isinstance(exc, self.types):
             raise type(exc)(f"{self.where}: {exc}") from exc
 
 

@@ -97,12 +97,13 @@ def _window_rows(win, frames: int) -> np.ndarray:
 
 def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
     """sum_w W_w^T W_w / var_w for every static dimension, as (S, frames,
-    bandwidth + 1): row j of a dimension is column j of its band in
-    solveh_banded's upper storage. The S bands side by side are one
-    Fortran-ordered block-diagonal band, which LAPACK takes without a copy."""
+    2K + 1): row j of a dimension is column j of its band in LAPACK's upper
+    storage. The S bands side by side are one Fortran-ordered block-diagonal
+    band, which LAPACK takes without a copy. Below 2K + 1 frames the rows
+    for offsets a band lacks stay 0, so every T has the one layout."""
     k = _MAX_OFFSET
     s = precisions.shape[0] // len(DELTA_WINDOWS)
-    bandwidth = min(2 * k, frames - 1)
+    bandwidth = 2 * k
     ab = np.zeros((s, frames, bandwidth + 1))
     for w, win in enumerate(DELTA_WINDOWS):
         p = precisions[w * s : (w + 1) * s, None]
@@ -112,7 +113,7 @@ def _normal_band(precisions: np.ndarray, frames: int) -> np.ndarray:
         # rows lo..hi-1 are those where both columns exist.
         for d1 in range(-k, k + 1):
             lo = max(0, -d1)
-            for d2 in range(d1, min(k, d1 + bandwidth) + 1):
+            for d2 in range(d1, k + 1):
                 hi = max(lo, frames - max(d2, 0))
                 ab[:, lo + d2 : hi + d2, bandwidth - (d2 - d1)] += p * (
                     rows[lo:hi, d1 + k] * rows[lo:hi, d2 + k]
@@ -158,11 +159,10 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
             rhs[lo + d1 : hi + d1] += rows[lo:hi, d1 + k, None] * mu[lo:hi]
     b = np.ascontiguousarray(rhs.T).reshape(-1)  # one block per dimension, as the band's
 
-    # What solveh_banded(ab[dim], rhs[dim], lower=False) does per dimension,
-    # as one solve: side by side, the blocks are one Fortran-ordered band (no
-    # copy), decoupled by the zeros each block's first columns leave unused.
-    # A 2-row band goes to ptsv; any other is factored by pbtrf, or taken
-    # from the kept factor, and solved by pbtrs: pbsv's two steps.
+    # What pbsv does per dimension, as one solve: side by side, the blocks
+    # are one Fortran-ordered band (no copy), decoupled by the zeros each
+    # block's first columns leave unused. pbtrf factors the band, or the kept
+    # factor stands in for it, and pbtrs solves: pbsv's two steps.
     lapack = _band_lapack()
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -173,13 +173,11 @@ def mlpg_generate(traj: GaussianTrajectory) -> FeatureSequence:
         band = _normal_band(precisions, t)
         if not np.isfinite(band).all():
             raise ValueError("array must not contain infs or NaNs")
-        end, rows = band[:, -2:].copy(), band.shape[2]
-        info = lapack.ptsv(band, b) if rows == 2 else lapack.pbtrf(band)
+        end, info = band[:, -2:].copy(), lapack.pbtrf(band)
         if info > 0:
             # The stacked system's info is dim * T + j; solveh_banded names j.
             raise LinAlgError(f"{(info - 1) % t + 1}th leading minor not positive definite")
-    if band.shape[2] != 2:
-        lapack.pbtrs(band, b)
+    lapack.pbtrs(band, b)
     if not reuse and t >= _SHORTEST_KEPT:
         band.flags.writeable = False
         _factor = (key, band, end)
@@ -224,18 +222,18 @@ def _factor_from_prefix(lapack, cached: np.ndarray, end: np.ndarray, frames: int
     return factor
 
 
-#: LAPACK's (pbtrf, pbtrs, ptsv) under their 64-bit-integer names: those of
-#: the scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
+#: LAPACK's (pbtrf, pbtrs) under their 64-bit-integer names: those of the
+#: scipy-openblas build that numpy 2 wheels ship, then those of numpy 1.x
 #: wheels. Only these are bound: a 32-bit-integer LAPACK takes other types.
 _LAPACK_BAND_SOLVERS = (
-    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "scipy_dptsv_64_"),
-    ("dpbtrf_64_", "dpbtrs_64_", "dptsv_64_"),
+    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_"),
+    ("dpbtrf_64_", "dpbtrs_64_"),
 )
 
 
 @functools.cache
 def _band_lapack():
-    """pbtrf, pbtrs and ptsv, looked up once per process: those of the LAPACK
+    """pbtrf and pbtrs, looked up once per process: those of the LAPACK
     numpy links (net._numpy_linalg_functions), else scipy's."""
     solvers = net._numpy_linalg_functions(_LAPACK_BAND_SOLVERS)
     return _ScipyLapack() if solvers is None else _NumpyLapack(*solvers)
@@ -253,18 +251,17 @@ def _ref(value: int):
 
 
 class _NumpyLapack:
-    """pbtrf, pbtrs and ptsv of the LAPACK numpy links, by ctypes. A band is
-    passed as the memory of its Fortran-ordered storage, a C-ordered
-    (..., columns, rows) array, and b as a vector. pbtrf factors in place,
-    pbtrs and ptsv leave the solution in b; pbtrf and ptsv return LAPACK's
-    info. All arguments are pointers but uplo and its hidden length, last."""
+    """pbtrf and pbtrs of the LAPACK numpy links, by ctypes. A band is passed
+    as the memory of its Fortran-ordered storage, a C-ordered
+    (..., columns, rows) array, and b as a vector. pbtrf factors in place and
+    returns LAPACK's info; pbtrs leaves the solution in b. All arguments are
+    pointers but uplo and its hidden length, last."""
 
-    def __init__(self, pbtrf, pbtrs, ptsv):
+    def __init__(self, pbtrf, pbtrs):
         pbtrf.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 5, ctypes.c_size_t)
         pbtrs.argtypes = (ctypes.c_char_p, *[ctypes.c_void_p] * 8, ctypes.c_size_t)
-        ptsv.argtypes = (ctypes.c_void_p,) * 7
-        pbtrf.restype = pbtrs.restype = ptsv.restype = None
-        self._pbtrf, self._pbtrs, self._ptsv = pbtrf, pbtrs, ptsv
+        pbtrf.restype = pbtrs.restype = None
+        self._pbtrf, self._pbtrs = pbtrf, pbtrs
 
     def pbtrf(self, band: np.ndarray) -> int:
         # dpbtrf(uplo, n, kd, ab, ldab, info)
@@ -279,25 +276,16 @@ class _NumpyLapack:
         self._pbtrs(b"U", size, _ref(rows - 1), _ref(1), _address(band, b.size * rows),
                     _ref(rows), _address(b, b.size), size, _ref(0), 1)
 
-    def ptsv(self, band: np.ndarray, b: np.ndarray) -> int:
-        # dptsv(n, nrhs, d, e, b, ldb, info): d the diagonal, e the superdiagonal.
-        d, e, n = band[..., 1].ravel(), band[..., 0].ravel()[1:], b.size
-        size, info = _ref(n), ctypes.c_int64()
-        self._ptsv(size, _ref(1), _address(d, n), _address(e, n - 1), _address(b, n), size,
-                   ctypes.byref(info))
-        return info.value
-
 
 class _ScipyLapack:
-    """The same three by scipy's LAPACK, fetched once, for a numpy that links
+    """The same two by scipy's LAPACK, fetched once, for a numpy that links
     no 64-bit-integer LAPACK. Imported here: scipy.linalg costs about 0.25 s
     to import and loads a BLAS of its own."""
 
     def __init__(self):
         from scipy.linalg import get_lapack_funcs
 
-        names = ("pbtrf", "pbtrs", "ptsv")
-        self._pbtrf, self._pbtrs, self._ptsv = get_lapack_funcs(names, dtype=np.float64)
+        self._pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
     def pbtrf(self, band: np.ndarray) -> int:
         c, info = self._pbtrf(band.reshape(-1, band.shape[-1]).T, lower=0, overwrite_ab=1)
@@ -306,10 +294,6 @@ class _ScipyLapack:
 
     def pbtrs(self, band: np.ndarray, b: np.ndarray) -> None:
         b[:] = self._pbtrs(band.reshape(-1, band.shape[-1]).T, b, lower=0, overwrite_b=1)[0]
-
-    def ptsv(self, band: np.ndarray, b: np.ndarray) -> int:
-        b[:], info = self._ptsv(band[..., 1].ravel(), band[..., 0].ravel()[1:], b, 1, 1, 1)[2:]
-        return info
 
 
 def check_beta(beta: float) -> None:

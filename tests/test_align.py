@@ -6,8 +6,13 @@ in ``cyclevc.align`` replaced; the two must agree exactly, path and cost.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import cyclevc
 from cyclevc import align
 from cyclevc.align import AlignmentPath, dtw_align, paired_frames
 from cyclevc.errors import DimensionMismatchError, InsufficientDataError, NonFiniteError
@@ -246,6 +252,41 @@ class TestDistanceKernel:
             dtw_align(FeatureSequence(rng.normal(size=(ta, 3))),
                       FeatureSequence(rng.normal(size=(7, 3))))
         assert align._sqeuclidean_kernel.cache_info().misses == 1
+
+    def test_after_scipy_spatial_the_kernel_is_the_one_it_holds(self):
+        """In a fresh interpreter that imports scipy.spatial.distance first,
+        the kernel loaded from its file is scipy.spatial's own function, and
+        a 570 x 623 alignment gives the path and cost of a fresh interpreter
+        that never imports scipy.spatial."""
+        code = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "if sys.argv[1] == 'spatial-first':\n"
+            "    import scipy.spatial.distance\n"
+            "from cyclevc import align\n"
+            "from cyclevc.features import FeatureSequence\n"
+            "kernel = align._sqeuclidean_kernel()\n"
+            "held = sys.modules.get('scipy.spatial._distance_pybind')\n"
+            "rng = np.random.default_rng(12)\n"
+            "path = align.dtw_align(FeatureSequence(rng.normal(size=(570, 25))),\n"
+            "                       FeatureSequence(rng.normal(size=(623, 25))))\n"
+            "print(json.dumps({'held': held is not None and kernel is held.cdist_sqeuclidean,\n"
+            "                  'fallback': kernel is align._public_cdist,\n"
+            "                  'spatial': 'scipy.spatial' in sys.modules,\n"
+            "                  'pairs': hashlib.sha256(repr(path.pairs).encode()).hexdigest(),\n"
+            "                  'cost': path.cost.hex()}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cyclevc.__file__).resolve().parents[1])}
+        runs = {}
+        for order in ("spatial-first", "alone"):
+            run = subprocess.run([sys.executable, "-c", code, order], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs[order] = json.loads(run.stdout)
+        first, alone = runs["spatial-first"], runs["alone"]
+        assert first["held"] and not first["fallback"]
+        assert not alone["spatial"] and not alone["fallback"]
+        assert (first["pairs"], first["cost"]) == (alone["pairs"], alone["cost"])
 
 
 class TestAlignmentPath:

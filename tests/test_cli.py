@@ -1275,6 +1275,35 @@ class TestConvertLoadsOneNetwork:
         assert "one-way mapping" in capsys.readouterr().err
 
 
+class TestConvertOutputs:
+    """convert checks its three outputs as a set before it writes any."""
+
+    def test_outputs_that_name_one_file_are_refused(self, corpus, bundles, tmp_path, capsys):
+        """All three outputs at one path would leave only the aperiodicity."""
+        out = tmp_path / "o.ftr"
+        argv = convert_argv(corpus, bundles["mse-parallel"], tmp_path)
+        for flag in ("--out-mcep", "--out-f0", "--out-ap"):
+            argv[argv.index(flag) + 1] = str(out)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: names an earlier output; nothing was written\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_output_in_a_missing_directory_writes_no_output(
+        self, corpus, bundles, tmp_path, capsys
+    ):
+        """--out-ap is written last; the outputs before it must not be written either."""
+        ap = tmp_path / "nodir" / "o.ap.ftr"
+        argv = convert_argv(corpus, bundles["mse-parallel"], tmp_path)
+        argv[argv.index("--out-ap") + 1] = str(ap)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ap}: no such directory; nothing was written\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAlign:
     def test_path_csv(self, corpus, tmp_path, capsys):
         out = tmp_path / "path.csv"

@@ -54,8 +54,9 @@ def dense_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
 def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """The banded solve with the band and the right-hand side summed in
     (S, rows, T) layout over all T frames and solved one dimension at a time
-    by scipy's solveh_banded: the bytes mlpg_generate must give."""
-    from scipy.linalg import solveh_banded
+    by scipy's LAPACK dpbsv, which solveh_banded calls for every band of
+    three or more rows: the bytes mlpg_generate must give."""
+    from scipy.linalg.lapack import dpbsv
 
     t = means.shape[0]
     s = means.shape[1] // len(DELTA_WINDOWS)
@@ -79,7 +80,7 @@ def full_band_mlpg(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
                 )
     out = np.empty((t, s))
     for dim in range(s):
-        out[:, dim] = solveh_banded(ab[dim], rhs[dim], lower=False)
+        out[:, dim] = dpbsv(ab[dim], rhs[dim], lower=0)[1]
     return out
 
 
@@ -222,8 +223,9 @@ class TestMlpgGenerate:
     @pytest.mark.parametrize("delta_off", [False, True])
     def test_scipy_lapack_agrees_with_numpy_lapack(self, frames, delta_off, monkeypatch):
         """Where numpy links no 64-bit-integer LAPACK the solves go through
-        scipy's; both give the same trajectory to 1e-12 relative, for pbsv
-        bands, the 2-row ptsv band (T = 2) and the 1-row one (T = 1)."""
+        scipy's; both give the same trajectory to 1e-12 relative, for long
+        and short bands, down to the T = 2 and T = 1 ones that hold only
+        the entries of two frames and of one."""
         if not numpy_lapack():
             pytest.skip("numpy links no 64-bit-integer LAPACK")
         rng = np.random.default_rng(frames)
@@ -280,22 +282,20 @@ class TestMlpgGenerate:
             import scipy.linalg
 
             lookup = scipy.linalg.get_lapack_funcs
-            pbtrf, pbtrs, ptsv = lookup(("pbtrf", "pbtrs", "ptsv"), dtype=np.float64)
+            pbtrf, pbtrs = lookup(("pbtrf", "pbtrs"), dtype=np.float64)
             fresh_lapack(monkeypatch, lambda names: None)
             monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (
                 lambda ab, **kw: sizes.append(ab.shape[1]) or pbtrf(ab, **kw),
                 lambda ab, b, **kw: solves.append(1) or pbtrs(ab, b, **kw),
-                ptsv,
             ))
         else:
             if not numpy_lapack():
                 pytest.skip("numpy links no 64-bit-integer LAPACK")
             lapack = mlpg._band_lapack()
-            pbtrf, pbtrs, ptsv = lapack._pbtrf, lapack._pbtrs, lapack._ptsv
+            pbtrf, pbtrs = lapack._pbtrf, lapack._pbtrs
             fresh_lapack(monkeypatch, lambda names: (
                 lambda *args: sizes.append(args[1]._obj.value) or pbtrf(*args),
                 lambda *args: solves.append(1) or pbtrs(*args),
-                ptsv,
             ))
         monkeypatch.setattr(mlpg, "_factor", None)
         rng = np.random.default_rng(frames)
